@@ -192,24 +192,38 @@ def _pibt_step(
         nxt[member] = target
         occupied_next[target] = member
 
-    def pibt(i: int) -> bool:
-        candidates = [config[i]] + [w for w in graph.neighbors(config[i]) if w != config[i]]
-        rng.shuffle(candidates)
-        candidates.sort(key=lambda w: gammas[i][w])
-        for w in candidates:
-            if w in occupied_next:
-                continue
-            j = occupant_now.get(w)
-            if j is not None and j != i and nxt[j] == config[i]:
-                continue  # swap
-            nxt[i] = w
-            occupied_next[w] = i
-            if j is not None and j != i and nxt[j] is None and not pibt(j):
-                continue
-            return True
-        nxt[i] = config[i]
-        occupied_next[config[i]] = i
-        return False
+    def candidates(i: int):
+        here = config[i]
+        cands = [here] + [w for w in graph.neighbors(here) if w != here]
+        rng.shuffle(cands)
+        cands.sort(key=lambda w: gammas[i][w])
+        return iter(cands)
+
+    def pibt(root: int) -> None:
+        # Priority inheritance: taking the vertex of an unplanned agent pushes
+        # that agent, which plans next; a pushed agent with no vertex left
+        # stays put and its pusher tries its next candidate.  One success ends
+        # the whole chain.  The stack is explicit because push chains can be
+        # longer than Python's recursion limit.
+        stack = [(root, candidates(root))]
+        while stack:
+            i, cands = stack[-1]
+            for w in cands:
+                if w in occupied_next:
+                    continue
+                j = occupant_now.get(w)
+                if j is not None and j != i and nxt[j] == config[i]:
+                    continue  # swap
+                nxt[i] = w
+                occupied_next[w] = i
+                if j is not None and j != i and nxt[j] is None:
+                    stack.append((j, candidates(j)))
+                    break
+                return
+            else:
+                nxt[i] = config[i]
+                occupied_next[config[i]] = i
+                stack.pop()
 
     for member in order:
         if nxt[member] is None:
@@ -262,13 +276,13 @@ class ClassicCbsBackup(BackupController):
         )
 
 
-_BACKUPS = {"lacam-ref": LacamBackup, "cbs-full": ClassicCbsBackup}
+BACKUPS = {"lacam-ref": LacamBackup, "cbs-full": ClassicCbsBackup}
 
 
 def make_backup(name: str, seed: int = 0) -> BackupController:
-    """Backup selection by name ("lacam-ref" or "cbs-full")."""
+    """Backup selection by name, one of the keys of BACKUPS."""
     try:
-        cls = _BACKUPS[name]
+        cls = BACKUPS[name]
     except KeyError:
         raise BackupError(f"unknown backup controller {name!r}") from None
     return cls(seed=seed)

@@ -1,10 +1,10 @@
 """Command-line benchmark harness.
 
 Loads a MovingAI map/scenario pair, runs the Cartesian product of
-(mode x t_max x seed) episodes, and writes per-episode records plus
-per-(mode, t_max) aggregates as JSON or CSV.  Optionally emits a
-factorization table (group count and largest-group ratio at the episode's
-half-makespan step).
+(mode x t_max x seed) episodes one after another in one thread, and writes
+per-episode records plus per-(mode, t_max) aggregates as JSON or CSV.
+Optionally emits a factorization table (group count and largest-group ratio
+at the episode's half-makespan step).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal defect.
 """
@@ -15,17 +15,16 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .backup import BACKUPS
 from .controller import ControllerConfig, FleetController, MODES
 from .grid import MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(ValueError):
@@ -43,7 +42,6 @@ class RunSpec:
     slack_threshold: int = 1
     backup: str = "lacam-ref"
     seeds: list[int] = field(default_factory=lambda: [0])
-    serial: bool = False
     out: str = "results.json"
     fmt: str = "json"
     step_cap: int | None = None
@@ -55,23 +53,27 @@ class RunSpec:
         if not self.t_max_ms or not self.seeds:
             raise UsageError("at least one --tmax-ms and one --seed are required")
         for mode in self.modes:
-            if mode not in MODES:
-                raise UsageError(f"unknown mode {mode!r}")
+            for t_max in self.t_max_ms:
+                try:
+                    self.config(mode, t_max)
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from None
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"unknown format {self.fmt!r}")
 
+    def config(self, mode: str, t_max: float, seed: int = 0) -> ControllerConfig:
+        return ControllerConfig(
+            h_max=self.h_max,
+            t_max_ms=t_max,
+            slack_threshold=self.slack_threshold,
+            backup=self.backup,
+            mode=mode,
+            seed=seed,
+        )
+
 
 def _episode_record(spec: RunSpec, mode: str, t_max: float, seed: int, instance) -> dict:
-    config = ControllerConfig(
-        h_max=spec.h_max,
-        t_max_ms=t_max,
-        slack_threshold=spec.slack_threshold,
-        backup=spec.backup,
-        mode=mode,
-        seed=seed,
-        parallel_groups=not spec.serial,
-    )
-    controller = FleetController(instance, config)
+    controller = FleetController(instance, spec.config(mode, t_max, seed))
     result = run_episode(instance, controller, step_cap=spec.step_cap)
     record = {"mode": mode, "t_max_ms": t_max, "seed": seed}
     record.update(result.to_dict())
@@ -84,20 +86,12 @@ def run_suite(spec: RunSpec) -> dict:
     graph = load_map(spec.map_path)
     instance = load_scenario(spec.scen_path, graph, spec.agents)
 
-    jobs = [
-        (mode, t_max, seed)
+    episodes = [
+        _episode_record(spec, mode, t_max, seed, instance)
         for mode in spec.modes
         for t_max in spec.t_max_ms
         for seed in spec.seeds
     ]
-    workers = int(os.environ.get("DACCBS_WORKERS", "0")) or (os.cpu_count() or 1)
-    if spec.serial or workers <= 1 or len(jobs) <= 1:
-        episodes = [_episode_record(spec, m, t, s, instance) for m, t, s in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            episodes = list(
-                pool.map(lambda j: _episode_record(spec, *j, instance), jobs)
-            )
 
     aggregates = []
     for mode in spec.modes:
@@ -140,7 +134,6 @@ def run_suite(spec: RunSpec) -> dict:
             "slack_threshold": spec.slack_threshold,
             "backup": spec.backup,
             "seeds": spec.seeds,
-            "serial": spec.serial,
             "step_cap": spec.step_cap,
         },
         "episodes": episodes,
@@ -226,8 +219,14 @@ def write_output(suite: dict, path: str, fmt: str) -> None:
             writer.writerow(row)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daccbs-bench",
         description="Closed-loop MAPF benchmark harness.",
     )
@@ -242,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--hmax", type=int, default=128, help="nominal horizon")
     parser.add_argument("--slack-threshold", type=int, default=1)
-    parser.add_argument("--backup", default="lacam-ref")
+    parser.add_argument("--backup", choices=tuple(BACKUPS), default="lacam-ref")
     parser.add_argument("--seed", action="append", type=int, help="seed (repeatable)")
-    parser.add_argument("--serial", action="store_true", help="deterministic serial mode")
     parser.add_argument("--step-cap", type=int, default=None)
     parser.add_argument("--out", default="results.json")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -258,26 +256,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    spec = RunSpec(
-        map_path=args.map,
-        scen_path=args.scen,
-        agents=args.agents,
-        modes=args.mode or ["daccbs"],
-        t_max_ms=args.tmax_ms or [100.0],
-        h_max=args.hmax,
-        slack_threshold=args.slack_threshold,
-        backup=args.backup,
-        seeds=args.seed or [0],
-        serial=args.serial,
-        out=args.out,
-        fmt=args.format,
-        step_cap=args.step_cap,
-        factorization_report=args.factorization_report,
-    )
-    try:
+        spec = RunSpec(
+            map_path=args.map,
+            scen_path=args.scen,
+            agents=args.agents,
+            modes=args.mode or ["daccbs"],
+            t_max_ms=args.tmax_ms or [100.0],
+            h_max=args.hmax,
+            slack_threshold=args.slack_threshold,
+            backup=args.backup,
+            seeds=args.seed or [0],
+            out=args.out,
+            fmt=args.format,
+            step_cap=args.step_cap,
+            factorization_report=args.factorization_report,
+        )
         spec.validate()
+    except SystemExit as exc:  # --help
+        return 1 if exc.code else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

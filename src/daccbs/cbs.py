@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .grid import INF, MapfInstance, sat_add
@@ -46,8 +46,6 @@ class ConstraintTreeNode:
     trajectories: dict[int, Trajectory]  # agent id -> H_max trajectory
     agent_costs: dict[int, int]
     cost: int
-    node_id: int = 0
-    parent_id: int | None = None
 
     def joint(self, agents: tuple[int, ...]) -> JointTrajectory:
         return JointTrajectory([self.trajectories[a] for a in agents])
@@ -59,7 +57,7 @@ class SearchOutcome:
 
     best_node / best_h describe the longest conflict-free prefix found
     (best_node is None when not even an h_r = 1 prefix was certified).
-    reason is one of: "horizon", "deadline", "exhausted", "no-prefix".
+    reason is one of: "horizon", "deadline", "exhausted", "no-prefix", "cap".
     """
 
     best_node: ConstraintTreeNode | None
@@ -67,9 +65,6 @@ class SearchOutcome:
     reason: str
     expansions: int = 0
     dequeues: int = 0
-
-
-TraceFn = Callable[[dict], None]
 
 
 def make_root(
@@ -132,10 +127,7 @@ def expand(
         agent_costs = dict(node.agent_costs)
         agent_costs[agent] = cost
         children.append(
-            ConstraintTreeNode(
-                constraints, trajectories, agent_costs, sum(agent_costs.values()),
-                parent_id=node.node_id,
-            )
+            ConstraintTreeNode(constraints, trajectories, agent_costs, sum(agent_costs.values()))
         )
     return children
 
@@ -147,7 +139,6 @@ def run_adaptive(
     deadline_s: float | None,
     on_prefix_found: Callable[[ConstraintTreeNode, int], None] | None = None,
     agents: tuple[int, ...] | None = None,
-    trace: TraceFn | None = None,
     expansion_cap: int | None = None,
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
@@ -164,7 +155,6 @@ def run_adaptive(
         return SearchOutcome(root, h_max, "horizon")
     start_time = time.perf_counter()
     root = make_root(instance, state, h_max, agents)
-    next_id = 1
     seq = 0
     h_r = 1
     heap: list[tuple[int, int, int, ConstraintTreeNode]] = []
@@ -202,18 +192,7 @@ def run_adaptive(
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
         for child in expand(node, conflict, instance, state, h_max, agents):
-            child.node_id = next_id
-            next_id += 1
             seq += 1
-            if trace is not None:
-                trace(
-                    {
-                        "node": child.node_id,
-                        "parent": child.parent_id,
-                        "cost": child.cost,
-                        "h_r": h_r,
-                    }
-                )
             heapq.heappush(
                 heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
             )

@@ -11,8 +11,7 @@ Three modes are provided:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cbs import run_adaptive
 from .certificate import (
@@ -39,7 +38,6 @@ class ControllerConfig:
     backup: str = "lacam-ref"
     mode: str = "daccbs"
     seed: int = 0
-    parallel_groups: bool = False
     debug_checks: bool = False
 
     def __post_init__(self) -> None:
@@ -101,25 +99,14 @@ class FleetController:
             self._initialize(state)
         groups = self.groups
         assert groups is not None
-        deadline_s = self.config.t_max_ms / 1000.0
-        if not self.config.parallel_groups and groups:
-            deadline_s /= len(groups)
-
-        if self.config.parallel_groups and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                outcomes = list(
-                    pool.map(lambda g: self._plan_group(g, state, deadline_s), groups)
-                )
-        else:
-            outcomes = [self._plan_group(g, state, deadline_s) for g in groups]
+        # Groups are planned one after another, so each gets an equal share.
+        deadline_s = self.config.t_max_ms / 1000.0 / max(len(groups), 1)
 
         new_groups: list[GroupState] = []
         improved_any = False
         group_telems = []
-        for group, outcome in zip(groups, outcomes):
-            for g in outcome.groups:
-                if g.group_id < 0:  # fresh split; ids assigned single-threadedly
-                    g.group_id = self._take_group_id()
+        for group in groups:
+            outcome = self._plan_group(group, state, deadline_s)
             new_groups.extend(outcome.groups)
             improved_any = improved_any or outcome.improved
             if outcome.trace is not None:
@@ -219,7 +206,7 @@ class FleetController:
             for part in parts:
                 sub_cert = cert.restricted(part)
                 sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
-                subgroups.append(GroupState(-1, part, sub_cert, sub_slack))
+                subgroups.append(GroupState(self._take_group_id(), part, sub_cert, sub_slack))
             trace = {
                 "t": self.t,
                 "group": group.group_id,

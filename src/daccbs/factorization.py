@@ -17,22 +17,12 @@ region overlap form independently plannable groups.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .grid import INF, DistanceField, Graph
 
 
 class BudgetInvariantError(RuntimeError):
     """Budget fell below the shortest-path lower bound (corrupted budget)."""
-
-
-@dataclass
-class SlacknessRecord:
-    """Per-group slack bookkeeping for the re-factorization trigger."""
-
-    group_id: int
-    slack: int
-    slack_at_last_factorization: int
 
 
 def slackness(group: tuple[int, ...], budget: int, state, gammas) -> int:

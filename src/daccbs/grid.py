@@ -80,15 +80,12 @@ def is_symmetric(graph: Graph) -> bool:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Per-vertex shortest-path lengths anchored at one vertex.
-
-    source_kind is "to-goal" for fields measuring distance toward the anchor
-    (over reversed edges) and "from-vertex" for distance away from it.
-    Unreachable vertices hold INF.
+    """Per-vertex shortest-path lengths anchored at one vertex, toward it
+    (goal_distance_field) or away from it (distance_from).  Unreachable
+    vertices hold INF.
     """
 
     anchor: int
-    source_kind: str
     values: tuple[int, ...]
 
     def __getitem__(self, v: int) -> int:
@@ -121,14 +118,14 @@ def goal_distance_field(graph: Graph, goal: int) -> DistanceField:
         for w in nbrs:
             if w != v:
                 reverse[w].append(v)
-    return DistanceField(goal, "to-goal", _bfs(reverse, goal))
+    return DistanceField(goal, _bfs(reverse, goal))
 
 
 def distance_from(graph: Graph, source: int) -> DistanceField:
     """Shortest-path lengths *from* source over forward edges."""
     if not 0 <= source < graph.vertex_count:
         raise InstanceError(f"source vertex {source} out of range")
-    return DistanceField(source, "from-vertex", _bfs(graph.adjacency, source))
+    return DistanceField(source, _bfs(graph.adjacency, source))
 
 
 @dataclass(frozen=True)

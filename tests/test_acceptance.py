@@ -192,10 +192,7 @@ def test_criterion_5_budget_monotone_in_planning_time():
         inst = random_instance(rng, 10, 10, 8, block_prob=0.0)
         budgets = []
         for t_max in t_maxes:
-            ctrl = FleetController(
-                inst,
-                ControllerConfig(t_max_ms=t_max, seed=i, parallel_groups=False),
-            )
+            ctrl = FleetController(inst, ControllerConfig(t_max_ms=t_max, seed=i))
             _, telem = ctrl.plan_step(inst.starts)
             budgets.append(telem["budget"])
         if not all(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):

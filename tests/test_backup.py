@@ -6,7 +6,7 @@ import random
 import pytest
 
 from daccbs import BackupError, LacamBackup, MapfInstance, make_backup, optimal_soc, soc
-from daccbs.backup import ClassicCbsBackup
+from daccbs.backup import ClassicCbsBackup, _pibt_step
 from daccbs.trajectory import is_conflict_free
 
 from conftest import chain_graph, cross_instance, make_grid, random_instance
@@ -105,6 +105,18 @@ class TestLacamProperties:
         jt2 = rollout_all(BACKUP, inst, mid)
         assert is_conflict_free(jt2)
         assert jt2.positions_at(jt2.makespan) == inst.goals
+
+
+class TestPibtStep:
+    def test_push_chain_longer_than_recursion_limit(self):
+        # 1,100 agents in a line on a chain, all heading right; the back of the
+        # line plans first and pushes every agent ahead of it.
+        n_vertices, n_agents = 2200, 1100
+        g = chain_graph(n_vertices)
+        gamma = [n_vertices - 1 - v for v in range(n_vertices)]
+        config = tuple(range(n_agents))
+        step = _pibt_step(g, config, config, [gamma] * n_agents, {}, random.Random(0))
+        assert step == tuple(range(1, n_agents + 1))
 
 
 class TestCbsBackup:

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import daccbs
 from daccbs.bench import RunSpec, UsageError, main, report_factorization, run_suite
 
 
@@ -36,7 +39,6 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
         agents=2,
         t_max_ms=[5.0],
         seeds=[0],
-        serial=True,
         out=str(tmp_path / "out.json"),
     )
     defaults.update(kw)
@@ -46,7 +48,7 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
 class TestRunSuite:
     def test_episode_schema(self, files):
         suite = run_suite(base_spec(*files))
-        assert suite["schema_version"] == 1
+        assert suite["schema_version"] == 2
         assert len(suite["episodes"]) == 1
         ep = suite["episodes"][0]
         for key in ("mode", "seed", "t_max_ms", "soc", "soc_increment",
@@ -77,6 +79,21 @@ class TestRunSuite:
         with pytest.raises(UsageError):
             run_suite(base_spec(*files, modes=["bogus"]))
 
+    def test_replay_identical(self, files):
+        # The CLI path: episodes run one after another, groups one after another.
+        def episodes():
+            spec = base_spec(*files, modes=["daccbs", "backup-only"], t_max_ms=[0.0],
+                             seeds=[0, 1])
+            eps = run_suite(spec)["episodes"]
+            for ep in eps:
+                for telem in ep["telemetry"]:
+                    del telem["wall_ms"]
+            return eps
+
+        first = episodes()
+        assert len(first) == 4
+        assert first == episodes()
+
 
 class TestMainExitCodes:
     def test_success(self, files):
@@ -84,13 +101,32 @@ class TestMainExitCodes:
         out = tmp / "r.json"
         code = main([
             "--map", str(map_path), "--scen", str(scen_path), "--agents", "2",
-            "--tmax-ms", "5", "--serial", "--out", str(out),
+            "--tmax-ms", "5", "--out", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["episodes"]
 
-    def test_usage_error(self):
-        assert main(["--agents", "2"]) == 1
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(None, id="missing-map"),
+            pytest.param(["--hmax", "0"], id="hmax-0"),
+            pytest.param(["--tmax-ms", "-1"], id="tmax-negative"),
+            pytest.param(["--backup", "nope"], id="backup-unknown"),
+        ],
+    )
+    def test_usage_error(self, files, extra):
+        map_path, scen_path, tmp = files
+        argv = ["--agents", "2"]
+        if extra is not None:
+            argv += ["--map", str(map_path), "--scen", str(scen_path),
+                     "--out", str(tmp / "r.json"), *extra]
+        env = {**os.environ, "PYTHONPATH": str(Path(daccbs.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "daccbs.bench", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "usage error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_data_error(self, files):
         _, scen_path, tmp = files
@@ -144,7 +180,7 @@ class TestFactorizationReport:
         scen_path.write_text("\n".join(rows) + "\n")
         spec = RunSpec(
             map_path=str(map_path), scen_path=str(scen_path), agents=2,
-            t_max_ms=[5.0], seeds=[0], serial=True, out=str(tmp_path / "o.json"),
+            t_max_ms=[5.0], seeds=[0], out=str(tmp_path / "o.json"),
         )
         suite = run_suite(spec)
         table = report_factorization(suite)

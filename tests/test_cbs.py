@@ -137,11 +137,27 @@ class TestRunAdaptive:
         assert outcome.best_h == 6
 
     def test_determinism(self):
-        inst = cross_instance()
-        t1, t2 = [], []
-        run_adaptive(inst, inst.starts, 10, None, trace=t1.append)
-        run_adaptive(inst, inst.starts, 10, None, trace=t2.append)
-        assert t1 == t2
+        # Two runs certify the same prefixes in the same order and stop in the
+        # same state; the dense instance expands a few hundred nodes.
+        dense = random_instance(random.Random(4), 5, 5, 8)
+        for inst, h_max in ((cross_instance(), 10), (dense, 12)):
+            runs = []
+            for _ in range(2):
+                prefixes = []
+                outcome = run_adaptive(
+                    inst, inst.starts, h_max, None,
+                    on_prefix_found=lambda n, h: prefixes.append((h, n.cost, n.constraints)),
+                )
+                runs.append((
+                    prefixes,
+                    outcome.expansions,
+                    outcome.dequeues,
+                    outcome.reason,
+                    outcome.best_h,
+                    outcome.best_node.trajectories,
+                ))
+            assert runs[0] == runs[1]
+            assert runs[0][0]
 
 
 class TestClassicCbs:

@@ -82,16 +82,10 @@ class TestDaccbsMode:
     def test_serial_replay_identical(self):
         rng = random.Random(5)
         inst = random_instance(rng, 4, 4, 3)
-        r1, _ = episode(inst, t_max_ms=0.0, parallel_groups=False)
-        r2, _ = episode(inst, t_max_ms=0.0, parallel_groups=False)
+        r1, _ = episode(inst, t_max_ms=0.0)
+        r2, _ = episode(inst, t_max_ms=0.0)
         assert r1.soc == r2.soc
         assert r1.budget_trace == r2.budget_trace
-
-    def test_parallel_groups_terminate(self):
-        g = make_grid(6, 6)
-        inst = MapfInstance(g, (0, 35), (5, 30))
-        result, _ = episode(inst, t_max_ms=5.0, parallel_groups=True)
-        assert result.termination == "all-at-goals"
 
     def test_debug_checks_pass(self):
         rng = random.Random(9)
