@@ -175,10 +175,8 @@ def report_factorization(suite: dict) -> list[dict]:
 
 def groups_at_step(episode: dict, step: int) -> list[int]:
     """Group sizes in effect at `step`, replayed from the factorization trace."""
-    for telem in episode.get("telemetry", []):
-        if telem.get("t") == step and "groups" in telem:
-            return [g["size"] for g in telem["groups"]]
-    # Fall back to the last telemetry entry at or before the step.
+    # Telemetry t increases within an episode, so the last entry at or before
+    # the step is the exact-step entry whenever there is one.
     best = None
     for telem in episode.get("telemetry", []):
         if "groups" in telem and telem.get("t", 0) <= step:
@@ -279,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         suite = run_suite(spec)
-    except (MapFormatError, FileNotFoundError) as exc:
+    except (MapFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (MovementDefect, AssertionError) as exc:

@@ -34,84 +34,68 @@ def slackness(group: tuple[int, ...], budget: int, state, gammas) -> int:
     return slack
 
 
-def cost_distance_from(graph: Graph, source: int, free_vertex: int) -> tuple[int, ...]:
-    """Cheapest running cost of walking from `source` to each vertex.
-
-    Every position along the walk costs 1 except `free_vertex` (the agent's
-    goal), which costs 0; the destination itself is not charged.  Computed
-    with a 0-1 BFS over forward edges.
-    """
-    dist = [INF] * graph.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        step = 0 if u == free_vertex else 1
-        base = dist[u]
-        for w in graph.neighbors(u):
-            if w != u and base + step < dist[w]:
-                dist[w] = base + step
-                if step == 0:
-                    queue.appendleft(w)
-                else:
-                    queue.append(w)
-    return tuple(dist)
-
-
 def reachable_region(
     graph: Graph, agent: int, state, slack: int, gamma: DistanceField
 ) -> frozenset[int]:
-    """Vertices the agent can occupy in any future plan within the budget."""
+    """Vertices the agent can occupy in any future plan within the budget.
+
+    A 0-1 BFS from the agent's vertex (a step costs 1 except from the goal)
+    that admits a vertex only while its excess fits the slack.  The excess
+    never decreases along a walk: a step from an off-goal vertex u to w costs
+    1 and gamma(u) <= 1 + gamma(w), and a step from the goal is free but
+    starts from gamma = 0.  So every prefix of a cheapest walk to a vertex
+    that fits also fits, and the bounded search settles exactly the vertices
+    that fit, each at its full-map cost-distance.
+    """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     here = state[agent]
-    dist = cost_distance_from(graph, here, gamma.anchor)
-    base = gamma[here]
-    return frozenset(
-        v
-        for v in range(graph.vertex_count)
-        if dist[v] < INF and gamma[v] < INF and dist[v] + gamma[v] - base <= slack
-    )
-
-
-class DisjointSet:
-    """Union-find over a fixed universe of items."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    goal = gamma.anchor
+    cost_to_go = gamma.values
+    adjacency = graph.adjacency
+    # Below INF, so a vertex that cannot reach the goal never fits.
+    limit = min(slack + cost_to_go[here], INF - 1)
+    dist = {here: 0} if cost_to_go[here] <= limit else {}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        if u == goal:
+            # The free step can lower a distance found one step dearer.
+            d = dist[u]
+            for w in adjacency[u]:
+                if d + cost_to_go[w] <= limit and d < dist.get(w, INF):
+                    dist[w] = d
+                    queue.appendleft(w)
+        else:
+            # Pops come in nondecreasing distance, so a vertex already
+            # found is already at d or less.
+            d = dist[u] + 1
+            for w in adjacency[u]:
+                if w not in dist and d + cost_to_go[w] <= limit:
+                    dist[w] = d
+                    queue.append(w)
+    return frozenset(dist)
 
 
 def partition(regions: dict[int, frozenset[int]]) -> list[tuple[int, ...]]:
     """Groups of agents whose reachable regions form connected overlaps.
 
-    Any two agents sharing a region vertex are united; resulting groups are
-    ordered by their smallest member agent id.
+    Each agent's region is merged with every group whose covered vertices it
+    meets; groups are ordered by their smallest member agent id.
     """
-    agents = sorted(regions)
-    index = {a: i for i, a in enumerate(agents)}
-    dsu = DisjointSet(len(agents))
-    owner: dict[int, int] = {}
-    for a in agents:
-        for v in regions[a]:
-            if v in owner:
-                dsu.union(index[a], owner[v])
+    groups: list[tuple[list[int], set[int]]] = []
+    for a in sorted(regions):
+        members, covered = [a], set(regions[a])
+        apart = []
+        for group in groups:
+            if covered.isdisjoint(group[1]):
+                apart.append(group)
             else:
-                owner[v] = index[a]
-    groups: dict[int, list[int]] = {}
-    for a in agents:
-        groups.setdefault(dsu.find(index[a]), []).append(a)
-    return [tuple(members) for _, members in sorted(groups.items())]
+                members += group[0]
+                covered |= group[1]
+        apart.append((members, covered))
+        groups = apart
+    return sorted(tuple(sorted(members)) for members, _ in groups)
 
 
 def should_refactor(last_slack: int, current_slack: int, threshold: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grid import INF, DistanceField, Graph, sat_add
-from .trajectory import Trajectory
+from .trajectory import Trajectory, prefix_cost
 
 VertexConstraint = tuple[int, int, int]  # (agent, time, vertex)
 EdgeConstraint = tuple[int, int, tuple[int, int]]  # (agent, time, (u, w))
@@ -157,7 +157,5 @@ def plan_constrained(
             prefix.append(v)
 
     suffix = greedy_path(graph, prefix[-1], gamma, h_max - t_c)
-    vertices = tuple(prefix[:-1] + suffix)
-    running = sum(1 for t in range(h_max) if vertices[t] != goal)
-    cost = sat_add(running, gamma[vertices[h_max]])
-    return Trajectory(agent, vertices), cost
+    traj = Trajectory(agent, tuple(prefix[:-1] + suffix))
+    return traj, prefix_cost(traj, h_max, gamma)

@@ -148,7 +148,7 @@ def prefix_cost(traj: Trajectory, h_r: int, gamma: DistanceField) -> int:
     if h_r > len(traj) - 1:
         raise ValueError(f"h_r {h_r} exceeds trajectory length {len(traj) - 1}")
     goal = gamma.anchor
-    running = sum(1 for t in range(h_r) if traj[t] != goal)
+    running = sum(1 for v in traj.vertices[:h_r] if v != goal)
     return sat_add(running, gamma[traj[h_r]])
 
 

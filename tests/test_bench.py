@@ -128,13 +128,24 @@ class TestMainExitCodes:
         assert "usage error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_data_error(self, files):
-        _, scen_path, tmp = files
+    @pytest.mark.parametrize("bad", ["missing-map", "dir-map", "dir-scen", "binary-map"])
+    def test_data_error(self, files, bad, capsys):
+        map_path, scen_path, tmp = files
+        if bad == "missing-map":
+            map_path = tmp / "missing.map"
+        elif bad == "dir-map":
+            map_path = tmp
+        elif bad == "dir-scen":
+            scen_path = tmp
+        else:
+            map_path = tmp / "binary.map"
+            map_path.write_bytes(bytes(range(128, 256)))
         code = main([
-            "--map", str(tmp / "missing.map"), "--scen", str(scen_path),
+            "--map", str(map_path), "--scen", str(scen_path),
             "--agents", "2", "--out", str(tmp / "r.json"),
         ])
         assert code == 2
+        assert "data error:" in capsys.readouterr().err
 
     def test_malformed_map(self, files):
         map_path, scen_path, tmp = files
