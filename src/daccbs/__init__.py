@@ -38,7 +38,6 @@ from .grid import (
     InstanceError,
     MapFormatError,
     MapfInstance,
-    distance_from,
     goal_distance_field,
     load_map,
     load_scenario,
@@ -91,7 +90,6 @@ __all__ = [
     "advance",
     "build_candidate",
     "detect_first_conflict",
-    "distance_from",
     "exhaustive_exclusion_check",
     "goal_distance_field",
     "init_certificate",

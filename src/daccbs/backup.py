@@ -34,9 +34,6 @@ class BackupController:
 
     name = "abstract"
 
-    def supports(self, graph: Graph) -> bool:
-        raise NotImplementedError
-
     def rollout(
         self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration
     ) -> JointTrajectory:
@@ -77,14 +74,11 @@ class LacamBackup(BackupController):
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def supports(self, graph: Graph) -> bool:
-        return is_symmetric(graph)
-
     def rollout(
         self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration
     ) -> JointTrajectory:
         graph = instance.graph
-        if not self.supports(graph):
+        if not is_symmetric(graph):
             raise BackupError("lacam-ref requires a symmetric graph")
         n = len(agents)
         if n == 0:
@@ -249,9 +243,6 @@ class ClassicCbsBackup(BackupController):
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-
-    def supports(self, graph: Graph) -> bool:
-        return True
 
     def rollout(
         self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration

@@ -36,12 +36,12 @@ class RunSpec:
     map_path: str
     scen_path: str
     agents: int
-    modes: list[str] = field(default_factory=lambda: ["daccbs"])
-    t_max_ms: list[float] = field(default_factory=lambda: [100.0])
-    h_max: int = 128
-    slack_threshold: int = 1
-    backup: str = "lacam-ref"
-    seeds: list[int] = field(default_factory=lambda: [0])
+    modes: list[str] = field(default_factory=lambda: [ControllerConfig.mode])
+    t_max_ms: list[float] = field(default_factory=lambda: [ControllerConfig.t_max_ms])
+    h_max: int = ControllerConfig.h_max
+    slack_threshold: int = ControllerConfig.slack_threshold
+    backup: str = ControllerConfig.backup
+    seeds: list[int] = field(default_factory=lambda: [ControllerConfig.seed])
     out: str = "results.json"
     fmt: str = "json"
     step_cap: int | None = None
@@ -60,6 +60,10 @@ class RunSpec:
                     raise UsageError(str(exc)) from None
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"unknown format {self.fmt!r}")
+        outputs = {"--out": self.out, "--factorization-report": self.factorization_report}
+        for flag, path in outputs.items():
+            if path is not None and Path(path).is_dir():
+                raise UsageError(f"{flag} {path!r} is a directory")
 
     def config(self, mode: str, t_max: float, seed: int = 0) -> ControllerConfig:
         return ControllerConfig(
@@ -174,7 +178,7 @@ def report_factorization(suite: dict) -> list[dict]:
 
 
 def groups_at_step(episode: dict, step: int) -> list[int]:
-    """Group sizes in effect at `step`, replayed from the factorization trace."""
+    """Group sizes in effect at `step`, read from the step telemetry."""
     # Telemetry t increases within an episode, so the last entry at or before
     # the step is the exact-step entry whenever there is one.
     best = None
@@ -237,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tmax-ms", action="append", type=float, help="per-step budget in ms (repeatable)"
     )
-    parser.add_argument("--hmax", type=int, default=128, help="nominal horizon")
-    parser.add_argument("--slack-threshold", type=int, default=1)
-    parser.add_argument("--backup", choices=tuple(BACKUPS), default="lacam-ref")
+    parser.add_argument("--hmax", type=int, default=ControllerConfig.h_max, help="nominal horizon")
+    parser.add_argument("--slack-threshold", type=int, default=ControllerConfig.slack_threshold)
+    parser.add_argument("--backup", choices=tuple(BACKUPS), default=ControllerConfig.backup)
     parser.add_argument("--seed", action="append", type=int, help="seed (repeatable)")
     parser.add_argument("--step-cap", type=int, default=None)
-    parser.add_argument("--out", default="results.json")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", default=RunSpec.out)
+    parser.add_argument("--format", choices=("json", "csv"), default=RunSpec.fmt)
     parser.add_argument(
         "--factorization-report", default=None, help="also write a factorization table here"
     )
@@ -254,20 +258,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Repeatable flags left out take RunSpec's defaults.
+        repeated = {"modes": args.mode, "t_max_ms": args.tmax_ms, "seeds": args.seed}
         spec = RunSpec(
             map_path=args.map,
             scen_path=args.scen,
             agents=args.agents,
-            modes=args.mode or ["daccbs"],
-            t_max_ms=args.tmax_ms or [100.0],
             h_max=args.hmax,
             slack_threshold=args.slack_threshold,
             backup=args.backup,
-            seeds=args.seed or [0],
             out=args.out,
             fmt=args.format,
             step_cap=args.step_cap,
             factorization_report=args.factorization_report,
+            **{key: value for key, value in repeated.items() if value},
         )
         spec.validate()
     except SystemExit as exc:  # --help
@@ -283,10 +287,14 @@ def main(argv: list[str] | None = None) -> int:
     except (MovementDefect, AssertionError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3
-    write_output(suite, spec.out, spec.fmt)
-    if spec.factorization_report:
-        rows = report_factorization(suite)
-        Path(spec.factorization_report).write_text(json.dumps(rows, indent=2) + "\n")
+    try:
+        write_output(suite, spec.out, spec.fmt)
+        if spec.factorization_report:
+            rows = report_factorization(suite)
+            Path(spec.factorization_report).write_text(json.dumps(rows, indent=2) + "\n")
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 
 # Sentinel for "unreachable"; all arithmetic with it must saturate.
@@ -40,7 +40,9 @@ class Graph:
 
     adjacency[v] is the sorted tuple of out-neighbors of v and always
     contains v itself.  For grid-derived graphs, coords[v] = (row, col)
-    and height/width record the grid dimensions.
+    and height/width record the grid dimensions.  The in-neighbors
+    (`reverse`) are built on first use, not at construction, so `validate`
+    still reports a malformed adjacency with its own error.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -58,8 +60,19 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def __hash__(self) -> int:
-        return hash(self.adjacency)
+    @cached_property
+    def reverse(self) -> tuple[tuple[int, ...], ...]:
+        """reverse[v] is the sorted tuple of in-neighbors of v (v included).
+
+        When the graph is symmetric this is the `adjacency` object itself.
+        """
+        incoming: list[list[int]] = [[] for _ in self.adjacency]
+        for u, nbrs in enumerate(self.adjacency):
+            for w in nbrs:
+                incoming[w].append(u)
+        if all(set(ins) == set(outs) for ins, outs in zip(incoming, self.adjacency)):
+            return self.adjacency
+        return tuple(map(tuple, incoming))
 
     def validate(self) -> None:
         n = self.vertex_count
@@ -71,18 +84,15 @@ class Graph:
                     raise InstanceError(f"vertex {v} has out-of-range neighbor {w}")
 
 
-@lru_cache(maxsize=64)
 def is_symmetric(graph: Graph) -> bool:
     """True iff u in adj(v) implies v in adj(u)."""
-    sets = [set(nbrs) for nbrs in graph.adjacency]
-    return all(v in sets[w] for v, nbrs in enumerate(graph.adjacency) for w in nbrs)
+    return graph.reverse is graph.adjacency
 
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Per-vertex shortest-path lengths anchored at one vertex, toward it
-    (goal_distance_field) or away from it (distance_from).  Unreachable
-    vertices hold INF.
+    """Per-vertex shortest-path lengths toward one anchor vertex
+    (goal_distance_field).  Unreachable vertices hold INF.
     """
 
     anchor: int
@@ -95,7 +105,7 @@ class DistanceField:
         return len(self.values)
 
 
-def _bfs(adjacency: list[list[int]] | tuple[tuple[int, ...], ...], source: int) -> tuple[int, ...]:
+def _bfs(adjacency: tuple[tuple[int, ...], ...], source: int) -> tuple[int, ...]:
     dist = [INF] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
@@ -113,19 +123,7 @@ def goal_distance_field(graph: Graph, goal: int) -> DistanceField:
     """Shortest-path lengths *to* goal, i.e. BFS over reversed edges."""
     if not 0 <= goal < graph.vertex_count:
         raise InstanceError(f"goal vertex {goal} out of range")
-    reverse: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for v, nbrs in enumerate(graph.adjacency):
-        for w in nbrs:
-            if w != v:
-                reverse[w].append(v)
-    return DistanceField(goal, _bfs(reverse, goal))
-
-
-def distance_from(graph: Graph, source: int) -> DistanceField:
-    """Shortest-path lengths *from* source over forward edges."""
-    if not 0 <= source < graph.vertex_count:
-        raise InstanceError(f"source vertex {source} out of range")
-    return DistanceField(source, _bfs(graph.adjacency, source))
+    return DistanceField(goal, _bfs(graph.reverse, goal))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,8 @@ class TestMainExitCodes:
             pytest.param(["--hmax", "0"], id="hmax-0"),
             pytest.param(["--tmax-ms", "-1"], id="tmax-negative"),
             pytest.param(["--backup", "nope"], id="backup-unknown"),
+            pytest.param(["--out", "{tmp}"], id="out-dir"),
+            pytest.param(["--factorization-report", "{tmp}"], id="report-dir"),
         ],
     )
     def test_usage_error(self, files, extra):
@@ -120,7 +122,7 @@ class TestMainExitCodes:
         argv = ["--agents", "2"]
         if extra is not None:
             argv += ["--map", str(map_path), "--scen", str(scen_path),
-                     "--out", str(tmp / "r.json"), *extra]
+                     "--out", str(tmp / "r.json"), *(a.format(tmp=tmp) for a in extra)]
         env = {**os.environ, "PYTHONPATH": str(Path(daccbs.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "daccbs.bench", *argv],
                               capture_output=True, text=True, env=env)
@@ -145,6 +147,16 @@ class TestMainExitCodes:
             "--agents", "2", "--out", str(tmp / "r.json"),
         ])
         assert code == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--factorization-report"])
+    def test_unwritable_output(self, files, flag, capsys):
+        map_path, scen_path, tmp = files
+        blocker = tmp / "file"
+        blocker.write_text("")
+        argv = ["--map", str(map_path), "--scen", str(scen_path), "--agents", "2",
+                "--tmax-ms", "5", "--out", str(tmp / "r.json"), flag, str(blocker / "x.json")]
+        assert main(argv) == 2
         assert "data error:" in capsys.readouterr().err
 
     def test_malformed_map(self, files):

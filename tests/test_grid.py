@@ -1,5 +1,9 @@
 """Map/scenario parsing, distance fields, instance invariants."""
 
+import itertools
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,6 @@ from daccbs import (
     InstanceError,
     MapFormatError,
     MapfInstance,
-    distance_from,
     goal_distance_field,
     parse_map,
     parse_scenario,
@@ -18,6 +21,56 @@ from daccbs import (
 from daccbs.grid import is_symmetric
 
 from conftest import chain_graph, make_grid
+
+
+def bfs(adjacency, source):
+    """Test-local BFS over the given out-lists; unreachable vertices get INF."""
+    dist = [INF] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if dist[w] == INF:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return tuple(dist)
+
+
+def reversed_edges(graph):
+    incoming = [[] for _ in range(graph.vertex_count)]
+    for u in range(graph.vertex_count):
+        for w in graph.neighbors(u):
+            incoming[w].append(u)
+    return incoming
+
+
+def symmetric_by_sets(graph):
+    edges = {(u, w) for u in range(graph.vertex_count) for w in graph.neighbors(u)}
+    return all((w, u) in edges for u, w in edges)
+
+
+def random_directed_graph(rng, n, p_edge, p_back):
+    """Reflexive graph on n vertices: each pair gets an edge with p_edge, and
+    the reverse edge with p_back, so some edges are one-way and some vertices
+    cannot reach others."""
+    out = [{v} for v in range(n)]
+    for u in range(n):
+        for w in range(u + 1, n):
+            if rng.random() < p_edge:
+                a, b = (u, w) if rng.random() < 0.5 else (w, u)
+                out[a].add(b)
+                if rng.random() < p_back:
+                    out[b].add(a)
+    return Graph(tuple(tuple(sorted(nbrs)) for nbrs in out))
+
+
+RANDOM_GRAPHS = [
+    random_directed_graph(random.Random(seed), n, p_edge, p_back)
+    for seed, (n, p_edge, p_back) in enumerate(
+        itertools.product((1, 2, 5, 12, 30), (0.1, 0.3), (0.0, 0.5, 1.0))
+    )
+]
 
 
 def map_text(rows, height=None, width=None):
@@ -65,6 +118,35 @@ class TestParseMap:
     def test_alternate_cell_classes(self):
         g = parse_map(map_text(["GS", "TW"]))
         assert g.vertex_count == 2
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("index", range(len(RANDOM_GRAPHS)))
+    def test_random_directed_matches_set_check(self, index):
+        g = RANDOM_GRAPHS[index]
+        assert is_symmetric(g) == symmetric_by_sets(g)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_parsed_grids_match_set_check(self, seed):
+        rng = random.Random(seed)
+        h, w = rng.randint(1, 9), rng.randint(1, 9)
+        rows = ["".join("@" if rng.random() < 0.25 else "." for _ in range(w)) for _ in range(h)]
+        g = parse_map(map_text(rows))
+        assert symmetric_by_sets(g)
+        assert is_symmetric(g)
+
+    def test_one_way_edge(self):
+        g = Graph(((0, 1), (1,)))
+        assert not is_symmetric(g)
+        assert g.reverse == ((0,), (0, 1))
+
+    def test_symmetric_reverse_is_adjacency(self):
+        g = chain_graph(4)
+        assert g.reverse is g.adjacency
+
+    def test_unsorted_symmetric_adjacency(self):
+        g = Graph(((1, 0), (1, 0)))
+        assert is_symmetric(g)
 
 
 class TestParseScenario:
@@ -118,20 +200,36 @@ class TestDistanceFields:
     def test_anchor_zero(self):
         g = chain_graph(5)
         assert goal_distance_field(g, 2)[2] == 0
-        assert distance_from(g, 3)[3] == 0
 
     def test_unreachable_is_inf(self):
         g = Graph(((0,), (1,)))  # two isolated vertices
         assert goal_distance_field(g, 0)[1] == INF
 
-    def test_chain_forward(self):
-        g = chain_graph(5)
-        assert distance_from(g, 0).values == (0, 1, 2, 3, 4)
-
     def test_grid_symmetry_gamma_equals_d(self):
         g = make_grid(4, 4, {(1, 1), (2, 2)})
         for v in range(g.vertex_count):
-            assert goal_distance_field(g, v).values == distance_from(g, v).values
+            assert goal_distance_field(g, v).values == bfs(g.adjacency, v)
+
+    @pytest.mark.parametrize("index", range(len(RANDOM_GRAPHS)))
+    def test_random_directed_matches_reversed_bfs(self, index):
+        g = RANDOM_GRAPHS[index]
+        incoming = reversed_edges(g)
+        for goal in range(g.vertex_count):
+            assert goal_distance_field(g, goal).values == bfs(incoming, goal)
+
+    def test_random_graphs_cover_one_way_and_unreachable(self):
+        # The graphs above must exercise what a forward BFS would get wrong.
+        assert any(not symmetric_by_sets(g) for g in RANDOM_GRAPHS)
+        assert any(
+            INF in goal_distance_field(g, v).values
+            for g in RANDOM_GRAPHS
+            for v in range(g.vertex_count)
+        )
+        assert any(
+            goal_distance_field(g, v).values != bfs(g.adjacency, v)
+            for g in RANDOM_GRAPHS
+            for v in range(g.vertex_count)
+        )
 
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
