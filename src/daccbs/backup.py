@@ -149,9 +149,13 @@ class LacamBackup(BackupController):
         configs.reverse()
         if len(configs) - 1 > makespan_cap:
             raise BackupDefect(f"rollout makespan exceeds safety cap {makespan_cap}")
+        # Built from a list, each trajectory tuple is allocated at its final
+        # size.  tuple(<generator>) starts from a 10-slot tuple and resizes it,
+        # so freed trajectories would pile up on the free lists of sizes that
+        # such builds never draw from.
         return JointTrajectory(
             [
-                Trajectory(a, tuple(cfg[i] for cfg in configs))
+                Trajectory(a, tuple([cfg[i] for cfg in configs]))
                 for i, a in enumerate(agents)
             ]
         )

@@ -2,10 +2,11 @@
 
 run_adaptive implements the finite-horizon best-first search with a growing
 running horizon: nodes store H_max-step trajectories, conflicts are resolved
-only inside the active prefix, and the horizon is extended in place whenever
-the dequeued node's prefix is conflict-free.  Because trajectories are
-gamma-greedy past their last constrained step, node costs are invariant under
-horizon extension and the tree is reused across increments.
+only inside the active prefix, and whenever the dequeued node's prefix is
+conflict-free the horizon jumps to that node's first conflict (or to H_max),
+found by one scan.  Because trajectories are gamma-greedy past their last
+constrained step, node costs are invariant under horizon extension and the
+tree is reused across increments.
 
 run_classic_cbs drives the same machinery to a horizon long enough to cover
 an optimal solution, which makes it plain full-horizon CBS.
@@ -143,6 +144,11 @@ def run_adaptive(
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
 
+    Each dequeue scans the node's trajectories once, for the first conflict
+    in 0..H_max.  When none lies inside the active prefix 0..h_r, the prefix
+    is conflict-free and h_r jumps to that conflict's time (H_max when there
+    is none); the node is then expanded on that conflict.
+
     on_prefix_found is invoked with (node, h_r) whenever a dequeued node's
     active prefix is conflict-free, and once more at h_r = H_max before the
     final break.  deadline_s is a wall-clock budget in seconds (None = no
@@ -173,22 +179,19 @@ def run_adaptive(
             break
         _, _, _, node = heapq.heappop(heap)
         dequeues += 1
-        joint = node.joint(agents)
-        conflict = detect_first_conflict(joint, h_r)
-        if conflict is None:
+        conflict = detect_first_conflict(node.joint(agents), h_max)
+        if conflict is None or conflict.time > h_r:
             if on_prefix_found is not None:
                 on_prefix_found(node, h_r)
             if h_r > best_h:
                 best_node, best_h = node, h_r
-            while conflict is None and h_r < h_max:
-                h_r += 1
-                conflict = detect_first_conflict(joint, h_r)
-            if conflict is None:  # h_r == h_max with a conflict-free prefix
-                best_node, best_h = node, h_r
+            if conflict is None:  # conflict-free up to h_max
+                best_node, best_h = node, h_max
                 if on_prefix_found is not None:
-                    on_prefix_found(node, h_r)
+                    on_prefix_found(node, h_max)
                 reason = "horizon"
                 break
+            h_r = conflict.time
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
         for child in expand(node, conflict, instance, state, h_max, agents):
@@ -197,9 +200,7 @@ def run_adaptive(
                 heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
             )
         expansions += 1
-    if best_node is None and reason == "exhausted":
-        reason = "no-prefix"
-    if best_node is None and reason == "deadline":
+    if best_node is None and reason in ("exhausted", "deadline"):
         reason = "no-prefix"
     return SearchOutcome(best_node, best_h, reason, expansions, dequeues)
 

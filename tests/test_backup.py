@@ -1,7 +1,9 @@
 """Backup solvers: conflict-freedom, goal attainment, determinism,
 completeness on crowded instances."""
 
+import platform
 import random
+import sys
 
 import pytest
 
@@ -105,6 +107,25 @@ class TestLacamProperties:
         jt2 = rollout_all(BACKUP, inst, mid)
         assert is_conflict_free(jt2)
         assert jt2.positions_at(jt2.makespan) == inst.goals
+
+
+class TestRolloutMemory:
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython",
+        reason="counts CPython allocator blocks",
+    )
+    def test_repeated_rollouts_leave_no_blocks_behind(self):
+        # Trajectory tuples allocated at their final size are reused by later
+        # rollouts; resized ones would pile up on tuple free lists, about ten
+        # blocks per rollout.
+        inst = random_instance(random.Random(0), 12, 12, 10)
+        backup = LacamBackup(seed=0)
+        for _ in range(10):
+            rollout_all(backup, inst)
+        before = sys.getallocatedblocks()
+        for _ in range(100):
+            rollout_all(backup, inst)
+        assert sys.getallocatedblocks() - before < 100
 
 
 class TestPibtStep:

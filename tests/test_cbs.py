@@ -1,6 +1,7 @@
 """Constraint-tree search: root generation, expansion, adaptive horizon,
 classic full-horizon mode against the brute-force oracle."""
 
+import heapq
 import random
 
 import pytest
@@ -16,7 +17,12 @@ from daccbs import (
 )
 from daccbs.cbs import expand, make_root
 from daccbs.lowlevel import satisfies
-from daccbs.trajectory import Conflict, detect_first_conflict, is_conflict_free
+from daccbs.trajectory import (
+    Conflict,
+    count_conflicts,
+    detect_first_conflict,
+    is_conflict_free,
+)
 
 from conftest import chain_graph, cross_instance, cycle_graph, make_grid, random_instance
 
@@ -158,6 +164,75 @@ class TestRunAdaptive:
                 ))
             assert runs[0] == runs[1]
             assert runs[0][0]
+
+
+def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
+    """Reference search that extends the horizon one step at a time, each
+    step rescanning the prefix from t=0 (no deadline)."""
+    agents = tuple(range(inst.n_agents))
+    root = make_root(inst, inst.starts, h_max, agents)
+    seq, h_r = 0, 1
+    heap = [(root.cost, count_conflicts(root.joint(agents), h_r), seq, root)]
+    best_node, best_h = None, 0
+    expansions = dequeues = 0
+    reason = "exhausted"
+    while heap:
+        if expansions >= expansion_cap:
+            reason = "cap"
+            break
+        node = heapq.heappop(heap)[3]
+        dequeues += 1
+        joint = node.joint(agents)
+        conflict = detect_first_conflict(joint, h_r)
+        if conflict is None:
+            on_prefix_found(node, h_r)
+            if h_r > best_h:
+                best_node, best_h = node, h_r
+            while conflict is None and h_r < h_max:
+                h_r += 1
+                conflict = detect_first_conflict(joint, h_r)
+            if conflict is None:
+                best_node, best_h = node, h_r
+                on_prefix_found(node, h_r)
+                reason = "horizon"
+                break
+            if h_r - 1 > best_h:
+                best_node, best_h = node, h_r - 1
+        for child in expand(node, conflict, inst, inst.starts, h_max, agents):
+            seq += 1
+            heapq.heappush(
+                heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
+            )
+        expansions += 1
+    if best_node is None:
+        reason = "no-prefix"
+    return best_node, best_h, reason, expansions, dequeues
+
+
+class TestHorizonScan:
+    def test_matches_incremental_extension(self):
+        # One scan to h_max per dequeue finds the first conflict at or after
+        # h_r with the same tie order as re-scanning 0..h_r at every
+        # extension, so the search makes the same decisions.
+        h_max = 24
+        reasons = set()
+        for seed in range(8):
+            inst = random_instance(random.Random(seed), 10, 10, 12)
+            for cap in (5, 40, 200):
+                seen, expected = [], []
+                outcome = run_adaptive(
+                    inst, inst.starts, h_max, None, expansion_cap=cap,
+                    on_prefix_found=lambda n, h: seen.append((h, n.cost, n.constraints)),
+                )
+                best_node, best_h, reason, expansions, dequeues = incremental_run_adaptive(
+                    inst, h_max, lambda n, h: expected.append((h, n.cost, n.constraints)), cap
+                )
+                assert seen == expected
+                assert (outcome.expansions, outcome.dequeues) == (expansions, dequeues)
+                assert (outcome.reason, outcome.best_h) == (reason, best_h)
+                assert outcome.best_node.trajectories == best_node.trajectories
+                reasons.add(reason)
+        assert reasons == {"horizon", "cap"}
 
 
 class TestClassicCbs:
