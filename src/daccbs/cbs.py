@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .grid import INF, MapfInstance, sat_add
-from .lowlevel import ConstraintSet, plan_constrained
+from .lowlevel import ConstraintSet, greedy_path, plan_constrained
 from .trajectory import (
     Conflict,
     JointTrajectory,
@@ -75,8 +75,6 @@ def make_root(
     agents: tuple[int, ...] | None = None,
 ) -> ConstraintTreeNode:
     """Root node: empty constraints, unconstrained optimal H_max trajectories."""
-    from .lowlevel import greedy_path
-
     if agents is None:
         agents = tuple(range(instance.n_agents))
     trajectories: dict[int, Trajectory] = {}

@@ -6,6 +6,10 @@ constraints.  Beyond the largest constrained timestep the returned suffix is
 gamma-greedy: each step satisfies p(v_t) + gamma(v_{t+1}) = gamma(v_t), so the
 prefix cost is invariant under horizon extension.
 
+The DP stores each time layer of the cost-to-go as its differences from
+gamma, so a replan pays for the cells its constraints change, not for a
+dense t_c x V table.
+
 Constraint time conventions: a vertex constraint (a, t, v) forbids occupying
 v at time t; an edge constraint (a, t, (u, w)) forbids traversing u -> w from
 time t to t+1 (departure-time convention).
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grid import INF, DistanceField, Graph, sat_add
-from .trajectory import Trajectory, prefix_cost
+from .trajectory import Trajectory
 
 VertexConstraint = tuple[int, int, int]  # (agent, time, vertex)
 EdgeConstraint = tuple[int, int, tuple[int, int]]  # (agent, time, (u, w))
@@ -78,14 +82,16 @@ def satisfies(traj: Trajectory, constraints: ConstraintSet) -> bool:
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
     """Gamma-greedy walk of `length` steps: descend gamma via the smallest-id
     neighbor, then wait at the goal."""
+    dist = gamma.values
+    adjacency = graph.adjacency
     path = [start]
     v = start
-    for _ in range(length):
-        if gamma[v] == 0:
-            path.append(v)
-            continue
-        v = min(w for w in graph.neighbors(v) if gamma[w] == gamma[v] - 1)
+    d = dist[v]
+    while d and len(path) <= length:
+        d -= 1
+        v = min(w for w in adjacency[v] if dist[w] == d)
         path.append(v)
+    path += [v] * (length + 1 - len(path))
     return path
 
 
@@ -103,6 +109,12 @@ def plan_constrained(
     Among equal-cost optima, the lexicographically smallest vertex sequence is
     returned, built by dynamic programming over (vertex, time) up to the last
     constrained step followed by the gamma-greedy suffix.
+
+    Unconstrained, the cost-to-go from (v, t) is gamma(v), and constraints
+    only raise it.  So each layer t of the DP is a dict holding only the
+    vertices whose cost-to-go differs from gamma.  Layer t can differ only at
+    vertices blocked at t, at sources of edges cut at t, and at in-neighbors
+    of vertices that differ in layer t + 1; only those are recomputed.
     """
     forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
     if (0, start) in forbidden_vtx:
@@ -115,47 +127,60 @@ def plan_constrained(
         if t > h_max - 1:
             raise ConstraintError(f"edge constraint time {t} beyond horizon {h_max - 1}")
 
-    goal = gamma.anchor
-    n = graph.vertex_count
-    # cost_to_go[t][v]: optimal cost from (v, t) through t_c, terminal gamma.
-    terminal = [gamma[v] if (t_c, v) not in forbidden_vtx else INF for v in range(n)]
-    if t_c == 0:
-        if terminal[start] >= INF:
-            return None
-        prefix = [start]
-    else:
-        layers = [terminal]
-        for t in range(t_c - 1, -1, -1):
-            nxt = layers[-1]
-            layer = []
-            for v in range(n):
-                if (t, v) in forbidden_vtx:
-                    layer.append(INF)
-                    continue
-                best = INF
-                for w in graph.neighbors(v):
-                    if (t, v, w) in forbidden_edg:
-                        continue
-                    if nxt[w] < best:
-                        best = nxt[w]
-                layer.append(sat_add(1 if v != goal else 0, best))
-            layers.append(layer)
-        layers.reverse()  # layers[t][v] for t in 0..t_c
-        if layers[0][start] >= INF:
-            return None
-        prefix = [start]
-        v = start
-        for t in range(t_c):
-            step = 1 if v != goal else 0
-            target = layers[t][v]
-            v = min(
-                w
-                for w in graph.neighbors(v)
-                if (t, v, w) not in forbidden_edg
-                and sat_add(step, layers[t + 1][w]) == target
-            )
-            prefix.append(v)
+    blocked: dict[int, set[int]] = {}
+    for t, v in forbidden_vtx:
+        blocked.setdefault(t, set()).add(v)
+    cut: dict[int, set[tuple[int, int]]] = {}
+    for t, u, w in forbidden_edg:
+        cut.setdefault(t, set()).add((u, w))
 
+    goal = gamma.anchor
+    dist = gamma.values
+    adjacency = graph.adjacency
+    reverse = graph.reverse
+    # diffs[t][v]: optimal cost from (v, t) through t_c with terminal gamma,
+    # stored only where it differs from gamma[v].
+    diffs: list[dict[int, int]] = [{} for _ in range(t_c)]
+    diffs.append({v: INF for v in blocked.get(t_c, ()) if dist[v] < INF})
+    for t in range(t_c - 1, -1, -1):
+        nxt = diffs[t + 1]
+        recompute = {u for w in nxt for u in reverse[w]}
+        cut_t = cut.get(t, ())
+        recompute.update(u for u, _ in cut_t)
+        blocked_t = blocked.get(t, ())
+        recompute.update(blocked_t)
+        layer = diffs[t]
+        for v in recompute:
+            if v in blocked_t:
+                value = INF
+            else:
+                best = INF
+                for w in adjacency[v]:
+                    c = nxt[w] if w in nxt else dist[w]
+                    if c < best and (v, w) not in cut_t:
+                        best = c
+                value = sat_add(1 if v != goal else 0, best)
+            if value != dist[v]:
+                layer[v] = value
+
+    cost = diffs[0].get(start, dist[start])
+    if cost >= INF:
+        return None
+    prefix = [start]
+    v = start
+    for t in range(t_c):
+        step = 1 if v != goal else 0
+        target = diffs[t].get(v, dist[v])
+        nxt = diffs[t + 1]
+        cut_t = cut.get(t, ())
+        v = min(
+            w
+            for w in adjacency[v]
+            if (v, w) not in cut_t and sat_add(step, nxt.get(w, dist[w])) == target
+        )
+        prefix.append(v)
+
+    # The gamma-greedy suffix keeps the cost-to-go, so the DP value at the
+    # start is the H_max prefix cost of the returned trajectory.
     suffix = greedy_path(graph, prefix[-1], gamma, h_max - t_c)
-    traj = Trajectory(agent, tuple(prefix[:-1] + suffix))
-    return traj, prefix_cost(traj, h_max, gamma)
+    return Trajectory(agent, tuple(prefix[:-1] + suffix)), cost

@@ -152,13 +152,6 @@ def prefix_cost(traj: Trajectory, h_r: int, gamma: DistanceField) -> int:
     return sat_add(running, gamma[traj[h_r]])
 
 
-def joint_prefix_cost(joint: JointTrajectory, h_r: int, gammas) -> int:
-    total = 0
-    for traj in joint.trajectories:
-        total = sat_add(total, prefix_cost(traj, h_r, gammas[traj.agent]))
-    return total
-
-
 def path_cost(vertices: tuple[int, ...] | list[int], goal: int) -> int:
     """Running cost of a full vertex sequence (its terminal assumed at goal)."""
     return sum(1 for v in vertices if v != goal)
@@ -186,7 +179,6 @@ __all__ = [
     "detect_first_conflict",
     "count_conflicts",
     "prefix_cost",
-    "joint_prefix_cost",
     "path_cost",
     "soc",
     "is_conflict_free",

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daccbs import ConstraintError, ConstraintSet, goal_distance_field, plan_constrained
+from daccbs import ConstraintError, ConstraintSet, Graph, goal_distance_field, plan_constrained
+from daccbs.grid import INF, sat_add
 from daccbs.lowlevel import greedy_path, satisfies
 from daccbs.trajectory import Trajectory, prefix_cost
 
@@ -32,6 +33,158 @@ def brute_force_best(graph, start, constraints, h_max, gamma):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def dense_plan_constrained(graph, agent, start, constraints, h_max, gamma):
+    """Reference planner: the dense (t_c + 1) x V cost-to-go table that
+    plan_constrained replaced, with the same checks and tie-break."""
+    forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
+    if (0, start) in forbidden_vtx:
+        raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
+    t_c = min(constraints.max_time(agent), h_max)
+    for t, _ in forbidden_vtx:
+        if t > h_max:
+            raise ConstraintError(f"vertex constraint time {t} beyond horizon {h_max}")
+    for t, _, _ in forbidden_edg:
+        if t > h_max - 1:
+            raise ConstraintError(f"edge constraint time {t} beyond horizon {h_max - 1}")
+    goal = gamma.anchor
+    n = graph.vertex_count
+    layers = [[gamma[v] if (t_c, v) not in forbidden_vtx else INF for v in range(n)]]
+    for t in range(t_c - 1, -1, -1):
+        nxt = layers[-1]
+        layer = []
+        for v in range(n):
+            if (t, v) in forbidden_vtx:
+                layer.append(INF)
+                continue
+            best = min(
+                (nxt[w] for w in graph.neighbors(v) if (t, v, w) not in forbidden_edg),
+                default=INF,
+            )
+            layer.append(sat_add(1 if v != goal else 0, best))
+        layers.append(layer)
+    layers.reverse()
+    if layers[0][start] >= INF:
+        return None
+    prefix = [start]
+    v = start
+    for t in range(t_c):
+        step = 1 if v != goal else 0
+        v = min(
+            w
+            for w in graph.neighbors(v)
+            if (t, v, w) not in forbidden_edg
+            and sat_add(step, layers[t + 1][w]) == layers[t][v]
+        )
+        prefix.append(v)
+    suffix = reference_greedy_path(graph, prefix[-1], gamma, h_max - t_c)
+    traj = Trajectory(agent, tuple(prefix[:-1] + suffix))
+    return traj, prefix_cost(traj, h_max, gamma)
+
+
+def reference_greedy_path(graph, start, gamma, length):
+    """Reference walk: the step-by-step greedy_path loop it replaced."""
+    path = [start]
+    v = start
+    for _ in range(length):
+        if gamma[v] == 0:
+            path.append(v)
+            continue
+        v = min(w for w in graph.neighbors(v) if gamma[w] == gamma[v] - 1)
+        path.append(v)
+    return path
+
+
+def random_digraph(rng, n):
+    """Reflexive digraph on n vertices; most edges are one-way."""
+    p = rng.choice((0.15, 0.3, 0.5))
+    adjacency = []
+    for u in range(n):
+        nbrs = {u} | {w for w in range(n) if w != u and rng.random() < p}
+        adjacency.append(tuple(sorted(nbrs)))
+    return Graph(tuple(adjacency))
+
+
+def random_constraints(rng, graph, agent, start, goal, h_max):
+    """Vertex and edge constraints on the planning agent and on another
+    agent, biased toward the goal and t = 0; some are deliberately invalid."""
+    n = graph.vertex_count
+    cs = ConstraintSet()
+    for _ in range(rng.randint(0, 8)):
+        a = agent if rng.random() < 0.85 else agent + 1
+        t = rng.randint(0, h_max)
+        kind = rng.random()
+        if kind < 0.55:
+            v = goal if rng.random() < 0.25 else rng.randrange(n)
+            if a == agent and t == 0 and v == start:
+                continue
+            cs = cs.with_vertex(a, t, v)
+        elif t < h_max:
+            u = rng.randrange(n)
+            w = rng.choice(graph.neighbors(u)) if rng.random() < 0.9 else rng.randrange(n)
+            cs = cs.with_edge(a, t, (u, w))
+    roll = rng.random()
+    if roll < 0.03:
+        cs = cs.with_vertex(agent, 0, start)
+    elif roll < 0.06:
+        cs = cs.with_vertex(agent, h_max + rng.randint(1, 2), rng.randrange(n))
+    elif roll < 0.09:
+        cs = cs.with_edge(agent, h_max + rng.randint(0, 1), (start, rng.randrange(n)))
+    return cs
+
+
+def planner_outcome(planner, *args):
+    try:
+        return planner(*args)
+    except ConstraintError as exc:
+        return ("error", str(exc))
+
+
+class TestSparseMatchesDense:
+    """plan_constrained against the dense DP it replaced."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_digraphs(self, seed):
+        rng = random.Random(seed)
+        kinds = {"plan": 0, "none": 0, "error": 0}
+        for _ in range(600):
+            graph = random_digraph(rng, rng.randint(1, 14))
+            n = graph.vertex_count
+            goal = rng.randrange(n)
+            gamma = goal_distance_field(graph, goal)
+            reach = [v for v in range(n) if gamma[v] < INF]
+            start = rng.choice(reach) if rng.random() < 0.85 else rng.randrange(n)
+            h_max = rng.randint(1, 8)
+            cs = random_constraints(rng, graph, 0, start, goal, h_max)
+            args = (graph, 0, start, cs, h_max, gamma)
+            got = planner_outcome(plan_constrained, *args)
+            assert got == planner_outcome(dense_plan_constrained, *args), (seed, cs)
+            if got is None:
+                kinds["none"] += 1
+            else:
+                kinds["error" if got[0] == "error" else "plan"] += 1
+        assert kinds["plan"] > 300 and kinds["none"] > 20 and kinds["error"] > 10, kinds
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grids(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(250):
+            h, w = rng.randint(1, 5), rng.randint(1, 5)
+            cells = [(r, c) for r in range(h) for c in range(w)]
+            blocked = {cell for cell in cells if rng.random() < 0.2}
+            if len(blocked) == len(cells):
+                continue
+            graph = make_grid(h, w, blocked)
+            n = graph.vertex_count
+            goal, start = rng.randrange(n), rng.randrange(n)
+            gamma = goal_distance_field(graph, goal)
+            h_max = rng.randint(1, 12)
+            cs = random_constraints(rng, graph, 0, start, goal, h_max)
+            args = (graph, 0, start, cs, h_max, gamma)
+            assert planner_outcome(plan_constrained, *args) == planner_outcome(
+                dense_plan_constrained, *args
+            ), (seed, cs)
 
 
 class TestPlanConstrained:
@@ -141,3 +294,26 @@ class TestGreedyPath:
     def test_waits_at_goal(self, chain5):
         gamma = goal_distance_field(chain5, 4)
         assert greedy_path(chain5, 4, gamma, 2) == [4, 4, 4]
+
+    def test_truncated_before_goal(self, chain5):
+        gamma = goal_distance_field(chain5, 4)
+        assert greedy_path(chain5, 0, gamma, 2) == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stepwise_walk(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            h, w = rng.randint(2, 9), rng.randint(2, 9)
+            blocked = {(r, c) for r in range(h) for c in range(w) if rng.random() < 0.2}
+            if len(blocked) == h * w:
+                continue
+            graph = make_grid(h, w, blocked)
+            goal = rng.randrange(graph.vertex_count)
+            gamma = goal_distance_field(graph, goal)
+            starts = [v for v in range(graph.vertex_count) if gamma[v] < INF]
+            for start in rng.sample(starts, min(4, len(starts))) + [goal]:
+                d = gamma[start]
+                for length in {0, max(d - 1, 0), d, d + 1, d + rng.randint(2, 6)}:
+                    assert greedy_path(graph, start, gamma, length) == reference_greedy_path(
+                        graph, start, gamma, length
+                    )

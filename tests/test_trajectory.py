@@ -14,7 +14,7 @@ from daccbs import (
     prefix_cost,
     soc,
 )
-from daccbs.trajectory import joint_prefix_cost, path_cost
+from daccbs.trajectory import path_cost
 
 from conftest import chain_graph
 
@@ -89,18 +89,10 @@ class TestCosts:
         gamma = goal_distance_field(g, 0)
         assert prefix_cost(Trajectory(0, (1,)), 0, gamma) == INF
 
-    def test_joint_prefix_cost_sums(self, chain5):
-        gamma = goal_distance_field(chain5, 4)
-        joint = jt([0, 1], [0, 1])
-        assert joint_prefix_cost(joint, 1, [gamma, gamma]) == 8
-
-    def test_joint_prefix_cost_empty_fleet(self):
-        assert joint_prefix_cost(JointTrajectory([]), 0, []) == 0
-
     def test_goal_absorbing(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        joint = jt([4, 4], [0, 1])
-        assert joint_prefix_cost(joint, 1, [gamma, gamma]) == 4
+        assert prefix_cost(Trajectory(0, (4, 4)), 1, gamma) == 0
+        assert prefix_cost(Trajectory(1, (0, 1)), 1, gamma) == 4
 
     def test_soc_chain(self):
         assert soc(jt([0, 1, 2, 3, 4]), [4]) == 4
@@ -117,10 +109,12 @@ class TestCosts:
         with pytest.raises(ValueError):
             soc(jt([0, 1]), [4])
 
-    def test_soc_equals_joint_prefix_cost_at_makespan(self, chain5):
+    def test_soc_equals_prefix_cost_sum_at_makespan(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        joint = jt([0, 1, 2, 3, 4])
-        assert soc(joint, [4]) == joint_prefix_cost(joint, joint.makespan, [gamma])
+        joint = jt([0, 1, 2, 3, 4], [2, 3, 4, 4, 4])
+        assert soc(joint, [4, 4]) == sum(
+            prefix_cost(traj, joint.makespan, gamma) for traj in joint.trajectories
+        )
 
     def test_path_cost(self):
         assert path_cost((0, 1, 2, 4, 3, 4), 4) == 4
