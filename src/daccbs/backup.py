@@ -4,8 +4,7 @@ The reference implementation follows the LaCAM scheme: a lazy depth-first
 search over joint configurations whose successors are proposed by a
 PIBT-style one-step generator (priority inheritance resolves pushes), with
 per-agent forced-move constraints enumerated lazily to retain completeness.
-It requires a symmetric graph; a full-horizon CBS backup is provided as a
-slow-but-tight alternative for small groups.
+It requires a symmetric graph.
 """
 
 from __future__ import annotations
@@ -240,38 +239,7 @@ def _pibt_step(
     return result
 
 
-class ClassicCbsBackup(BackupController):
-    """Full-horizon CBS as a slow but cost-tight backup for small groups."""
-
-    name = "cbs-full"
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def rollout(
-        self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration
-    ) -> JointTrajectory:
-        from .cbs import InfeasibleInstanceError, run_classic_cbs
-        from .grid import MapfInstance as _Instance
-
-        if not agents:
-            return JointTrajectory([])
-        sub = _Instance(
-            instance.graph, tuple(start), tuple(instance.goals[a] for a in agents)
-        )
-        try:
-            solution = run_classic_cbs(sub)
-        except InfeasibleInstanceError as exc:
-            raise BackupError(str(exc)) from exc
-        return JointTrajectory(
-            [
-                Trajectory(a, solution[i].vertices)
-                for i, a in enumerate(agents)
-            ]
-        )
-
-
-BACKUPS = {"lacam-ref": LacamBackup, "cbs-full": ClassicCbsBackup}
+BACKUPS = {"lacam-ref": LacamBackup}
 
 
 def make_backup(name: str, seed: int = 0) -> BackupController:

@@ -197,11 +197,7 @@ class FleetController:
         slack = slackness(group.agents, cert.budget, state, instance.gammas)
         trace = None
         if should_refactor(group.slack_last, slack, self.config.slack_threshold):
-            regions = {
-                a: reachable_region(instance.graph, a, state, slack, instance.gammas[a])
-                for a in group.agents
-            }
-            parts = partition(regions)
+            parts = partition(instance.graph, group.agents, state, slack, instance.gammas)
             subgroups = []
             for part in parts:
                 sub_cert = cert.restricted(part)

@@ -77,25 +77,99 @@ def reachable_region(
     return frozenset(dist)
 
 
-def partition(regions: dict[int, frozenset[int]]) -> list[tuple[int, ...]]:
+def partition(
+    graph: Graph, agents: tuple[int, ...], state, slack: int, gammas
+) -> list[tuple[int, ...]]:
     """Groups of agents whose reachable regions form connected overlaps.
 
-    Each agent's region is merged with every group whose covered vertices it
-    meets; groups are ordered by their smallest member agent id.
+    Runs the agents' `reachable_region` searches in lock-step, one
+    cost-distance level per agent per round, with the same admission rule
+    and the same free step from the goal.  Each vertex records the first
+    agent that discovered it; when a second agent discovers it, the two
+    agents' components are joined in a union-find.  A vertex is admitted at
+    a distance no less than its final one, so a discovered vertex is in the
+    agent's region and a join only links agents whose regions overlap.
+    Every region vertex is discovered by its agent once, so every overlap
+    is seen at the shared vertex, whichever agent reaches it first.  The
+    components are therefore the connected components of region overlap
+    whatever the search order.  Joins are never undone, so once a single
+    component is left the function returns without finishing the searches.
+    Groups are ordered by their smallest member agent id.
     """
-    groups: list[tuple[list[int], set[int]]] = []
-    for a in sorted(regions):
-        members, covered = [a], set(regions[a])
-        apart = []
-        for group in groups:
-            if covered.isdisjoint(group[1]):
-                apart.append(group)
-            else:
-                members += group[0]
-                covered |= group[1]
-        apart.append((members, covered))
-        groups = apart
-    return sorted(tuple(sorted(members)) for members, _ in groups)
+    if slack < 0:
+        raise ValueError("slack must be nonnegative")
+    if len(agents) <= 1:
+        return [tuple(agents)] if agents else []
+    everyone = [tuple(sorted(agents))]
+    adjacency = graph.adjacency
+    root = list(range(len(agents)))  # union-find over indices into agents
+    components = len(agents)
+    owner: dict[int, int] = {}  # vertex -> index of the agent that found it first
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    def join(i: int, j: int) -> bool:
+        """Unite i's and j's components; true once a single one is left."""
+        nonlocal components
+        i, j = find(i), find(j)
+        if i != j:
+            root[max(i, j)] = min(i, j)
+            components -= 1
+        return components == 1
+
+    # One search per agent: [index, goal, cost_to_go, limit, dist, frontier].
+    searches = []
+    for i, a in enumerate(agents):
+        here = state[a]
+        cost_to_go = gammas[a].values
+        # Below INF, so a vertex that cannot reach the goal never fits.
+        limit = min(slack + cost_to_go[here], INF - 1)
+        if cost_to_go[here] > limit:
+            continue  # empty region: the agent stays a group of its own
+        searches.append([i, gammas[a].anchor, cost_to_go, limit, {here: 0}, [here]])
+        first = owner.setdefault(here, i)
+        if first != i and join(first, i):
+            return everyone
+
+    d = 0
+    while searches:
+        d1 = d + 1
+        for search in searches:
+            i, goal, cost_to_go, limit, dist, frontier = search
+            nxt = []
+            # The frontier holds the vertices at distance d; the free step
+            # from the goal appends more of them while the loop runs.  A
+            # vertex it lowers from d + 1 stays in nxt too, where its second
+            # visit finds every neighbor already discovered.
+            for u in frontier:
+                if u == goal:
+                    for w in adjacency[u]:
+                        if d + cost_to_go[w] <= limit and d < dist.get(w, INF):
+                            if w not in dist:
+                                first = owner.setdefault(w, i)
+                                if first != i and join(first, i):
+                                    return everyone
+                            dist[w] = d
+                            frontier.append(w)
+                else:
+                    for w in adjacency[u]:
+                        if w not in dist and d1 + cost_to_go[w] <= limit:
+                            dist[w] = d1
+                            nxt.append(w)
+                            first = owner.setdefault(w, i)
+                            if first != i and join(first, i):
+                                return everyone
+            search[5] = nxt
+        searches = [search for search in searches if search[5]]
+        d = d1
+
+    members: dict[int, list[int]] = {}
+    for i, a in enumerate(agents):
+        members.setdefault(find(i), []).append(a)
+    return sorted(tuple(sorted(group)) for group in members.values())
 
 
 def should_refactor(last_slack: int, current_slack: int, threshold: int) -> bool:

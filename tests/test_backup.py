@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from daccbs import BackupError, LacamBackup, MapfInstance, make_backup, optimal_soc, soc
-from daccbs.backup import ClassicCbsBackup, _pibt_step
+from daccbs.backup import _pibt_step
 from daccbs.trajectory import is_conflict_free
 
 from conftest import chain_graph, cross_instance, make_grid, random_instance
@@ -140,18 +140,9 @@ class TestPibtStep:
         assert step == tuple(range(1, n_agents + 1))
 
 
-class TestCbsBackup:
-    def test_optimal_rollout(self):
-        inst = cross_instance()
-        jt = rollout_all(ClassicCbsBackup(), inst)
-        assert is_conflict_free(jt)
-        assert soc(jt, inst.goals) == 5
-
-
 class TestRegistry:
     def test_names(self):
         assert isinstance(make_backup("lacam-ref"), LacamBackup)
-        assert isinstance(make_backup("cbs-full"), ClassicCbsBackup)
 
     def test_unknown(self):
         with pytest.raises(BackupError):

@@ -113,6 +113,7 @@ class TestMainExitCodes:
             pytest.param(["--hmax", "0"], id="hmax-0"),
             pytest.param(["--tmax-ms", "-1"], id="tmax-negative"),
             pytest.param(["--backup", "nope"], id="backup-unknown"),
+            pytest.param(["--backup", "cbs-full"], id="backup-removed"),
             pytest.param(["--out", "{tmp}"], id="out-dir"),
             pytest.param(["--factorization-report", "{tmp}"], id="report-dir"),
         ],

@@ -8,6 +8,7 @@ import pytest
 from daccbs import (
     INF,
     BudgetInvariantError,
+    Graph,
     MapfInstance,
     goal_distance_field,
     partition,
@@ -139,56 +140,148 @@ class TestReachableRegion:
                         ), (size, here, slack)
 
 
+def partition_of(graph, state, goals, slack, agents=None):
+    """partition() with every agent's goal field built from `goals`; agent ids
+    index `state` and `goals`, and default to all of them."""
+    gammas = [goal_distance_field(graph, g) for g in goals]
+    agents = tuple(range(len(state))) if agents is None else agents
+    return partition(graph, agents, state, slack, gammas)
+
+
+def reference_partition(graph, state, goals, slack):
+    gammas = [goal_distance_field(graph, g) for g in goals]
+    return overlap_components(
+        {a: full_map_region(graph, state[a], slack, gammas[a]) for a in range(len(state))}
+    )
+
+
+def random_digraph(rng, n):
+    """Reflexive digraph with one-way random edges: no symmetry assumed."""
+    adjacency = []
+    for v in range(n):
+        out = {v} | {rng.randrange(n) for _ in range(rng.randint(0, 3))}
+        adjacency.append(tuple(sorted(out)))
+    return Graph(tuple(adjacency))
+
+
+class CountingAdjacency(tuple):
+    """Adjacency that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
 class TestPartition:
     def test_disjoint_regions_split(self):
-        assert partition({0: frozenset({1, 2}), 1: frozenset({5, 6})}) == [(0,), (1,)]
+        # two separate chains, 0-1-2 and 3-4-5
+        g = Graph(((0, 1), (0, 1, 2), (1, 2), (3, 4), (3, 4, 5), (4, 5)))
+        assert partition_of(g, (0, 3), (2, 5), 10) == [(0,), (1,)]
 
     def test_shared_vertex_unites(self):
-        assert partition({0: frozenset({1, 2}), 1: frozenset({2, 3})}) == [(0, 1)]
+        g = chain_graph(5)  # regions {0, 1, 2} and {2, 3, 4} meet at 2
+        assert partition_of(g, (0, 2), (2, 4), 0) == [(0, 1)]
 
     def test_grid_rows_split(self):
         g = make_grid(5, 5)
         inst = MapfInstance(g, (0, 24), (4, 20))  # row 0 and row 4 traversals
-        regions = {
-            a: reachable_region(g, a, inst.starts, 0, inst.gammas[a]) for a in (0, 1)
-        }
-        assert partition(regions) == [(0,), (1,)]
+        assert partition(g, (0, 1), inst.starts, 0, inst.gammas) == [(0,), (1,)]
 
     def test_transitive_union(self):
-        regions = {
-            0: frozenset({1}),
-            1: frozenset({1, 2}),
-            2: frozenset({2, 3}),
-            3: frozenset({9}),
-        }
-        assert partition(regions) == [(0, 1, 2), (3,)]
+        # on a chain at slack 0 a region is the interval from vertex to goal:
+        # [0, 2], [2, 4], [4, 6] chain together; [8, 9] stays apart
+        g = chain_graph(10)
+        assert partition_of(g, (0, 2, 4, 9), (2, 4, 6, 8), 0) == [(0, 1, 2), (3,)]
 
     def test_deterministic_ordering(self):
-        regions = {2: frozenset({7}), 0: frozenset({5}), 1: frozenset({6})}
-        assert partition(regions) == [(0,), (1,), (2,)]
+        g = chain_graph(12)
+        state, goals = (8, 0, 5), (9, 1, 6)  # regions {8, 9}, {0, 1}, {5, 6}
+        for agents in ((2, 0, 1), (1, 2, 0), (0, 1, 2)):
+            assert partition_of(g, state, goals, 0, agents) == [(0,), (1,), (2,)]
+        # agents 2 and 0 united by the wider slack, listed in sorted order
+        assert partition_of(g, state, goals, 2, (2, 1, 0)) == [(0, 2), (1,)]
 
     def test_empty(self):
-        assert partition({}) == []
+        assert partition(chain_graph(3), (), (), 0, ()) == []
+
+    def test_single_agent(self):
+        g = chain_graph(5)
+        assert partition_of(g, (0, 2), (4, 3), 3, (1,)) == [(1,)]
+        # a lone agent whose goal it cannot reach is still its own group
+        g = make_grid(3, 3, {(0, 1), (1, 1), (2, 1)})
+        assert partition_of(g, (5,), (0,), 10) == [(0,)]
 
     def test_chain_joined_by_last_agent(self):
-        # 0 and 2 overlap only through 4, which comes last in sorted order
-        regions = {0: frozenset({1}), 2: frozenset({3}), 4: frozenset({1, 3}), 3: frozenset({9})}
-        assert partition(regions) == overlap_components(regions) == [(0, 2, 4), (3,)]
+        # agents 0 ([0, 1]) and 2 ([3, 4]) overlap only through agent 4
+        # ([1, 3]), the last one searched; agent 1 takes no part
+        g = chain_graph(12)
+        state, goals = (0, 6, 3, 10, 1), (1, 7, 4, 11, 3)
+        agents = (0, 2, 3, 4)
+        assert partition_of(g, state, goals, 0, agents) == [(0, 2, 4), (3,)]
 
     def test_all_disjoint(self):
-        regions = {a: frozenset({a}) for a in range(10)}
-        assert partition(regions) == overlap_components(regions) == [(a,) for a in range(10)]
+        # every agent parked on its own goal: at slack 0 the free step from
+        # the goal admits nothing, so each region is the goal alone
+        g = chain_graph(10)
+        parked = tuple(range(10))
+        assert partition_of(g, parked, parked, 0) == [(a,) for a in range(10)]
+        assert reference_partition(g, parked, parked, 0) == [(a,) for a in range(10)]
+
+    def test_unreachable_goal_is_own_group(self):
+        # two disconnected columns; agent 0 stands in the right column with
+        # its goal in the left one, so its region is empty even though agent
+        # 1's region covers its vertex
+        g = make_grid(3, 3, {(0, 1), (1, 1), (2, 1)})
+        state, goals = (5, 1, 2), (0, 3, 4)
+        assert partition_of(g, state, goals, 10) == [(0,), (1,), (2,)]
+        assert reference_partition(g, state, goals, 10) == [(0,), (1,), (2,)]
 
     def test_matches_overlap_components(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            n = rng.randint(0, 60)
-            universe = rng.randint(1, 400)
-            regions = {
-                a: frozenset(rng.sample(range(universe), rng.randint(1, min(8, universe))))
-                for a in rng.sample(range(100), n)
-            }
-            assert partition(regions) == overlap_components(regions)
+        # random grids at three blocking rates, and one-way random digraphs;
+        # some agents parked on their goal, some unable to reach it
+        rng = random.Random(7)
+        unreachable = 0
+        for trial in range(180):
+            if trial % 4 == 3:
+                g = random_digraph(rng, rng.randint(4, 80))
+            else:
+                size = rng.randint(4, 20)
+                g = random_instance(rng, size, size, 1, (0.0, 0.1, 0.25)[trial % 4]).graph
+            n = rng.randint(2, min(12, g.vertex_count))
+            state = tuple(rng.sample(range(g.vertex_count), n))
+            goals = list(rng.sample(range(g.vertex_count), n))
+            for a in rng.sample(range(n), rng.randint(0, n)):
+                if state[a] not in goals:
+                    goals[a] = state[a]  # parked on its own goal
+            gammas = [goal_distance_field(g, goal) for goal in goals]
+            unreachable += sum(gammas[a][state[a]] >= INF for a in range(n))
+            slack = rng.choice((0, 1, 2, rng.randint(0, 60)))
+            agents = tuple(rng.sample(range(n), n))
+            assert partition(g, agents, state, slack, gammas) == reference_partition(
+                g, state, goals, slack
+            ), (trial, state, goals, slack)
+        assert unreachable > 0
+
+    def test_stops_once_one_group_is_left(self):
+        # 48x48, 200 agents: the regions meet long before the searches end, so
+        # the lock-step search reads far fewer adjacency rows than full
+        # searches (at least one row per region vertex) would
+        inst = random_instance(random.Random(0), 48, 48, 200)
+        agents = tuple(range(200))
+        slack = 10
+        covered = sum(
+            len(reachable_region(inst.graph, a, inst.starts, slack, inst.gammas[a]))
+            for a in agents
+        )
+        adjacency = CountingAdjacency(inst.graph.adjacency)
+        assert partition(Graph(adjacency), agents, inst.starts, slack, inst.gammas) == [agents]
+        assert adjacency.reads < covered / 4, (adjacency.reads, covered)
+
+    def test_negative_slack_rejected(self):
+        with pytest.raises(ValueError):
+            partition_of(chain_graph(3), (0, 1), (2, 1), -1)
 
 
 class TestShouldRefactor:
