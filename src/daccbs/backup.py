@@ -89,6 +89,7 @@ class LacamBackup(BackupController):
         for i, v in enumerate(start):
             if gammas[i][v] >= INF:
                 raise BackupError(f"agent {agents[i]} cannot reach its goal from {v}")
+        dists = [gamma.values for gamma in gammas]
         rng = random.Random(self.seed)
         makespan_cap = graph.vertex_count * n * 4
         iteration_cap = max(makespan_cap * 8 + 1000, 2_000_000)
@@ -122,7 +123,7 @@ class LacamBackup(BackupController):
                 for u in (here, *sorted(w for w in graph.neighbors(here) if w != here)):
                     node.tree.append(_LowNode(low.who + (member,), low.where + (u,)))
             forced = dict(zip(low.who, low.where))
-            config = _pibt_step(graph, node.config, node.order, gammas, forced, rng)
+            config = _pibt_step(graph, node.config, node.order, dists, forced, rng)
             if config is None:
                 continue
             known = explored.get(config)
@@ -164,12 +165,13 @@ def _pibt_step(
     graph: Graph,
     config: Configuration,
     order: tuple[int, ...],
-    gammas,
+    dists,
     forced: dict[int, int],
     rng: random.Random,
 ) -> Configuration | None:
     """One-step successor configuration via priority inheritance.
 
+    `dists[i]` is member i's goal-distance sequence, indexed by vertex.
     `forced` pins members to target vertices (must be adjacent-or-same); the
     step fails (None) when the pins cannot be completed into a valid
     configuration (no coinciding agents, no swaps).
@@ -189,11 +191,23 @@ def _pibt_step(
         nxt[member] = target
         occupied_next[target] = member
 
+    adjacency = graph.adjacency
+    getrandbits = rng.getrandbits
+
     def candidates(i: int):
         here = config[i]
-        cands = [here] + [w for w in graph.neighbors(here) if w != here]
-        rng.shuffle(cands)
-        cands.sort(key=lambda w: gammas[i][w])
+        cands = [here]
+        cands += [w for w in adjacency[here] if w != here]
+        # rng.shuffle(cands), inlined with the same getrandbits draws so
+        # rollouts stay identical (tests/test_backup.py pins the draws).
+        for k in range(len(cands) - 1, 0, -1):
+            n_k = k + 1
+            bits = n_k.bit_length()
+            j = getrandbits(bits)
+            while j >= n_k:
+                j = getrandbits(bits)
+            cands[k], cands[j] = cands[j], cands[k]
+        cands.sort(key=dists[i].__getitem__)
         return iter(cands)
 
     def pibt(root: int) -> None:

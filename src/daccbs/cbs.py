@@ -1,12 +1,13 @@
 """Constraint-tree search over agent groups.
 
 run_adaptive implements the finite-horizon best-first search with a growing
-running horizon: nodes store H_max-step trajectories, conflicts are resolved
-only inside the active prefix, and whenever the dequeued node's prefix is
-conflict-free the horizon jumps to that node's first conflict (or to H_max),
-found by one scan.  Because trajectories are gamma-greedy past their last
-constrained step, node costs are invariant under horizon extension and the
-tree is reused across increments.
+running horizon: nodes store goal-terminated trajectories (each ends where
+its agent reaches its goal for good, or at H_max when cut off there),
+conflicts are resolved only inside the active prefix, and whenever the
+dequeued node's prefix is conflict-free the horizon jumps to that node's
+first conflict (or to H_max), found by one scan.  Because trajectories are
+gamma-greedy past their last constrained step, node costs are invariant
+under horizon extension and the tree is reused across increments.
 
 run_classic_cbs drives the same machinery to a horizon long enough to cover
 an optimal solution, which makes it plain full-horizon CBS.
@@ -41,14 +42,19 @@ class ExpansionCapExceeded(RuntimeError):
 
 @dataclass
 class ConstraintTreeNode:
-    """Constraint set, per-agent H_max trajectories, and prefix cost."""
+    """Constraint set, per-agent goal-terminated trajectories, and prefix cost.
+
+    A trajectory ends at its agent's goal, or at H_max when cut off there;
+    read past its end, the agent waits at its last vertex.
+    """
 
     constraints: ConstraintSet
-    trajectories: dict[int, Trajectory]  # agent id -> H_max trajectory
+    trajectories: dict[int, Trajectory]  # agent id -> goal-terminated trajectory
     agent_costs: dict[int, int]
     cost: int
 
     def joint(self, agents: tuple[int, ...]) -> JointTrajectory:
+        """The members' trajectories padded to the group's own makespan."""
         return JointTrajectory([self.trajectories[a] for a in agents])
 
 
@@ -74,7 +80,8 @@ def make_root(
     h_max: int,
     agents: tuple[int, ...] | None = None,
 ) -> ConstraintTreeNode:
-    """Root node: empty constraints, unconstrained optimal H_max trajectories."""
+    """Root node: empty constraints, each agent's gamma-greedy walk to its
+    goal (cut off at h_max steps)."""
     if agents is None:
         agents = tuple(range(instance.n_agents))
     trajectories: dict[int, Trajectory] = {}
@@ -143,9 +150,11 @@ def run_adaptive(
     """Best-first adaptive-horizon search over the constraint tree.
 
     Each dequeue scans the node's trajectories once, for the first conflict
-    in 0..H_max.  When none lies inside the active prefix 0..h_r, the prefix
-    is conflict-free and h_r jumps to that conflict's time (H_max when there
-    is none); the node is then expanded on that conflict.
+    in 0..min(H_max, makespan).  Past the group's makespan every agent waits
+    at its own goal, and goals are distinct, so no conflict can appear there.
+    When none lies inside the active prefix 0..h_r, the prefix is
+    conflict-free and h_r jumps to that conflict's time (H_max when there is
+    none); the node is then expanded on that conflict.
 
     on_prefix_found is invoked with (node, h_r) whenever a dequeued node's
     active prefix is conflict-free, and once more at h_r = H_max before the
@@ -177,7 +186,8 @@ def run_adaptive(
             break
         _, _, _, node = heapq.heappop(heap)
         dequeues += 1
-        conflict = detect_first_conflict(node.joint(agents), h_max)
+        joint = node.joint(agents)
+        conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
         if conflict is None or conflict.time > h_r:
             if on_prefix_found is not None:
                 on_prefix_found(node, h_r)

@@ -65,6 +65,11 @@ class _GroupOutcome:
     improved: bool
     h_reached: int
     trace: dict | None  # factorization trace entry, if a split was attempted
+    # Why the search stopped: a SearchOutcome.reason, "skipped" when the
+    # group's slack is 0, or None when the mode or deadline runs no search.
+    search: str | None
+    expansions: int
+    dequeues: int
 
 
 class FleetController:
@@ -120,6 +125,9 @@ class FleetController:
                         "slack": g.slack_last,
                         "h_r": outcome.h_reached,
                         "improved": outcome.improved,
+                        "search": outcome.search,
+                        "expansions": outcome.expansions,
+                        "dequeues": outcome.dequeues,
                     }
                 )
         self.groups = new_groups
@@ -176,7 +184,13 @@ class FleetController:
             # prefix terminal, a lower bound on any completion's cost.
             if node.cost >= cert.budget:
                 return
-            prefix = {a: node.trajectories[a].vertices[: h_r + 1] for a in group.agents}
+            # Trajectories end at their goals; pad every prefix to h_r + 1 so
+            # the backup tail starts from terminals taken at the same time.
+            prefix = {}
+            for a in group.agents:
+                vertices = node.trajectories[a].vertices
+                head = vertices[: h_r + 1]
+                prefix[a] = head + (vertices[-1],) * (h_r + 1 - len(head))
             candidate = build_candidate(prefix, self.backup, instance, group.agents)
             if candidate is None:
                 return
@@ -184,25 +198,35 @@ class FleetController:
             if ok:
                 cert, improved = cert2, True
 
-        if self.config.mode == "daccbs" and deadline_s > 0:
-            run_adaptive(
-                instance,
-                state,
-                self.config.h_max,
-                deadline_s,
-                on_prefix_found=on_prefix,
-                agents=group.agents,
-            )
-
+        # A candidate costs at least the gamma sum, so a group whose budget
+        # already equals it (slack 0) can never be improved: skip its search.
         slack = slackness(group.agents, cert.budget, state, instance.gammas)
+        search, expansions, dequeues = None, 0, 0
+        if self.config.mode == "daccbs" and deadline_s > 0:
+            if slack == 0:
+                search = "skipped"
+            else:
+                outcome = run_adaptive(
+                    instance,
+                    state,
+                    self.config.h_max,
+                    deadline_s,
+                    on_prefix_found=on_prefix,
+                    agents=group.agents,
+                )
+                search, expansions, dequeues = (
+                    outcome.reason, outcome.expansions, outcome.dequeues
+                )
+                if improved:
+                    slack = slackness(group.agents, cert.budget, state, instance.gammas)
         trace = None
         if should_refactor(group.slack_last, slack, self.config.slack_threshold):
             parts = partition(instance.graph, group.agents, state, slack, instance.gammas)
-            subgroups = []
+            groups = []
             for part in parts:
                 sub_cert = cert.restricted(part)
                 sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
-                subgroups.append(GroupState(self._take_group_id(), part, sub_cert, sub_slack))
+                groups.append(GroupState(self._take_group_id(), part, sub_cert, sub_slack))
             trace = {
                 "t": self.t,
                 "group": group.group_id,
@@ -210,13 +234,9 @@ class FleetController:
                 "k": len(parts),
                 "sizes": [len(p) for p in parts],
             }
-            return _GroupOutcome(subgroups, improved, h_reached, trace)
-        return _GroupOutcome(
-            [GroupState(group.group_id, group.agents, cert, group.slack_last)],
-            improved,
-            h_reached,
-            None,
-        )
+        else:
+            groups = [GroupState(group.group_id, group.agents, cert, group.slack_last)]
+        return _GroupOutcome(groups, improved, h_reached, trace, search, expansions, dequeues)
 
     # -- accbs ----------------------------------------------------------------
 
@@ -229,8 +249,9 @@ class FleetController:
         movement: Movement = {}
         if outcome.best_node is not None and outcome.best_h >= 1:
             for a in agents:
-                traj = outcome.best_node.trajectories[a]
-                movement[a] = (traj[0], traj[1])
+                # An agent already at its goal has a one-vertex trajectory.
+                vertices = outcome.best_node.trajectories[a].vertices
+                movement[a] = (vertices[0], vertices[1] if len(vertices) > 1 else vertices[0])
         else:
             movement = {a: (state[a], state[a]) for a in agents}
         telem = {

@@ -1,10 +1,11 @@
 """Single-agent space-time planning under vertex and edge constraint sets.
 
-plan_constrained returns a fixed-length trajectory minimizing the
-finite-horizon cost (running cost plus terminal cost-to-go) subject to the
-constraints.  Beyond the largest constrained timestep the returned suffix is
-gamma-greedy: each step satisfies p(v_t) + gamma(v_{t+1}) = gamma(v_t), so the
-prefix cost is invariant under horizon extension.
+plan_constrained returns a trajectory minimizing the finite-horizon cost
+(running cost plus terminal cost-to-go) subject to the constraints.  Beyond
+the largest constrained timestep the returned suffix is gamma-greedy: each
+step satisfies p(v_t) + gamma(v_{t+1}) = gamma(v_t), so the prefix cost is
+invariant under horizon extension.  The suffix ends where it reaches the
+goal; only a walk cut off by the horizon runs to H_max.
 
 The DP stores each time layer of the cost-to-go as its differences from
 gamma, so a replan pays for the cells its constraints change, not for a
@@ -80,8 +81,8 @@ def satisfies(traj: Trajectory, constraints: ConstraintSet) -> bool:
 
 
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
-    """Gamma-greedy walk of `length` steps: descend gamma via the smallest-id
-    neighbor, then wait at the goal."""
+    """Gamma-greedy walk of at most `length` steps: descend gamma via the
+    smallest-id neighbor and stop at the goal."""
     dist = gamma.values
     adjacency = graph.adjacency
     path = [start]
@@ -91,7 +92,6 @@ def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> 
         d -= 1
         v = min(w for w in adjacency[v] if dist[w] == d)
         path.append(v)
-    path += [v] * (length + 1 - len(path))
     return path
 
 
@@ -103,9 +103,12 @@ def plan_constrained(
     h_max: int,
     gamma: DistanceField,
 ) -> tuple[Trajectory, int] | None:
-    """Optimal constrained H_max-step trajectory for one agent, with its cost.
+    """Optimal constrained trajectory for one agent, with its cost.
 
-    Returns None when no trajectory satisfies the constraints within h_max.
+    The trajectory runs through the last constrained step and then follows
+    gamma to the goal, where it ends; read past its end, the agent waits at
+    its last vertex.  Returns None when no trajectory satisfies the
+    constraints within h_max.
     Among equal-cost optima, the lexicographically smallest vertex sequence is
     returned, built by dynamic programming over (vertex, time) up to the last
     constrained step followed by the gamma-greedy suffix.
@@ -181,6 +184,6 @@ def plan_constrained(
         prefix.append(v)
 
     # The gamma-greedy suffix keeps the cost-to-go, so the DP value at the
-    # start is the H_max prefix cost of the returned trajectory.
+    # start is the prefix cost of the returned trajectory at any horizon.
     suffix = greedy_path(graph, prefix[-1], gamma, h_max - t_c)
     return Trajectory(agent, tuple(prefix[:-1] + suffix)), cost

@@ -10,6 +10,7 @@ cost-to-go at the prefix terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .grid import INF, DistanceField, Graph, sat_add
 
@@ -53,28 +54,39 @@ class Conflict:
 
 
 class JointTrajectory:
-    """Per-agent trajectories padded with terminal waits to a common makespan."""
+    """Per-agent trajectories padded with terminal waits to a common makespan.
+
+    `rows[i]` is trajectory i's vertex tuple padded to makespan + 1 entries;
+    the conflict scans read these.  The padded Trajectory objects are built
+    on first access, since a search builds a joint per node and scans it once.
+    """
 
     def __init__(self, trajectories: list[Trajectory] | tuple[Trajectory, ...]):
-        trajectories = list(trajectories)
-        makespan = max((len(t) - 1 for t in trajectories), default=0)
-        padded = []
-        for traj in trajectories:
-            pad = makespan + 1 - len(traj)
-            if pad:
-                traj = Trajectory(traj.agent, traj.vertices + (traj.vertices[-1],) * pad)
-            padded.append(traj)
-        self.trajectories: tuple[Trajectory, ...] = tuple(padded)
+        self._given = tuple(trajectories)
+        makespan = max((len(t.vertices) - 1 for t in self._given), default=0)
+        rows = []
+        for traj in self._given:
+            vertices = traj.vertices
+            pad = makespan + 1 - len(vertices)
+            rows.append(vertices + (vertices[-1],) * pad if pad else vertices)
+        self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
         self.makespan = makespan
 
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        return tuple(
+            traj if traj.vertices is row else Trajectory(traj.agent, row)
+            for traj, row in zip(self._given, self.rows)
+        )
+
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.rows)
 
     def __getitem__(self, i: int) -> Trajectory:
         return self.trajectories[i]
 
     def positions_at(self, t: int) -> tuple[int, ...]:
-        return tuple(traj[t] for traj in self.trajectories)
+        return tuple(row[t] for row in self.rows)
 
 
 def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | None:
@@ -83,14 +95,14 @@ def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | No
     Tie order at equal time: vertex conflicts before edge conflicts; among
     same-kind conflicts, the lowest (i, j) pair in lexicographic member order.
     """
-    trajs = joint.trajectories
     if horizon > joint.makespan:
         raise ValueError(f"horizon {horizon} exceeds makespan {joint.makespan}")
+    rows = joint.rows
     for t in range(horizon + 1):
         occupied: dict[int, int] = {}
         vertex_hits: list[tuple[int, int, int]] = []
-        for i, traj in enumerate(trajs):
-            v = traj[t]
+        for i, row in enumerate(rows):
+            v = row[t]
             if v in occupied:
                 vertex_hits.append((occupied[v], i, v))
             else:
@@ -102,13 +114,13 @@ def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | No
             continue
         moves: dict[tuple[int, int], int] = {}
         edge_hits: list[tuple[int, int, tuple[int, int]]] = []
-        for j, traj in enumerate(trajs):
-            u, w = traj[t - 1], traj[t]
+        for j, row in enumerate(rows):
+            u, w = row[t - 1], row[t]
             if u == w:
                 continue
             other = moves.get((w, u))
             if other is not None:
-                edge_hits.append((other, j, (traj[t], traj[t - 1])))
+                edge_hits.append((other, j, (w, u)))
             moves[(u, w)] = j
         if edge_hits:
             i, j, edge = min(edge_hits)
@@ -118,24 +130,24 @@ def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | No
 
 def count_conflicts(joint: JointTrajectory, horizon: int) -> int:
     """Number of (pair, time) collision events within the horizon prefix."""
-    trajs = joint.trajectories
+    rows = joint.rows
     total = 0
     for t in range(min(horizon, joint.makespan) + 1):
         seen: dict[int, int] = {}
-        for traj in trajs:
-            v = traj[t]
+        for row in rows:
+            v = row[t]
             hits = seen.get(v, 0)
             total += hits
             seen[v] = hits + 1
         if t > 0:
-            moves = {}
-            for traj in trajs:
-                u, w = traj[t - 1], traj[t]
+            moves = set()
+            for row in rows:
+                u, w = row[t - 1], row[t]
                 if u == w:
                     continue
                 if (w, u) in moves:
                     total += 1
-                moves[(u, w)] = True
+                moves.add((u, w))
     return total
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from daccbs import BackupError, LacamBackup, MapfInstance, make_backup, optimal_soc, soc
+from daccbs import BackupError, Graph, LacamBackup, MapfInstance, make_backup, optimal_soc, soc
 from daccbs.backup import _pibt_step
 from daccbs.trajectory import is_conflict_free
 
@@ -138,6 +138,32 @@ class TestPibtStep:
         config = tuple(range(n_agents))
         step = _pibt_step(g, config, config, [gamma] * n_agents, {}, random.Random(0))
         assert step == tuple(range(1, n_agents + 1))
+
+
+    def test_candidate_shuffle_matches_random_shuffle(self):
+        # The candidate list is shuffled by an inlined copy of
+        # random.Random.shuffle; it must draw the same bits.  A lone agent sits
+        # at the centre of a star whose vertices are all at distance 0, and
+        # the distance sequence records the order in which the candidates
+        # are sorted, which is the shuffled order.  A candidate list always
+        # holds the agent's own vertex, so lengths start at 1.
+        class Recorder(list):
+            def __getitem__(self, v):
+                self.order.append(v)
+                return 0
+
+        for length in range(1, 7):
+            star = Graph((tuple(range(length)),) + tuple((0, v) for v in range(1, length)))
+            for seed in range(2000):
+                dists = Recorder()
+                dists.order = []
+                rng = random.Random(seed)
+                _pibt_step(star, (0,), (0,), [dists], {}, rng)
+                reference = random.Random(seed)
+                expected = list(range(length))
+                reference.shuffle(expected)
+                assert dists.order == expected, (length, seed)
+                assert rng.getstate() == reference.getstate(), (length, seed)
 
 
 class TestRegistry:

@@ -168,7 +168,8 @@ class TestRunAdaptive:
 
 def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
     """Reference search that extends the horizon one step at a time, each
-    step rescanning the prefix from t=0 (no deadline)."""
+    step rescanning the prefix from t=0 (no deadline).  Trajectories end at
+    their goals, so each scan is clamped to the node's makespan."""
     agents = tuple(range(inst.n_agents))
     root = make_root(inst, inst.starts, h_max, agents)
     seq, h_r = 0, 1
@@ -183,14 +184,14 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
         node = heapq.heappop(heap)[3]
         dequeues += 1
         joint = node.joint(agents)
-        conflict = detect_first_conflict(joint, h_r)
+        conflict = detect_first_conflict(joint, min(h_r, joint.makespan))
         if conflict is None:
             on_prefix_found(node, h_r)
             if h_r > best_h:
                 best_node, best_h = node, h_r
             while conflict is None and h_r < h_max:
                 h_r += 1
-                conflict = detect_first_conflict(joint, h_r)
+                conflict = detect_first_conflict(joint, min(h_r, joint.makespan))
             if conflict is None:
                 best_node, best_h = node, h_r
                 on_prefix_found(node, h_r)

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from daccbs import ControllerConfig, FleetController, MapfInstance, optimal_soc, run_episode
+import daccbs.controller
+from daccbs import (
+    ControllerConfig,
+    FleetController,
+    MapfInstance,
+    optimal_soc,
+    run_adaptive,
+    run_episode,
+)
+from daccbs.certificate import build_candidate
 
 from conftest import chain_graph, cross_instance, make_grid, random_instance
 
@@ -104,6 +113,63 @@ class TestDaccbsMode:
         # step-0 budget after split still equals the recorded total
         assert result.budget_trace[0][1] <= controller.initial_budget
 
+    def test_zero_slack_group_skips_search(self, monkeypatch):
+        # A lone agent's backup plan is a shortest path, so its budget equals
+        # its gamma and no candidate can be strictly cheaper.
+        def no_search(*args, **kwargs):
+            raise AssertionError("run_adaptive called for a zero-slack group")
+
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", no_search)
+        inst = MapfInstance(chain_graph(5), (0,), (4,))
+        controller = FleetController(inst, ControllerConfig(t_max_ms=50.0))
+        _, telem = controller.plan_step(inst.starts)
+        (group,) = telem["groups"]
+        assert group["slack"] == 0
+        assert (group["search"], group["expansions"], group["dequeues"]) == ("skipped", 0, 0)
+
+    def test_group_telemetry_reports_search(self, monkeypatch):
+        outcomes = []
+
+        def recorded(*args, **kwargs):
+            outcome = run_adaptive(*args, **kwargs)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", recorded)
+        inst = cross_instance()
+        controller = FleetController(inst, ControllerConfig(t_max_ms=2000.0, h_max=16))
+        _, telem = controller.plan_step(inst.starts)
+        (outcome,) = outcomes
+        assert outcome.expansions > 0
+        for group in telem["groups"]:
+            assert (group["search"], group["expansions"], group["dequeues"]) == (
+                outcome.reason, outcome.expansions, outcome.dequeues
+            )
+
+    def test_candidate_prefixes_end_at_one_time(self, monkeypatch):
+        # Node trajectories end at their goals; the prefixes handed to the
+        # backup are padded so that every tail starts at time h_r.
+        lengths = []
+
+        def recorded(prefix, *args):
+            lengths.append({len(p) for p in prefix.values()})
+            return build_candidate(prefix, *args)
+
+        monkeypatch.setattr(daccbs.controller, "build_candidate", recorded)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(t_max_ms=2000.0, h_max=16))
+        controller.plan_step(inst.starts)
+        assert lengths
+        assert all(len(sizes) == 1 for sizes in lengths)
+        assert any(sizes == {17} for sizes in lengths)
+
+    def test_no_search_without_time(self):
+        inst = cross_instance()
+        controller = FleetController(inst, ControllerConfig(t_max_ms=0.0))
+        _, telem = controller.plan_step(inst.starts)
+        for group in telem["groups"]:
+            assert (group["search"], group["expansions"], group["dequeues"]) == (None, 0, 0)
+
     def test_empty_fleet(self):
         g = chain_graph(3)
         inst = MapfInstance(g, (), ())
@@ -125,6 +191,17 @@ class TestAccbsMode:
         controller = FleetController(inst, ControllerConfig(mode="accbs", t_max_ms=0.0))
         movement, telem = controller.plan_step(inst.starts)
         assert movement == {0: (1, 1), 1: (3, 3)}
+
+    def test_agent_already_at_goal(self):
+        # Agent 1 starts on its goal, so its trajectory is a single vertex.
+        inst = MapfInstance(make_grid(3, 3), (0, 8), (2, 8))
+        controller = FleetController(inst, ControllerConfig(mode="accbs", t_max_ms=200.0))
+        movement, telem = controller.plan_step(inst.starts)
+        assert movement == {0: (0, 1), 1: (8, 8)}
+        assert telem["h_r"] == controller.config.h_max
+        result, _ = episode(inst, mode="accbs", t_max_ms=200.0)
+        assert result.termination == "all-at-goals"
+        assert result.soc == 2
 
     def test_no_budget_trace(self):
         inst = cross_instance()

@@ -37,7 +37,9 @@ def brute_force_best(graph, start, constraints, h_max, gamma):
 
 def dense_plan_constrained(graph, agent, start, constraints, h_max, gamma):
     """Reference planner: the dense (t_c + 1) x V cost-to-go table that
-    plan_constrained replaced, with the same checks and tie-break."""
+    plan_constrained replaced, with the same checks and tie-break.  Its
+    greedy suffix ends at the goal, so the cost is read at the trajectory's
+    last step."""
     forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
     if (0, start) in forbidden_vtx:
         raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
@@ -80,17 +82,17 @@ def dense_plan_constrained(graph, agent, start, constraints, h_max, gamma):
         prefix.append(v)
     suffix = reference_greedy_path(graph, prefix[-1], gamma, h_max - t_c)
     traj = Trajectory(agent, tuple(prefix[:-1] + suffix))
-    return traj, prefix_cost(traj, h_max, gamma)
+    return traj, prefix_cost(traj, len(traj) - 1, gamma)
 
 
 def reference_greedy_path(graph, start, gamma, length):
-    """Reference walk: the step-by-step greedy_path loop it replaced."""
+    """Reference walk: the step-by-step greedy_path loop it replaced, ending
+    at the goal."""
     path = [start]
     v = start
     for _ in range(length):
         if gamma[v] == 0:
-            path.append(v)
-            continue
+            break
         v = min(w for w in graph.neighbors(v) if gamma[w] == gamma[v] - 1)
         path.append(v)
     return path
@@ -191,7 +193,7 @@ class TestPlanConstrained:
     def test_unconstrained_chain(self, chain5):
         gamma = goal_distance_field(chain5, 4)
         traj, cost = plan_constrained(chain5, 0, 0, ConstraintSet(), 6, gamma)
-        assert traj.vertices == (0, 1, 2, 3, 4, 4, 4)
+        assert traj.vertices == (0, 1, 2, 3, 4)
         assert cost == 4
 
     def test_vertex_constraint_forces_wait(self, chain5):
@@ -199,12 +201,12 @@ class TestPlanConstrained:
         cs = ConstraintSet().with_vertex(0, 1, 1)
         traj, cost = plan_constrained(chain5, 0, 0, cs, 6, gamma)
         assert cost == 5
-        assert traj.vertices == (0, 0, 1, 2, 3, 4, 4)
+        assert traj.vertices == (0, 0, 1, 2, 3, 4)
 
     def test_start_at_goal(self, chain5):
         gamma = goal_distance_field(chain5, 4)
         traj, cost = plan_constrained(chain5, 0, 4, ConstraintSet(), 3, gamma)
-        assert traj.vertices == (4, 4, 4, 4)
+        assert traj.vertices == (4,)
         assert cost == 0
 
     def test_t0_vertex_constraint_rejected(self, chain5):
@@ -232,7 +234,8 @@ class TestPlanConstrained:
         gamma = goal_distance_field(chain5, 4)
         cs = ConstraintSet().with_vertex(0, 1, 1)
         traj, _ = plan_constrained(chain5, 0, 0, cs, 8, gamma)
-        for t in range(1, 8):  # after the largest constraint time
+        assert traj[len(traj) - 1] == 4  # the trajectory ends at the goal
+        for t in range(1, len(traj) - 1):  # after the largest constraint time
             p = 1 if traj[t] != 4 else 0
             assert p + gamma[traj[t + 1]] == gamma[traj[t]]
 
@@ -289,11 +292,12 @@ class TestSatisfies:
 class TestGreedyPath:
     def test_follows_chain(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        assert greedy_path(chain5, 0, gamma, 6) == [0, 1, 2, 3, 4, 4, 4]
+        assert greedy_path(chain5, 0, gamma, 6) == [0, 1, 2, 3, 4]
 
     def test_waits_at_goal(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        assert greedy_path(chain5, 4, gamma, 2) == [4, 4, 4]
+        # The walk ends at the goal; a read past its end waits there.
+        assert greedy_path(chain5, 4, gamma, 2) == [4]
 
     def test_truncated_before_goal(self, chain5):
         gamma = goal_distance_field(chain5, 4)

@@ -1,5 +1,7 @@
 """Conflict detection, padding, prefix costs, and the SOC metric."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from daccbs import (
     prefix_cost,
     soc,
 )
-from daccbs.trajectory import path_cost
+from daccbs.trajectory import count_conflicts, path_cost
 
 from conftest import chain_graph
 
@@ -56,6 +58,43 @@ class TestConflictDetection:
         assert detect_first_conflict(joint, 2) is not None
         assert detect_first_conflict(joint, 1) is None
         assert detect_first_conflict(joint, 0) is None
+
+
+class TestGoalTerminatedScans:
+    def test_same_as_padded_to_hmax(self):
+        # Every trajectory ends at its agent's goal, goals are distinct, and
+        # some agents are cut off at H_max instead.  Scanning the joint padded
+        # only to its own makespan, clamped there, finds what scanning the
+        # same joint padded to H_max finds.  A handful of vertices makes
+        # collisions common.
+        rng = random.Random(0)
+        seen = {"conflict": 0, "free": 0, "cut": 0, "short": 0}
+        for _ in range(2000):
+            h_max = rng.randint(1, 10)
+            n = rng.randint(1, 6)
+            n_vertices = n + rng.randint(0, 3)
+            goals = rng.sample(range(n_vertices), n)
+            trajs = []
+            for i in range(n):
+                cut = rng.random() < 0.2
+                length = h_max + 1 if cut else rng.randint(1, h_max + 1)
+                vertices = [rng.randrange(n_vertices) for _ in range(length)]
+                if not cut:
+                    vertices[-1] = goals[i]
+                trajs.append(Trajectory(i, tuple(vertices)))
+            short = JointTrajectory(trajs)
+            padded = JointTrajectory(
+                [Trajectory(t.agent, t.vertices + (t.vertices[-1],) * (h_max + 1 - len(t)))
+                 for t in trajs]
+            )
+            assert padded.makespan == h_max
+            for h in range(h_max + 1):
+                got = detect_first_conflict(short, min(h, short.makespan))
+                assert got == detect_first_conflict(padded, h), (trajs, h)
+                assert count_conflicts(short, h) == count_conflicts(padded, h), (trajs, h)
+            seen["conflict" if got is not None else "free"] += 1
+            seen["cut" if short.makespan == h_max else "short"] += 1
+        assert min(seen.values()) > 300, seen
 
 
 class TestPadding:
