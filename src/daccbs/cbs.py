@@ -159,7 +159,14 @@ def run_adaptive(
     on_prefix_found is invoked with (node, h_r) whenever a dequeued node's
     active prefix is conflict-free, and once more at h_r = H_max before the
     final break.  deadline_s is a wall-clock budget in seconds (None = no
-    limit), checked once per dequeue.
+    limit), checked before every dequeue and every conflict count.
+
+    Nodes leave the queue in (cost, conflicts within the push-time h_r,
+    push order).  A child's conflicts are counted only when its cost level
+    is reached: it is pushed with the count -1, which sorts it ahead of
+    every counted node of its cost, and when it reaches the top it is
+    counted at its push-time h_r and put back.  The order is the one eager
+    counting gives, but children that are never dequeued are never counted.
     """
     if agents is None:
         agents = tuple(range(instance.n_agents))
@@ -170,8 +177,11 @@ def run_adaptive(
     root = make_root(instance, state, h_max, agents)
     seq = 0
     h_r = 1
-    heap: list[tuple[int, int, int, ConstraintTreeNode]] = []
-    heapq.heappush(heap, (root.cost, count_conflicts(root.joint(agents), h_r), seq, root))
+    # (cost, conflicts at the push-time h_r or -1 until counted, seq, node,
+    # push-time h_r)
+    heap: list[tuple[int, int, int, ConstraintTreeNode, int]] = [
+        (root.cost, count_conflicts(root.joint(agents), h_r), seq, root, h_r)
+    ]
     best_node: ConstraintTreeNode | None = None
     best_h = 0
     expansions = 0
@@ -184,7 +194,12 @@ def run_adaptive(
         if expansion_cap is not None and expansions >= expansion_cap:
             reason = "cap"
             break
-        _, _, _, node = heapq.heappop(heap)
+        cost, conflicts, node_seq, node, pushed_h = heap[0]
+        if conflicts < 0:
+            conflicts = count_conflicts(node.joint(agents), pushed_h)
+            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h))
+            continue
+        heapq.heappop(heap)
         dequeues += 1
         joint = node.joint(agents)
         conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
@@ -204,9 +219,7 @@ def run_adaptive(
                 best_node, best_h = node, h_r - 1
         for child in expand(node, conflict, instance, state, h_max, agents):
             seq += 1
-            heapq.heappush(
-                heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
-            )
+            heapq.heappush(heap, (child.cost, -1, seq, child, h_r))
         expansions += 1
     if best_node is None and reason in ("exhausted", "deadline"):
         reason = "no-prefix"

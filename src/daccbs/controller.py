@@ -70,6 +70,10 @@ class _GroupOutcome:
     search: str | None
     expansions: int
     dequeues: int
+    # on_prefix calls, candidates built (not None), and candidates accepted.
+    prefixes: int
+    candidates: int
+    accepted: int
 
 
 class FleetController:
@@ -128,6 +132,9 @@ class FleetController:
                         "search": outcome.search,
                         "expansions": outcome.expansions,
                         "dequeues": outcome.dequeues,
+                        "prefixes": outcome.prefixes,
+                        "candidates": outcome.candidates,
+                        "accepted": outcome.accepted,
                     }
                 )
         self.groups = new_groups
@@ -176,9 +183,11 @@ class FleetController:
 
         improved = False
         h_reached = 0
+        prefixes = candidates = accepted = 0
 
         def on_prefix(node, h_r: int) -> None:
-            nonlocal cert, improved, h_reached
+            nonlocal cert, improved, h_reached, prefixes, candidates, accepted
+            prefixes += 1
             h_reached = max(h_reached, h_r)
             # Node cost equals prefix running cost plus the gamma sum at the
             # prefix terminal, a lower bound on any completion's cost.
@@ -194,9 +203,11 @@ class FleetController:
             candidate = build_candidate(prefix, self.backup, instance, group.agents)
             if candidate is None:
                 return
+            candidates += 1
             cert2, ok = try_improve(cert, candidate, instance, state)
             if ok:
                 cert, improved = cert2, True
+                accepted += 1
 
         # A candidate costs at least the gamma sum, so a group whose budget
         # already equals it (slack 0) can never be improved: skip its search.
@@ -236,7 +247,10 @@ class FleetController:
             }
         else:
             groups = [GroupState(group.group_id, group.agents, cert, group.slack_last)]
-        return _GroupOutcome(groups, improved, h_reached, trace, search, expansions, dequeues)
+        return _GroupOutcome(
+            groups, improved, h_reached, trace, search, expansions, dequeues,
+            prefixes, candidates, accepted,
+        )
 
     # -- accbs ----------------------------------------------------------------
 

@@ -9,7 +9,9 @@ goal; only a walk cut off by the horizon runs to H_max.
 
 The DP stores each time layer of the cost-to-go as its differences from
 gamma, so a replan pays for the cells its constraints change, not for a
-dense t_c x V table.
+dense t_c x V table.  It also skips every state (v, t) the agent cannot
+reach from (start, 0) by time t: the returned trajectory never visits one,
+so a constraint that raises the cost of a far-off cone costs nothing.
 
 Constraint time conventions: a vertex constraint (a, t, v) forbids occupying
 v at time t; an edge constraint (a, t, (u, w)) forbids traversing u -> w from
@@ -117,7 +119,9 @@ def plan_constrained(
     only raise it.  So each layer t of the DP is a dict holding only the
     vertices whose cost-to-go differs from gamma.  Layer t can differ only at
     vertices blocked at t, at sources of edges cut at t, and at in-neighbors
-    of vertices that differ in layer t + 1; only those are recomputed.
+    of vertices that differ in layer t + 1; only those are recomputed.  Of
+    those, a vertex the agent cannot reach by time t (a BFS from start,
+    constraints ignored) is skipped: no reachable state reads its value.
     """
     forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
     if (0, start) in forbidden_vtx:
@@ -141,10 +145,29 @@ def plan_constrained(
     dist = gamma.values
     adjacency = graph.adjacency
     reverse = graph.reverse
+    # arrival[v]: earliest time the agent can stand on v, constraints
+    # ignored; `late` (t_c + 1) when that is after t_c.  The graph is
+    # reflexive, so (v, t) is reachable from (start, 0) iff arrival[v] <= t.
+    late = t_c + 1
+    arrival = [late] * len(adjacency)
+    arrival[start] = 0
+    frontier = [start]
+    for t in range(1, late):
+        reached = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if arrival[w] == late:
+                    arrival[w] = t
+                    reached.append(w)
+        frontier = reached
     # diffs[t][v]: optimal cost from (v, t) through t_c with terminal gamma,
-    # stored only where it differs from gamma[v].
+    # stored only where it differs from gamma[v] and only for reachable
+    # (v, t).  Successors of a reachable state are reachable, so every value
+    # a reachable state or the extraction below reads is exact.
     diffs: list[dict[int, int]] = [{} for _ in range(t_c)]
-    diffs.append({v: INF for v in blocked.get(t_c, ()) if dist[v] < INF})
+    diffs.append(
+        {v: INF for v in blocked.get(t_c, ()) if dist[v] < INF and arrival[v] < late}
+    )
     for t in range(t_c - 1, -1, -1):
         nxt = diffs[t + 1]
         recompute = {u for w in nxt for u in reverse[w]}
@@ -154,6 +177,8 @@ def plan_constrained(
         recompute.update(blocked_t)
         layer = diffs[t]
         for v in recompute:
+            if arrival[v] > t:
+                continue
             if v in blocked_t:
                 value = INF
             else:

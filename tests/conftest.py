@@ -20,6 +20,16 @@ def make_grid(height: int, width: int, blocked: set[tuple[int, int]] | None = No
     return parse_map(text)
 
 
+class CountingAdjacency(tuple):
+    """Adjacency that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
 def chain_graph(n: int) -> Graph:
     """Path graph v0 - v1 - ... - v(n-1) with self-loops."""
     adjacency = []

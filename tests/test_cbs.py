@@ -3,9 +3,11 @@ classic full-horizon mode against the brute-force oracle."""
 
 import heapq
 import random
+from itertools import product
 
 import pytest
 
+import daccbs.cbs
 from daccbs import (
     ConstraintSet,
     InfeasibleInstanceError,
@@ -234,6 +236,100 @@ class TestHorizonScan:
                 assert outcome.best_node.trajectories == best_node.trajectories
                 reasons.add(reason)
         assert reasons == {"horizon", "cap"}
+
+
+def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
+    """Reference search that counts every child's conflicts when it is
+    pushed, keyed (cost, conflicts, seq); otherwise run_adaptive's loop with
+    no deadline."""
+    agents = tuple(range(inst.n_agents))
+    root = make_root(inst, inst.starts, h_max, agents)
+    seq, h_r = 0, 1
+    heap = [(root.cost, count_conflicts(root.joint(agents), h_r), seq, root)]
+    best_node, best_h = None, 0
+    expansions = dequeues = 0
+    reason = "exhausted"
+    while heap:
+        if expansions >= expansion_cap:
+            reason = "cap"
+            break
+        node = heapq.heappop(heap)[3]
+        dequeues += 1
+        joint = node.joint(agents)
+        conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
+        if conflict is None or conflict.time > h_r:
+            on_prefix_found(node, h_r)
+            if h_r > best_h:
+                best_node, best_h = node, h_r
+            if conflict is None:
+                best_node, best_h = node, h_max
+                on_prefix_found(node, h_max)
+                reason = "horizon"
+                break
+            h_r = conflict.time
+            if h_r - 1 > best_h:
+                best_node, best_h = node, h_r - 1
+        for child in expand(node, conflict, inst, inst.starts, h_max, agents):
+            seq += 1
+            heapq.heappush(
+                heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
+            )
+        expansions += 1
+    if best_node is None:
+        reason = "no-prefix"
+    return best_node, best_h, reason, expansions, dequeues
+
+
+# (height, width, agents, block_prob) of the benchmark's three workloads:
+# starved, contested and offline-cbs.
+WORKLOAD_SHAPES = ((32, 32, 50, 0.1), (16, 16, 30, 0.0), (16, 16, 12, 0.1))
+
+
+class TestLazyConflictCount:
+    def test_matches_eager_counting(self):
+        # Counting a child's conflicts only when its cost level is reached
+        # dequeues nodes in the same (cost, conflicts, seq) order.
+        h_max = 128
+        reasons = set()
+        # offline-cbs searches end within a few dozen expansions, so they
+        # take more seeds; seeds 3 and 6 reorder if counted at the current h_r.
+        cases = [*product(WORKLOAD_SHAPES[:2], range(2)), *product(WORKLOAD_SHAPES[2:], range(8))]
+        for shape, seed in cases:
+            inst = random_instance(random.Random(seed), *shape)
+            for cap in (5, 60, 300):
+                seen, expected = [], []
+                outcome = run_adaptive(
+                    inst, inst.starts, h_max, None, expansion_cap=cap,
+                    on_prefix_found=lambda n, h: seen.append((n.cost, h, n.trajectories)),
+                )
+                best_node, best_h, reason, expansions, dequeues = eager_run_adaptive(
+                    inst, h_max, lambda n, h: expected.append((n.cost, h, n.trajectories)), cap
+                )
+                assert seen == expected, (shape, cap)
+                assert (outcome.reason, outcome.best_h) == (reason, best_h), (shape, cap)
+                assert (outcome.expansions, outcome.dequeues) == (expansions, dequeues)
+                assert outcome.best_node.trajectories == best_node.trajectories
+                reasons.add(reason)
+        assert reasons == {"horizon", "cap"}
+
+    def test_counts_fewer_nodes_than_it_pushes(self, monkeypatch):
+        counts, pushed = [], []
+
+        def counted(joint, horizon):
+            counts.append(horizon)
+            return count_conflicts(joint, horizon)
+
+        def expanded(*args):
+            children = expand(*args)
+            pushed.append(len(children))
+            return children
+
+        monkeypatch.setattr(daccbs.cbs, "count_conflicts", counted)
+        monkeypatch.setattr(daccbs.cbs, "expand", expanded)
+        inst = random_instance(random.Random(1), *WORKLOAD_SHAPES[1])
+        outcome = run_adaptive(inst, inst.starts, 128, None, expansion_cap=300)
+        assert outcome.expansions == len(pushed) > 0
+        assert len(counts) < sum(pushed), (len(counts), sum(pushed))
 
 
 class TestClassicCbs:

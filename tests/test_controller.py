@@ -13,7 +13,7 @@ from daccbs import (
     run_adaptive,
     run_episode,
 )
-from daccbs.certificate import build_candidate
+from daccbs.certificate import build_candidate, try_improve
 
 from conftest import chain_graph, cross_instance, make_grid, random_instance
 
@@ -126,6 +126,7 @@ class TestDaccbsMode:
         (group,) = telem["groups"]
         assert group["slack"] == 0
         assert (group["search"], group["expansions"], group["dequeues"]) == ("skipped", 0, 0)
+        assert (group["prefixes"], group["candidates"], group["accepted"]) == (0, 0, 0)
 
     def test_group_telemetry_reports_search(self, monkeypatch):
         outcomes = []
@@ -145,6 +146,42 @@ class TestDaccbsMode:
             assert (group["search"], group["expansions"], group["dequeues"]) == (
                 outcome.reason, outcome.expansions, outcome.dequeues
             )
+
+    def test_group_telemetry_counts_candidates(self, monkeypatch):
+        calls = {"prefixes": 0, "candidates": 0, "accepted": 0}
+
+        def searched(*args, on_prefix_found, **kwargs):
+            def counted(node, h_r):
+                calls["prefixes"] += 1
+                on_prefix_found(node, h_r)
+
+            return run_adaptive(*args, on_prefix_found=counted, **kwargs)
+
+        def built(*args):
+            candidate = build_candidate(*args)
+            calls["candidates"] += candidate is not None
+            return candidate
+
+        def improved(*args):
+            cert, ok = try_improve(*args)
+            calls["accepted"] += ok
+            return cert, ok
+
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", searched)
+        monkeypatch.setattr(daccbs.controller, "build_candidate", built)
+        monkeypatch.setattr(daccbs.controller, "try_improve", improved)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(t_max_ms=2000.0, h_max=16))
+        _, telem = controller.plan_step(inst.starts)
+        # One group was searched; groups split off it repeat its counts.
+        for group in telem["groups"]:
+            assert {k: group[k] for k in calls} == calls
+        assert 0 < calls["accepted"] <= calls["candidates"] <= calls["prefixes"], calls
+
+        result, _ = episode(inst, t_max_ms=5.0)
+        for step in result.telemetry:
+            for group in step["groups"]:
+                assert 0 <= group["accepted"] <= group["candidates"] <= group["prefixes"]
 
     def test_candidate_prefixes_end_at_one_time(self, monkeypatch):
         # Node trajectories end at their goals; the prefixes handed to the
@@ -169,6 +206,7 @@ class TestDaccbsMode:
         _, telem = controller.plan_step(inst.starts)
         for group in telem["groups"]:
             assert (group["search"], group["expansions"], group["dequeues"]) == (None, 0, 0)
+            assert (group["prefixes"], group["candidates"], group["accepted"]) == (0, 0, 0)
 
     def test_empty_fleet(self):
         g = chain_graph(3)

@@ -17,7 +17,7 @@ from daccbs import (
     slackness,
 )
 
-from conftest import chain_graph, make_grid, random_instance
+from conftest import CountingAdjacency, chain_graph, make_grid, random_instance
 
 
 def full_map_region(graph, here, slack, gamma):
@@ -162,16 +162,6 @@ def random_digraph(rng, n):
         out = {v} | {rng.randrange(n) for _ in range(rng.randint(0, 3))}
         adjacency.append(tuple(sorted(out)))
     return Graph(tuple(adjacency))
-
-
-class CountingAdjacency(tuple):
-    """Adjacency that counts the rows read from it."""
-
-    reads = 0
-
-    def __getitem__(self, v):
-        self.reads += 1
-        return tuple.__getitem__(self, v)
 
 
 class TestPartition:

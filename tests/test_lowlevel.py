@@ -13,7 +13,7 @@ from daccbs.grid import INF, sat_add
 from daccbs.lowlevel import greedy_path, satisfies
 from daccbs.trajectory import Trajectory, prefix_cost
 
-from conftest import chain_graph, make_grid
+from conftest import CountingAdjacency, chain_graph, make_grid
 
 
 def brute_force_best(graph, start, constraints, h_max, gamma):
@@ -136,6 +136,30 @@ def random_constraints(rng, graph, agent, start, goal, h_max):
     return cs
 
 
+def far_constraints(rng, graph, start, gamma, h_max):
+    """Vertex and edge constraints on agent 0 at benchmark scale: at the
+    goal near the agent's unconstrained arrival time, and at vertices
+    farther than t from the start (states the agent cannot reach by t)."""
+    n = graph.vertex_count
+    hops = goal_distance_field(graph, start)  # grids are symmetric
+    arrival = gamma[start]
+    cs = ConstraintSet()
+    for _ in range(rng.randint(1, 10)):
+        roll = rng.random()
+        if roll < 0.4:
+            t = min(max(arrival + rng.randint(-3, 3), 1), h_max)
+            cs = cs.with_vertex(0, t, gamma.anchor)
+            continue
+        t = rng.randint(1, h_max - 1)
+        far = [v for v in range(n) if hops[v] > t]
+        u = rng.choice(far) if far and roll < 0.8 else rng.randrange(n)
+        if rng.random() < 0.5:
+            cs = cs.with_vertex(0, t, u)
+        else:
+            cs = cs.with_edge(0, t, (u, rng.choice(graph.neighbors(u))))
+    return cs
+
+
 def planner_outcome(planner, *args):
     try:
         return planner(*args)
@@ -187,6 +211,49 @@ class TestSparseMatchesDense:
             assert planner_outcome(plan_constrained, *args) == planner_outcome(
                 dense_plan_constrained, *args
             ), (seed, cs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_benchmark_scale_grids(self, seed):
+        # Most states of a 12x12..16x16 grid are out of reach early on, so
+        # these cases exercise the reach check the desk-scale ones cannot.
+        rng = random.Random(2000 + seed)
+        raised = 0
+        for _ in range(40):
+            h, w = rng.randint(12, 16), rng.randint(12, 16)
+            blocked = {(r, c) for r in range(h) for c in range(w) if rng.random() < 0.1}
+            graph = make_grid(h, w, blocked)
+            goal = rng.randrange(graph.vertex_count)
+            gamma = goal_distance_field(graph, goal)
+            start = rng.choice([v for v in range(graph.vertex_count) if gamma[v] < INF])
+            h_max = rng.randint(20, 40)
+            cs = far_constraints(rng, graph, start, gamma, h_max)
+            args = (graph, 0, start, cs, h_max, gamma)
+            got = planner_outcome(plan_constrained, *args)
+            assert got == planner_outcome(dense_plan_constrained, *args), (seed, cs)
+            raised += got is None or got[1] > gamma[start]
+        assert raised >= 10, raised
+
+    def test_goal_constraint_reads_a_fraction_of_the_cone(self):
+        # 32x32 open grid, corner to corner.  Blocking the goal at the
+        # arrival time T raises the cost-to-go of every (v, t) with
+        # gamma(v) <= T - t, and a DP that ignored reachability would read at
+        # least the in-neighbor row of each such state.  The agent can reach
+        # only those on its own shortest paths, one anti-diagonal per t.
+        graph = Graph(CountingAdjacency(make_grid(32, 32).adjacency))
+        start, goal = 0, graph.vertex_count - 1
+        gamma = goal_distance_field(graph, goal)
+        arrival = gamma[start]
+        cone = sum(
+            1 for t in range(1, arrival + 1) for v in range(graph.vertex_count)
+            if gamma[v] <= arrival - t
+        )
+        cs = ConstraintSet().with_vertex(0, arrival, goal)
+        graph.adjacency.reads = 0
+        got = plan_constrained(graph, 0, start, cs, 128, gamma)
+        reads = graph.adjacency.reads
+        assert got[1] == arrival + 1
+        assert got == dense_plan_constrained(graph, 0, start, cs, 128, gamma)
+        assert reads < cone / 4, (reads, cone)
 
 
 class TestPlanConstrained:
