@@ -7,7 +7,7 @@ splitting the fleet into independently plannable groups whenever the budget
 slack permits.
 """
 
-from .backup import BackupController, BackupDefect, BackupError, LacamBackup, make_backup
+from .backup import BackupController, BackupDefect, BackupError, LacamBackup
 from .cbs import (
     ConstraintTreeNode,
     InfeasibleInstanceError,
@@ -53,7 +53,6 @@ from .trajectory import (
     Trajectory,
     detect_first_conflict,
     is_conflict_free,
-    prefix_cost,
     soc,
 )
 
@@ -96,13 +95,11 @@ __all__ = [
     "is_conflict_free",
     "load_map",
     "load_scenario",
-    "make_backup",
     "optimal_soc",
     "parse_map",
     "parse_scenario",
     "partition",
     "plan_constrained",
-    "prefix_cost",
     "reachable_region",
     "run_adaptive",
     "run_classic_cbs",

@@ -1,10 +1,10 @@
-"""Pluggable complete backup solvers producing conflict-free goal-reaching plans.
+"""Complete backup solver producing conflict-free goal-reaching plans.
 
-The reference implementation follows the LaCAM scheme: a lazy depth-first
-search over joint configurations whose successors are proposed by a
-PIBT-style one-step generator (priority inheritance resolves pushes), with
-per-agent forced-move constraints enumerated lazily to retain completeness.
-It requires a symmetric graph.
+The solver follows the LaCAM scheme: a lazy depth-first search over joint
+configurations whose successors are proposed by a PIBT-style one-step
+generator (priority inheritance resolves pushes), with per-agent forced-move
+constraints enumerated lazily to retain completeness.  It requires a
+symmetric graph.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ class BackupDefect(RuntimeError):
 class BackupController:
     """Contract: rollout returns mutually conflict-free trajectories from the
     given positions to the agents' goals, for any feasible sub-instance."""
-
-    name = "abstract"
 
     def rollout(
         self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration
@@ -68,8 +66,6 @@ class _HighNode:
 class LacamBackup(BackupController):
     """Lazy configuration-tree search with priority-inheritance successors."""
 
-    name = "lacam-ref"
-
     def __init__(self, seed: int = 0):
         self.seed = seed
 
@@ -78,7 +74,7 @@ class LacamBackup(BackupController):
     ) -> JointTrajectory:
         graph = instance.graph
         if not is_symmetric(graph):
-            raise BackupError("lacam-ref requires a symmetric graph")
+            raise BackupError("LaCAM requires a symmetric graph")
         n = len(agents)
         if n == 0:
             return JointTrajectory([])
@@ -109,7 +105,7 @@ class LacamBackup(BackupController):
         while stack:
             iterations += 1
             if iterations > iteration_cap:
-                raise BackupDefect("lacam-ref iteration cap exceeded on a feasible input")
+                raise BackupDefect("LaCAM iteration cap exceeded on a feasible input")
             node = stack[-1]
             if node.config == goals:
                 return self._backtrack(node, agents, makespan_cap)
@@ -136,7 +132,7 @@ class LacamBackup(BackupController):
             child = _HighNode(config, node, make_order(elevation), elevation, deque([_LowNode()]))
             explored[config] = child
             stack.append(child)
-        raise BackupDefect("lacam-ref exhausted its search tree on a feasible input")
+        raise BackupDefect("LaCAM exhausted its search tree on a feasible input")
 
     def _backtrack(
         self, node: _HighNode, agents: tuple[int, ...], makespan_cap: int
@@ -252,14 +248,3 @@ def _pibt_step(
             return None  # swap
     return result
 
-
-BACKUPS = {"lacam-ref": LacamBackup}
-
-
-def make_backup(name: str, seed: int = 0) -> BackupController:
-    """Backup selection by name, one of the keys of BACKUPS."""
-    try:
-        cls = BACKUPS[name]
-    except KeyError:
-        raise BackupError(f"unknown backup controller {name!r}") from None
-    return cls(seed=seed)

@@ -19,12 +19,11 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backup import BACKUPS
 from .controller import ControllerConfig, FleetController, MODES
 from .grid import MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class UsageError(ValueError):
@@ -40,7 +39,6 @@ class RunSpec:
     t_max_ms: list[float] = field(default_factory=lambda: [ControllerConfig.t_max_ms])
     h_max: int = ControllerConfig.h_max
     slack_threshold: int = ControllerConfig.slack_threshold
-    backup: str = ControllerConfig.backup
     seeds: list[int] = field(default_factory=lambda: [ControllerConfig.seed])
     out: str = "results.json"
     fmt: str = "json"
@@ -70,7 +68,6 @@ class RunSpec:
             h_max=self.h_max,
             t_max_ms=t_max,
             slack_threshold=self.slack_threshold,
-            backup=self.backup,
             mode=mode,
             seed=seed,
         )
@@ -136,7 +133,6 @@ def run_suite(spec: RunSpec) -> dict:
             "t_max_ms": spec.t_max_ms,
             "h_max": spec.h_max,
             "slack_threshold": spec.slack_threshold,
-            "backup": spec.backup,
             "seeds": spec.seeds,
             "step_cap": spec.step_cap,
         },
@@ -243,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--hmax", type=int, default=ControllerConfig.h_max, help="nominal horizon")
     parser.add_argument("--slack-threshold", type=int, default=ControllerConfig.slack_threshold)
-    parser.add_argument("--backup", choices=tuple(BACKUPS), default=ControllerConfig.backup)
     parser.add_argument("--seed", action="append", type=int, help="seed (repeatable)")
     parser.add_argument("--step-cap", type=int, default=None)
     parser.add_argument("--out", default=RunSpec.out)
@@ -266,7 +261,6 @@ def main(argv: list[str] | None = None) -> int:
             agents=args.agents,
             h_max=args.hmax,
             slack_threshold=args.slack_threshold,
-            backup=args.backup,
             out=args.out,
             fmt=args.format,
             step_cap=args.step_cap,

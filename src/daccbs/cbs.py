@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .backup import LacamBackup
 from .grid import INF, MapfInstance, sat_add
 from .lowlevel import ConstraintSet, greedy_path, plan_constrained
 from .trajectory import (
@@ -253,8 +254,6 @@ def run_classic_cbs(
     if instance.n_agents == 0:
         return JointTrajectory([])
     if h_max is None:
-        from .backup import LacamBackup
-
         rollout = LacamBackup(seed=0).rollout(
             instance, tuple(range(instance.n_agents)), instance.starts
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .backup import LacamBackup
 from .cbs import run_adaptive
 from .certificate import (
     Certificate,
@@ -35,7 +36,6 @@ class ControllerConfig:
     h_max: int = 128
     t_max_ms: float = 100.0
     slack_threshold: int = 1
-    backup: str = "lacam-ref"
     mode: str = "daccbs"
     seed: int = 0
     debug_checks: bool = False
@@ -59,32 +59,13 @@ class GroupState:
     slack_last: int
 
 
-@dataclass
-class _GroupOutcome:
-    groups: list[GroupState]
-    improved: bool
-    h_reached: int
-    trace: dict | None  # factorization trace entry, if a split was attempted
-    # Why the search stopped: a SearchOutcome.reason, "skipped" when the
-    # group's slack is 0, or None when the mode or deadline runs no search.
-    search: str | None
-    expansions: int
-    dequeues: int
-    # on_prefix calls, candidates built (not None), and candidates accepted.
-    prefixes: int
-    candidates: int
-    accepted: int
-
-
 class FleetController:
     """Closed-loop controller answering one movement query per timestep."""
 
     def __init__(self, instance: MapfInstance, config: ControllerConfig):
-        from .backup import make_backup
-
         self.instance = instance
         self.config = config
-        self.backup = make_backup(config.backup, seed=config.seed)
+        self.backup = LacamBackup(seed=config.seed)
         self.groups: list[GroupState] | None = None
         self.t = 0
         self.initial_budget: int | None = None
@@ -112,32 +93,15 @@ class FleetController:
         deadline_s = self.config.t_max_ms / 1000.0 / max(len(groups), 1)
 
         new_groups: list[GroupState] = []
-        improved_any = False
-        group_telems = []
+        searches = []
         for group in groups:
-            outcome = self._plan_group(group, state, deadline_s)
-            new_groups.extend(outcome.groups)
-            improved_any = improved_any or outcome.improved
-            if outcome.trace is not None:
-                self.factorization_trace.append(outcome.trace)
-            for g in outcome.groups:
-                group_telems.append(
-                    {
-                        "id": g.group_id,
-                        "size": len(g.agents),
-                        "budget": g.certificate.budget,
-                        "slack": g.slack_last,
-                        "h_r": outcome.h_reached,
-                        "improved": outcome.improved,
-                        "search": outcome.search,
-                        "expansions": outcome.expansions,
-                        "dequeues": outcome.dequeues,
-                        "prefixes": outcome.prefixes,
-                        "candidates": outcome.candidates,
-                        "accepted": outcome.accepted,
-                    }
-                )
+            parts, search, trace = self._plan_group(group, state, deadline_s)
+            new_groups.extend(parts)
+            searches.append(search)
+            if trace is not None:
+                self.factorization_trace.append(trace)
         self.groups = new_groups
+        improved_any = any(search["improved"] for search in searches)
 
         if self.config.debug_checks:
             self._debug_assertions(state)
@@ -154,7 +118,16 @@ class FleetController:
             "k_groups": len(new_groups),
             "budget": total_budget,
             "improved": improved_any,
-            "groups": group_telems,
+            "groups": [
+                {
+                    "id": g.group_id,
+                    "size": len(g.agents),
+                    "budget": g.certificate.budget,
+                    "slack": g.slack_last,
+                }
+                for g in new_groups
+            ],
+            "searches": searches,
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
         self.t += 1
@@ -175,7 +148,11 @@ class FleetController:
         self._next_group_id += 1
         return gid
 
-    def _plan_group(self, group: GroupState, state, deadline_s: float) -> _GroupOutcome:
+    def _plan_group(
+        self, group: GroupState, state, deadline_s: float
+    ) -> tuple[list[GroupState], dict, dict | None]:
+        """The group's parts after this step, one record of its search, and
+        a factorization trace entry if a split was attempted."""
         instance = self.instance
         cert = group.certificate
         if self.t > 0:
@@ -183,6 +160,7 @@ class FleetController:
 
         improved = False
         h_reached = 0
+        # on_prefix calls, candidates built (not None), and candidates accepted.
         prefixes = candidates = accepted = 0
 
         def on_prefix(node, h_r: int) -> None:
@@ -212,6 +190,8 @@ class FleetController:
         # A candidate costs at least the gamma sum, so a group whose budget
         # already equals it (slack 0) can never be improved: skip its search.
         slack = slackness(group.agents, cert.budget, state, instance.gammas)
+        # Why the search stopped: a SearchOutcome.reason, "skipped" when the
+        # group's slack is 0, or None when the mode or deadline runs no search.
         search, expansions, dequeues = None, 0, 0
         if self.config.mode == "daccbs" and deadline_s > 0:
             if slack == 0:
@@ -247,10 +227,18 @@ class FleetController:
             }
         else:
             groups = [GroupState(group.group_id, group.agents, cert, group.slack_last)]
-        return _GroupOutcome(
-            groups, improved, h_reached, trace, search, expansions, dequeues,
-            prefixes, candidates, accepted,
-        )
+        record = {
+            "group": group.group_id,
+            "h_r": h_reached,
+            "improved": improved,
+            "search": search,
+            "expansions": expansions,
+            "dequeues": dequeues,
+            "prefixes": prefixes,
+            "candidates": candidates,
+            "accepted": accepted,
+        }
+        return groups, record, trace
 
     # -- accbs ----------------------------------------------------------------
 
@@ -277,13 +265,14 @@ class FleetController:
         }
         return movement, telem
 
-    # -- debug assertions (shrinkage / inheritability) ------------------------
+    # -- debug assertions (certificates, shrinkage, disjointness) -------------
 
     def _debug_assertions(self, state) -> None:
         assert self.groups is not None
         regions: dict[int, frozenset[int]] = {}
         owner: dict[int, int] = {}
         for g in self.groups:
+            g.certificate.validate(self.instance, state)
             slack = slackness(g.agents, g.certificate.budget, state, self.instance.gammas)
             for a in g.agents:
                 region = reachable_region(

@@ -70,18 +70,6 @@ class ConstraintSet:
         return len(self.vertex_constraints) + len(self.edge_constraints)
 
 
-def satisfies(traj: Trajectory, constraints: ConstraintSet) -> bool:
-    """True iff the trajectory obeys every constraint addressed to its agent."""
-    n = len(traj)
-    for agent, t, v in constraints.vertex_constraints:
-        if agent == traj.agent and t < n and traj[t] == v:
-            return False
-    for agent, t, (u, w) in constraints.edge_constraints:
-        if agent == traj.agent and t + 1 < n and traj[t] == u and traj[t + 1] == w:
-            return False
-    return True
-
-
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
     """Gamma-greedy walk of at most `length` steps: descend gamma via the
     smallest-id neighbor and stop at the goal."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grid import INF, DistanceField, Graph, sat_add
+from .grid import INF, Graph
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ class JointTrajectory:
     def __getitem__(self, i: int) -> Trajectory:
         return self.trajectories[i]
 
-    def positions_at(self, t: int) -> tuple[int, ...]:
-        return tuple(row[t] for row in self.rows)
-
 
 def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | None:
     """Earliest conflict within timesteps 0..horizon, or None.
@@ -151,19 +148,6 @@ def count_conflicts(joint: JointTrajectory, horizon: int) -> int:
     return total
 
 
-def prefix_cost(traj: Trajectory, h_r: int, gamma: DistanceField) -> int:
-    """Running cost over the first h_r steps plus cost-to-go at step h_r.
-
-    gamma must be the to-goal field of the trajectory's agent; its anchor is
-    the goal vertex used by the running cost.
-    """
-    if h_r > len(traj) - 1:
-        raise ValueError(f"h_r {h_r} exceeds trajectory length {len(traj) - 1}")
-    goal = gamma.anchor
-    running = sum(1 for v in traj.vertices[:h_r] if v != goal)
-    return sat_add(running, gamma[traj[h_r]])
-
-
 def path_cost(vertices: tuple[int, ...] | list[int], goal: int) -> int:
     """Running cost of a full vertex sequence (its terminal assumed at goal)."""
     return sum(1 for v in vertices if v != goal)
@@ -190,7 +174,6 @@ __all__ = [
     "Conflict",
     "detect_first_conflict",
     "count_conflicts",
-    "prefix_cost",
     "path_cost",
     "soc",
     "is_conflict_free",

@@ -1,4 +1,5 @@
-"""Shared builders for graphs, grids, and random feasible instances."""
+"""Shared builders for graphs, grids, and random feasible instances, and
+reference checks on trajectories that the library itself does not need."""
 
 from __future__ import annotations
 
@@ -6,7 +7,16 @@ import random
 
 import pytest
 
-from daccbs import Graph, MapfInstance, parse_map
+from daccbs import (
+    ConstraintSet,
+    DistanceField,
+    Graph,
+    JointTrajectory,
+    MapfInstance,
+    Trajectory,
+    parse_map,
+)
+from daccbs.grid import sat_add
 
 
 def make_grid(height: int, width: int, blocked: set[tuple[int, int]] | None = None) -> Graph:
@@ -101,6 +111,36 @@ def random_instance(
                 continue
         return instance
     raise RuntimeError("could not generate a feasible instance")
+
+
+def prefix_cost(traj: Trajectory, h_r: int, gamma: DistanceField) -> int:
+    """Running cost over the first h_r steps plus cost-to-go at step h_r.
+
+    gamma must be the to-goal field of the trajectory's agent; its anchor is
+    the goal vertex used by the running cost.
+    """
+    if h_r > len(traj) - 1:
+        raise ValueError(f"h_r {h_r} exceeds trajectory length {len(traj) - 1}")
+    goal = gamma.anchor
+    running = sum(1 for v in traj.vertices[:h_r] if v != goal)
+    return sat_add(running, gamma[traj[h_r]])
+
+
+def positions_at(joint: JointTrajectory, t: int) -> tuple[int, ...]:
+    """Every agent's vertex at time t, read from the padded rows."""
+    return tuple(row[t] for row in joint.rows)
+
+
+def satisfies(traj: Trajectory, constraints: ConstraintSet) -> bool:
+    """True iff the trajectory obeys every constraint addressed to its agent."""
+    n = len(traj)
+    for agent, t, v in constraints.vertex_constraints:
+        if agent == traj.agent and t < n and traj[t] == v:
+            return False
+    for agent, t, (u, w) in constraints.edge_constraints:
+        if agent == traj.agent and t + 1 < n and traj[t] == u and traj[t + 1] == w:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from daccbs import BackupError, Graph, LacamBackup, MapfInstance, make_backup, optimal_soc, soc
+from daccbs import BackupError, Graph, LacamBackup, MapfInstance, optimal_soc, soc
 from daccbs.backup import _pibt_step
 from daccbs.trajectory import is_conflict_free
 
-from conftest import chain_graph, cross_instance, make_grid, random_instance
+from conftest import chain_graph, cross_instance, make_grid, positions_at, random_instance
 
 
 BACKUP = LacamBackup(seed=0)
@@ -29,7 +29,7 @@ class TestLacamBasics:
         inst = MapfInstance(g, (0, 4), (0, 4))
         jt = rollout_all(BACKUP, inst)
         assert jt.makespan == 0
-        assert jt.positions_at(0) == (0, 4)
+        assert positions_at(jt, 0) == (0, 4)
 
     def test_single_agent_greedy(self):
         g = chain_graph(5)
@@ -43,7 +43,7 @@ class TestLacamBasics:
         inst = MapfInstance(g, (1, 5), (5, 1))
         jt = rollout_all(BACKUP, inst)
         assert is_conflict_free(jt)
-        assert jt.positions_at(jt.makespan) == inst.goals
+        assert positions_at(jt, jt.makespan) == inst.goals
         assert soc(jt, inst.goals) >= optimal_soc(inst)
 
     def test_empty_group(self):
@@ -90,7 +90,7 @@ class TestLacamProperties:
         inst = MapfInstance(g, starts, goals)
         jt = rollout_all(BACKUP, inst)
         assert is_conflict_free(jt)
-        assert jt.positions_at(jt.makespan) == goals
+        assert positions_at(jt, jt.makespan) == goals
 
     def test_random_instances_conflict_free(self):
         rng = random.Random(42)
@@ -98,15 +98,15 @@ class TestLacamProperties:
             inst = random_instance(rng, 5, 5, rng.randint(2, 6))
             jt = rollout_all(BACKUP, inst)
             assert is_conflict_free(jt)
-            assert jt.positions_at(jt.makespan) == inst.goals
+            assert positions_at(jt, jt.makespan) == inst.goals
 
     def test_mid_episode_restart(self):
         inst = cross_instance()
         jt = rollout_all(BACKUP, inst)
-        mid = jt.positions_at(1)
+        mid = positions_at(jt, 1)
         jt2 = rollout_all(BACKUP, inst, mid)
         assert is_conflict_free(jt2)
-        assert jt2.positions_at(jt2.makespan) == inst.goals
+        assert positions_at(jt2, jt2.makespan) == inst.goals
 
 
 class TestRolloutMemory:
@@ -165,11 +165,3 @@ class TestPibtStep:
                 assert dists.order == expected, (length, seed)
                 assert rng.getstate() == reference.getstate(), (length, seed)
 
-
-class TestRegistry:
-    def test_names(self):
-        assert isinstance(make_backup("lacam-ref"), LacamBackup)
-
-    def test_unknown(self):
-        with pytest.raises(BackupError):
-            make_backup("nope")

@@ -48,7 +48,7 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
 class TestRunSuite:
     def test_episode_schema(self, files):
         suite = run_suite(base_spec(*files))
-        assert suite["schema_version"] == 2
+        assert suite["schema_version"] == 3
         assert len(suite["episodes"]) == 1
         ep = suite["episodes"][0]
         for key in ("mode", "seed", "t_max_ms", "soc", "soc_increment",
@@ -114,6 +114,7 @@ class TestMainExitCodes:
             pytest.param(["--tmax-ms", "-1"], id="tmax-negative"),
             pytest.param(["--backup", "nope"], id="backup-unknown"),
             pytest.param(["--backup", "cbs-full"], id="backup-removed"),
+            pytest.param(["--backup", "lacam-ref"], id="backup-flag-removed"),
             pytest.param(["--out", "{tmp}"], id="out-dir"),
             pytest.param(["--factorization-report", "{tmp}"], id="report-dir"),
         ],

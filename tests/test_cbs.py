@@ -18,7 +18,6 @@ from daccbs import (
     soc,
 )
 from daccbs.cbs import expand, make_root
-from daccbs.lowlevel import satisfies
 from daccbs.trajectory import (
     Conflict,
     count_conflicts,
@@ -26,7 +25,14 @@ from daccbs.trajectory import (
     is_conflict_free,
 )
 
-from conftest import chain_graph, cross_instance, cycle_graph, make_grid, random_instance
+from conftest import (
+    chain_graph,
+    cross_instance,
+    cycle_graph,
+    make_grid,
+    random_instance,
+    satisfies,
+)
 
 
 def disjoint_chains_instance():

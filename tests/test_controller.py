@@ -1,11 +1,13 @@
 """Fleet controller orchestration across the three modes."""
 
+import dataclasses
 import random
 
 import pytest
 
 import daccbs.controller
 from daccbs import (
+    CertificateError,
     ControllerConfig,
     FleetController,
     MapfInstance,
@@ -13,7 +15,7 @@ from daccbs import (
     run_adaptive,
     run_episode,
 )
-from daccbs.certificate import build_candidate, try_improve
+from daccbs.certificate import advance, build_candidate, try_improve
 
 from conftest import chain_graph, cross_instance, make_grid, random_instance
 
@@ -25,13 +27,40 @@ def episode(inst, **config_kwargs):
     return run_episode(inst, controller), controller
 
 
+def count_calls(monkeypatch) -> dict:
+    """Count the on_prefix calls, candidates built (not None) and acceptances
+    that the controller actually makes."""
+    calls = {"prefixes": 0, "candidates": 0, "accepted": 0}
+
+    def searched(*args, on_prefix_found, **kwargs):
+        def counted(node, h_r):
+            calls["prefixes"] += 1
+            on_prefix_found(node, h_r)
+
+        return run_adaptive(*args, on_prefix_found=counted, **kwargs)
+
+    def built(*args):
+        candidate = build_candidate(*args)
+        calls["candidates"] += candidate is not None
+        return candidate
+
+    def improved(*args):
+        cert, ok = try_improve(*args)
+        calls["accepted"] += ok
+        return cert, ok
+
+    monkeypatch.setattr(daccbs.controller, "run_adaptive", searched)
+    monkeypatch.setattr(daccbs.controller, "build_candidate", built)
+    monkeypatch.setattr(daccbs.controller, "try_improve", improved)
+    return calls
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = ControllerConfig()
         assert cfg.h_max == 128
         assert cfg.t_max_ms == 100.0
         assert cfg.slack_threshold == 1
-        assert cfg.backup == "lacam-ref"
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -102,6 +131,21 @@ class TestDaccbsMode:
         result, _ = episode(inst, t_max_ms=2.0, debug_checks=True)
         assert result.termination == "all-at-goals"
 
+    def test_debug_checks_validate_certificates(self, monkeypatch):
+        # A lone agent's budget one above its path's cost: with no time to
+        # search and slack one above its last value, nothing replaces the
+        # certificate before the checks read it.
+        def inflated(cert, state):
+            cert = advance(cert, state)
+            return dataclasses.replace(cert, budget=cert.budget + 1)
+
+        monkeypatch.setattr(daccbs.controller, "advance", inflated)
+        inst = MapfInstance(chain_graph(5), (0,), (4,))
+        controller = FleetController(inst, ControllerConfig(t_max_ms=0.0, debug_checks=True))
+        movement, _ = controller.plan_step(inst.starts)
+        with pytest.raises(CertificateError, match="budget disagrees"):
+            controller.plan_step((movement[0][1],))
+
     def test_group_split_budget_additive(self):
         g = make_grid(5, 5)
         inst = MapfInstance(g, (0, 24), (4, 20))
@@ -125,8 +169,9 @@ class TestDaccbsMode:
         _, telem = controller.plan_step(inst.starts)
         (group,) = telem["groups"]
         assert group["slack"] == 0
-        assert (group["search"], group["expansions"], group["dequeues"]) == ("skipped", 0, 0)
-        assert (group["prefixes"], group["candidates"], group["accepted"]) == (0, 0, 0)
+        (search,) = telem["searches"]
+        assert (search["search"], search["expansions"], search["dequeues"]) == ("skipped", 0, 0)
+        assert (search["prefixes"], search["candidates"], search["accepted"]) == (0, 0, 0)
 
     def test_group_telemetry_reports_search(self, monkeypatch):
         outcomes = []
@@ -142,46 +187,44 @@ class TestDaccbsMode:
         _, telem = controller.plan_step(inst.starts)
         (outcome,) = outcomes
         assert outcome.expansions > 0
-        for group in telem["groups"]:
-            assert (group["search"], group["expansions"], group["dequeues"]) == (
-                outcome.reason, outcome.expansions, outcome.dequeues
-            )
+        (search,) = telem["searches"]
+        assert (search["search"], search["expansions"], search["dequeues"]) == (
+            outcome.reason, outcome.expansions, outcome.dequeues
+        )
 
     def test_group_telemetry_counts_candidates(self, monkeypatch):
-        calls = {"prefixes": 0, "candidates": 0, "accepted": 0}
-
-        def searched(*args, on_prefix_found, **kwargs):
-            def counted(node, h_r):
-                calls["prefixes"] += 1
-                on_prefix_found(node, h_r)
-
-            return run_adaptive(*args, on_prefix_found=counted, **kwargs)
-
-        def built(*args):
-            candidate = build_candidate(*args)
-            calls["candidates"] += candidate is not None
-            return candidate
-
-        def improved(*args):
-            cert, ok = try_improve(*args)
-            calls["accepted"] += ok
-            return cert, ok
-
-        monkeypatch.setattr(daccbs.controller, "run_adaptive", searched)
-        monkeypatch.setattr(daccbs.controller, "build_candidate", built)
-        monkeypatch.setattr(daccbs.controller, "try_improve", improved)
+        calls = count_calls(monkeypatch)
         inst = random_instance(random.Random(3), 5, 5, 4)
         controller = FleetController(inst, ControllerConfig(t_max_ms=2000.0, h_max=16))
         _, telem = controller.plan_step(inst.starts)
-        # One group was searched; groups split off it repeat its counts.
-        for group in telem["groups"]:
-            assert {k: group[k] for k in calls} == calls
+        (search,) = telem["searches"]
+        assert {k: search[k] for k in calls} == calls
         assert 0 < calls["accepted"] <= calls["candidates"] <= calls["prefixes"], calls
 
         result, _ = episode(inst, t_max_ms=5.0)
         for step in result.telemetry:
-            for group in step["groups"]:
-                assert 0 <= group["accepted"] <= group["candidates"] <= group["prefixes"]
+            for search in step["searches"]:
+                assert 0 <= search["accepted"] <= search["candidates"] <= search["prefixes"]
+
+    def test_split_group_search_recorded_once(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        inst = random_instance(random.Random(8), 5, 5, 4)
+        result, _ = episode(inst, t_max_ms=2000.0, h_max=16)
+        # Step 0 searches the whole fleet, improves its certificate and splits it.
+        first = result.telemetry[0]
+        assert len(first["groups"]) > 1
+        (search,) = first["searches"]
+        assert search["accepted"] > 0
+        # Each step records one search per group planned at it, and the
+        # records add up to the calls made.
+        planned = [0]
+        for step in result.telemetry:
+            assert [s["group"] for s in step["searches"]] == planned
+            planned = [g["id"] for g in step["groups"]]
+        totals = {
+            k: sum(s[k] for step in result.telemetry for s in step["searches"]) for k in calls
+        }
+        assert totals == calls
 
     def test_candidate_prefixes_end_at_one_time(self, monkeypatch):
         # Node trajectories end at their goals; the prefixes handed to the
@@ -204,9 +247,10 @@ class TestDaccbsMode:
         inst = cross_instance()
         controller = FleetController(inst, ControllerConfig(t_max_ms=0.0))
         _, telem = controller.plan_step(inst.starts)
-        for group in telem["groups"]:
-            assert (group["search"], group["expansions"], group["dequeues"]) == (None, 0, 0)
-            assert (group["prefixes"], group["candidates"], group["accepted"]) == (0, 0, 0)
+        assert telem["searches"]
+        for search in telem["searches"]:
+            assert (search["search"], search["expansions"], search["dequeues"]) == (None, 0, 0)
+            assert (search["prefixes"], search["candidates"], search["accepted"]) == (0, 0, 0)
 
     def test_empty_fleet(self):
         g = chain_graph(3)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from daccbs import ConstraintError, ConstraintSet, Graph, goal_distance_field, plan_constrained
 from daccbs.grid import INF, sat_add
-from daccbs.lowlevel import greedy_path, satisfies
-from daccbs.trajectory import Trajectory, prefix_cost
+from daccbs.lowlevel import greedy_path
+from daccbs.trajectory import Trajectory
 
-from conftest import CountingAdjacency, chain_graph, make_grid
+from conftest import CountingAdjacency, chain_graph, make_grid, prefix_cost, satisfies
 
 
 def brute_force_best(graph, start, constraints, h_max, gamma):

@@ -13,12 +13,11 @@ from daccbs import (
     detect_first_conflict,
     goal_distance_field,
     is_conflict_free,
-    prefix_cost,
     soc,
 )
 from daccbs.trajectory import count_conflicts, path_cost
 
-from conftest import chain_graph
+from conftest import chain_graph, positions_at, prefix_cost
 
 
 def jt(*vertex_lists):
@@ -105,7 +104,7 @@ class TestPadding:
 
     def test_positions_at(self):
         joint = jt([0, 1], [3])
-        assert joint.positions_at(1) == (1, 3)
+        assert positions_at(joint, 1) == (1, 3)
 
 
 class TestCosts:
