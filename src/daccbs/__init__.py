@@ -8,13 +8,7 @@ slack permits.
 """
 
 from .backup import BackupController, BackupDefect, BackupError, LacamBackup
-from .cbs import (
-    ConstraintTreeNode,
-    InfeasibleInstanceError,
-    SearchOutcome,
-    run_adaptive,
-    run_classic_cbs,
-)
+from .cbs import ConstraintTreeNode, SearchOutcome, run_adaptive, run_classic_cbs
 from .certificate import (
     Certificate,
     CertificateError,
@@ -35,6 +29,7 @@ from .grid import (
     INF,
     DistanceField,
     Graph,
+    InfeasibleInstanceError,
     InstanceError,
     MapFormatError,
     MapfInstance,

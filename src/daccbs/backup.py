@@ -24,7 +24,7 @@ class BackupError(RuntimeError):
 
 
 class BackupDefect(RuntimeError):
-    """Internal completeness violation (search exhausted on a feasible input)."""
+    """Internal defect: the iteration cap or the makespan cap was exceeded."""
 
 
 class BackupController:
@@ -132,7 +132,8 @@ class LacamBackup(BackupController):
             child = _HighNode(config, node, make_order(elevation), elevation, deque([_LowNode()]))
             explored[config] = child
             stack.append(child)
-        raise BackupDefect("LaCAM exhausted its search tree on a feasible input")
+        # LaCAM is complete: an exhausted tree proves the sub-instance infeasible.
+        raise BackupError("LaCAM exhausted its search tree: no conflict-free plan exists")
 
     def _backtrack(
         self, node: _HighNode, agents: tuple[int, ...], makespan_cap: int

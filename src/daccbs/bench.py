@@ -6,7 +6,8 @@ per-episode records plus per-(mode, t_max) aggregates as JSON or CSV.
 Optionally emits a factorization table (group count and largest-group ratio
 at the episode's half-makespan step).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal defect.
+Exit codes: 0 success, 1 usage error, 2 data error (including a scenario with
+no conflict-free solution), 3 internal defect.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .controller import ControllerConfig, FleetController, MODES
-from .grid import MapFormatError, load_map, load_scenario
+from .grid import InfeasibleInstanceError, MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class UsageError(ValueError):
@@ -275,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         suite = run_suite(spec)
-    except (MapFormatError, OSError, UnicodeDecodeError) as exc:
+    except (MapFormatError, InfeasibleInstanceError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (MovementDefect, AssertionError) as exc:

@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .backup import LacamBackup
-from .grid import INF, MapfInstance, sat_add
+from .backup import BackupError, LacamBackup
+from .grid import INF, InfeasibleInstanceError, MapfInstance, sat_add
 from .lowlevel import ConstraintSet, greedy_path, plan_constrained
 from .trajectory import (
     Conflict,
@@ -31,10 +31,6 @@ from .trajectory import (
     detect_first_conflict,
     soc,
 )
-
-
-class InfeasibleInstanceError(RuntimeError):
-    """Some agent cannot reach its goal from the given state."""
 
 
 class ExpansionCapExceeded(RuntimeError):
@@ -254,9 +250,12 @@ def run_classic_cbs(
     if instance.n_agents == 0:
         return JointTrajectory([])
     if h_max is None:
-        rollout = LacamBackup(seed=0).rollout(
-            instance, tuple(range(instance.n_agents)), instance.starts
-        )
+        try:
+            rollout = LacamBackup(seed=0).rollout(
+                instance, tuple(range(instance.n_agents)), instance.starts
+            )
+        except BackupError as exc:
+            raise InfeasibleInstanceError(str(exc)) from exc
         h_max = max(soc(rollout, instance.goals), 1)
     outcome = run_adaptive(instance, instance.starts, h_max, None,
                            expansion_cap=expansion_cap)

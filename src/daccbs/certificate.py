@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backup import BackupController, BackupError
-from .grid import MapfInstance
+from .grid import InfeasibleInstanceError, MapfInstance
 from .trajectory import JointTrajectory, Trajectory, is_conflict_free, path_cost
 
 
 class CertificateError(RuntimeError):
-    """Certificate contract violation (invalid update, backup failure, ...)."""
+    """Certificate contract violation (invalid update, inconsistent plan, ...)."""
 
 
 Movement = dict[int, tuple[int, int]]  # agent id -> (from, to)
@@ -69,11 +69,15 @@ def plan_cost(paths: dict[int, tuple[int, ...]], instance: MapfInstance) -> int:
 def init_certificate(
     backup: BackupController, instance: MapfInstance, state, group: tuple[int, ...]
 ) -> Certificate:
-    """Certificate from a backup rollout at the current state."""
+    """Certificate from a backup rollout at the current state.
+
+    The backup is complete, so when it fails the group has no conflict-free
+    plan from this state and InfeasibleInstanceError is raised.
+    """
     try:
         rollout = backup.rollout(instance, group, tuple(state[a] for a in group))
     except BackupError as exc:
-        raise CertificateError(f"backup failed on a feasible group: {exc}") from exc
+        raise InfeasibleInstanceError(f"no plan for group {group}: {exc}") from exc
     paths = {traj.agent: _strip_goal_waits(traj.vertices) for traj in rollout.trajectories}
     return Certificate(group, paths, plan_cost(paths, instance))
 

@@ -237,6 +237,7 @@ class FleetController:
             "prefixes": prefixes,
             "candidates": candidates,
             "accepted": accepted,
+            "factorized": trace is not None,
         }
         return groups, record, trace
 

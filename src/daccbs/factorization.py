@@ -16,7 +16,7 @@ region overlap form independently plannable groups.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 
 from .grid import INF, DistanceField, Graph
 
@@ -37,44 +37,59 @@ def slackness(group: tuple[int, ...], budget: int, state, gammas) -> int:
 def reachable_region(
     graph: Graph, agent: int, state, slack: int, gamma: DistanceField
 ) -> frozenset[int]:
-    """Vertices the agent can occupy in any future plan within the budget.
-
-    A 0-1 BFS from the agent's vertex (a step costs 1 except from the goal)
-    that admits a vertex only while its excess fits the slack.  The excess
-    never decreases along a walk: a step from an off-goal vertex u to w costs
-    1 and gamma(u) <= 1 + gamma(w), and a step from the goal is free but
-    starts from gamma = 0.  So every prefix of a cheapest walk to a vertex
-    that fits also fits, and the bounded search settles exactly the vertices
-    that fit, each at its full-map cost-distance.
-    """
+    """Vertices the agent can occupy in any future plan within the budget:
+    those whose excess fits the slack, settled by `_region_levels`."""
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    here = state[agent]
+    levels = _region_levels(graph.adjacency, state[agent], gamma, slack)
+    return frozenset(chain.from_iterable(levels))
+
+
+def _region_levels(adjacency, here: int, gamma: DistanceField, slack: int):
+    """Yield the agent's region as [here], then, for each cost-distance
+    level settled, the vertices first admitted while settling it.  Each
+    region vertex is yielded exactly once; an empty region yields nothing.
+
+    A level-by-level BFS from `here` (a step costs 1 except from the goal)
+    that admits a vertex only while its excess fits the slack.  The excess
+    never decreases along a walk: a step from an off-goal vertex u to w
+    costs 1 and gamma(u) <= 1 + gamma(w), and a step from the goal is free
+    but starts from gamma = 0.  So every prefix of a cheapest walk to a
+    vertex that fits also fits, and the bounded search settles exactly the
+    vertices that fit.  The goal is settled first in its level, so its free
+    step admits its neighbors into that level before any other vertex of it
+    can admit them one step dearer: each vertex is admitted once, at its
+    full-map cost-distance.
+    """
     goal = gamma.anchor
     cost_to_go = gamma.values
-    adjacency = graph.adjacency
     # Below INF, so a vertex that cannot reach the goal never fits.
     limit = min(slack + cost_to_go[here], INF - 1)
-    dist = {here: 0} if cost_to_go[here] <= limit else {}
-    queue = deque(dist)
-    while queue:
-        u = queue.popleft()
-        if u == goal:
-            # The free step can lower a distance found one step dearer.
-            d = dist[u]
+    if cost_to_go[here] > limit:
+        return
+    seen = {here}
+    level = [here]
+    yield [here]
+    d = 0
+    while level:
+        nxt, new = [], []
+        for u in level:
+            if u == goal:
+                e, into = d, level
+            else:
+                e, into = d + 1, nxt
             for w in adjacency[u]:
-                if d + cost_to_go[w] <= limit and d < dist.get(w, INF):
-                    dist[w] = d
-                    queue.appendleft(w)
-        else:
-            # Pops come in nondecreasing distance, so a vertex already
-            # found is already at d or less.
-            d = dist[u] + 1
-            for w in adjacency[u]:
-                if w not in dist and d + cost_to_go[w] <= limit:
-                    dist[w] = d
-                    queue.append(w)
-    return frozenset(dist)
+                if w not in seen and e + cost_to_go[w] <= limit:
+                    seen.add(w)
+                    new.append(w)
+                    if w == goal:
+                        into.insert(0, w)
+                    else:
+                        into.append(w)
+        if new:
+            yield new
+        level = nxt
+        d += 1
 
 
 def partition(
@@ -82,29 +97,24 @@ def partition(
 ) -> list[tuple[int, ...]]:
     """Groups of agents whose reachable regions form connected overlaps.
 
-    Runs the agents' `reachable_region` searches in lock-step, one
-    cost-distance level per agent per round, with the same admission rule
-    and the same free step from the goal.  Each vertex records the first
-    agent that discovered it; when a second agent discovers it, the two
-    agents' components are joined in a union-find.  A vertex is admitted at
-    a distance no less than its final one, so a discovered vertex is in the
-    agent's region and a join only links agents whose regions overlap.
-    Every region vertex is discovered by its agent once, so every overlap
-    is seen at the shared vertex, whichever agent reaches it first.  The
-    components are therefore the connected components of region overlap
-    whatever the search order.  Joins are never undone, so once a single
-    component is left the function returns without finishing the searches.
-    Groups are ordered by their smallest member agent id.
+    Advances the agents' region searches in lock-step, one level per agent
+    per round.  Each vertex records the first agent that admitted it; when
+    a second agent admits it, the two agents' components are joined in a
+    union-find.  Every region vertex is admitted by its agent exactly once,
+    so every overlap is seen at the shared vertex, whichever agent reaches
+    it first, and the components are the connected components of region
+    overlap whatever the search order.  Joins are never undone, so once a
+    single component is left the function returns without finishing the
+    searches.  Groups are ordered by their smallest member agent id.
     """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     if len(agents) <= 1:
         return [tuple(agents)] if agents else []
-    everyone = [tuple(sorted(agents))]
     adjacency = graph.adjacency
     root = list(range(len(agents)))  # union-find over indices into agents
     components = len(agents)
-    owner: dict[int, int] = {}  # vertex -> index of the agent that found it first
+    owner: dict[int, int] = {}  # vertex -> index of the agent that admitted it first
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -120,51 +130,23 @@ def partition(
             components -= 1
         return components == 1
 
-    # One search per agent: [index, goal, cost_to_go, limit, dist, frontier].
-    searches = []
-    for i, a in enumerate(agents):
-        here = state[a]
-        cost_to_go = gammas[a].values
-        # Below INF, so a vertex that cannot reach the goal never fits.
-        limit = min(slack + cost_to_go[here], INF - 1)
-        if cost_to_go[here] > limit:
-            continue  # empty region: the agent stays a group of its own
-        searches.append([i, gammas[a].anchor, cost_to_go, limit, {here: 0}, [here]])
-        first = owner.setdefault(here, i)
-        if first != i and join(first, i):
-            return everyone
-
-    d = 0
+    searches = [
+        (i, _region_levels(adjacency, state[a], gammas[a], slack))
+        for i, a in enumerate(agents)
+    ]
     while searches:
-        d1 = d + 1
-        for search in searches:
-            i, goal, cost_to_go, limit, dist, frontier = search
-            nxt = []
-            # The frontier holds the vertices at distance d; the free step
-            # from the goal appends more of them while the loop runs.  A
-            # vertex it lowers from d + 1 stays in nxt too, where its second
-            # visit finds every neighbor already discovered.
-            for u in frontier:
-                if u == goal:
-                    for w in adjacency[u]:
-                        if d + cost_to_go[w] <= limit and d < dist.get(w, INF):
-                            if w not in dist:
-                                first = owner.setdefault(w, i)
-                                if first != i and join(first, i):
-                                    return everyone
-                            dist[w] = d
-                            frontier.append(w)
-                else:
-                    for w in adjacency[u]:
-                        if w not in dist and d1 + cost_to_go[w] <= limit:
-                            dist[w] = d1
-                            nxt.append(w)
-                            first = owner.setdefault(w, i)
-                            if first != i and join(first, i):
-                                return everyone
-            search[5] = nxt
-        searches = [search for search in searches if search[5]]
-        d = d1
+        running = []
+        for i, levels in searches:
+            level = next(levels, None)
+            if level is None:
+                continue  # region complete (or empty: the agent's own group)
+            running.append((i, levels))
+            for v in level:
+                first = owner.setdefault(v, i)
+                # Agents with one parent are already in one component.
+                if first != i and root[first] != root[i] and join(first, i):
+                    return [tuple(sorted(agents))]
+        searches = running
 
     members: dict[int, list[int]] = {}
     for i, a in enumerate(agents):

@@ -34,6 +34,10 @@ class InstanceError(ValueError):
     """Instance violates its invariants (duplicates, unreachable goal, ...)."""
 
 
+class InfeasibleInstanceError(RuntimeError):
+    """The instance has no conflict-free solution from the given state."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed reflexive graph; immutable after construction.

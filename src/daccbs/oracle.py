@@ -1,9 +1,10 @@
 """Brute-force optimal solvers for desk-scale verification.
 
-optimal_soc searches the joint configuration space exhaustively (A* with the
-per-agent shortest-path sum as admissible heuristic); it is the independent
-reference the planner is checked against and deliberately shares no search
-code with it.  Limits are enforced: at most 3 agents and 16 vertices.
+optimal_soc and exhaustive_exclusion_check search the joint configuration
+space exhaustively with one A* (the per-agent shortest-path sum is its
+admissible heuristic); it is the independent reference the planner is
+checked against and deliberately shares no search code with it.  Limits are
+enforced: at most 3 agents and 16 vertices.
 """
 
 from __future__ import annotations
@@ -53,40 +54,7 @@ def _joint_successors(instance: MapfInstance, config: tuple[int, ...]):
 def optimal_soc(instance: MapfInstance, makespan_cap: int | None = None) -> int:
     """Minimal sum-of-costs over all conflict-free joint trajectories reaching
     all goals within the makespan cap; INF if none exists."""
-    _check_limits(instance)
-    if makespan_cap is None:
-        makespan_cap = default_makespan_cap(instance)
-    goals = instance.goals
-    start = instance.starts
-    if start == goals:
-        return 0
-
-    def heuristic(config) -> int:
-        return sum(instance.gammas[i][v] for i, v in enumerate(config))
-
-    def step_cost(config) -> int:
-        return sum(1 for i, v in enumerate(config) if v != goals[i])
-
-    h0 = heuristic(start)
-    if h0 >= INF:
-        return INF
-    heap: list[tuple[int, int, int, tuple[int, ...]]] = [(h0, 0, 0, start)]
-    best: dict[tuple[tuple[int, ...], int], int] = {(start, 0): 0}
-    while heap:
-        f, g, t, config = heapq.heappop(heap)
-        if config == goals:
-            return g
-        if best.get((config, t), INF) < g:
-            continue
-        if t >= makespan_cap:
-            continue
-        g2 = g + step_cost(config)
-        for nxt in _joint_successors(instance, config):
-            key = (nxt, t + 1)
-            if g2 < best.get(key, INF):
-                best[key] = g2
-                heapq.heappush(heap, (g2 + heuristic(nxt), g2, t + 1, nxt))
-    return INF
+    return _cheapest(instance, makespan_cap)
 
 
 def exhaustive_exclusion_check(
@@ -98,6 +66,23 @@ def exhaustive_exclusion_check(
 ) -> bool:
     """True iff every conflict-free goal-reaching joint trajectory within the
     cap in which `agent` visits `vertex` costs strictly more than `budget`."""
+    return _cheapest(instance, makespan_cap, agent, vertex) > budget
+
+
+def _cheapest(
+    instance: MapfInstance,
+    makespan_cap: int | None,
+    agent: int | None = None,
+    vertex: int | None = None,
+) -> int:
+    """Minimal sum-of-costs over the conflict-free joint trajectories that
+    reach all goals within the makespan cap and, when `vertex` is given, in
+    which `agent` visits it; INF if there is none.
+
+    A* over (configuration, time, visited), where `visited` says whether
+    `agent` has stood on `vertex` yet (true throughout when no vertex is
+    asked for).
+    """
     _check_limits(instance)
     if makespan_cap is None:
         makespan_cap = default_makespan_cap(instance)
@@ -110,15 +95,13 @@ def exhaustive_exclusion_check(
     def step_cost(config) -> int:
         return sum(1 for i, v in enumerate(config) if v != goals[i])
 
-    start_key = (start, start[agent] == vertex)
-    heap = [(heuristic(start), 0, 0, start, start[agent] == vertex)]
-    best: dict[tuple[tuple[int, ...], int, bool], int] = {(start, 0, start_key[1]): 0}
-    cheapest = INF
+    visited = vertex is None or start[agent] == vertex
+    heap = [(heuristic(start), 0, 0, start, visited)]
+    best: dict[tuple[tuple[int, ...], int, bool], int] = {(start, 0, visited): 0}
     while heap:
         f, g, t, config, visited = heapq.heappop(heap)
         if config == goals and visited:
-            cheapest = g
-            break
+            return g
         if best.get((config, t, visited), INF) < g:
             continue
         if t >= makespan_cap:
@@ -130,4 +113,4 @@ def exhaustive_exclusion_check(
             if g2 < best.get(key, INF):
                 best[key] = g2
                 heapq.heappush(heap, (g2 + heuristic(nxt), g2, t + 1, nxt, hit))
-    return cheapest > budget
+    return INF

@@ -48,7 +48,7 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
 class TestRunSuite:
     def test_episode_schema(self, files):
         suite = run_suite(base_spec(*files))
-        assert suite["schema_version"] == 3
+        assert suite["schema_version"] == 4
         assert len(suite["episodes"]) == 1
         ep = suite["episodes"][0]
         for key in ("mode", "seed", "t_max_ms", "soc", "soc_increment",
@@ -132,7 +132,9 @@ class TestMainExitCodes:
         assert "usage error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("bad", ["missing-map", "dir-map", "dir-scen", "binary-map"])
+    @pytest.mark.parametrize(
+        "bad", ["missing-map", "dir-map", "dir-scen", "binary-map", "jointly-infeasible"]
+    )
     def test_data_error(self, files, bad, capsys):
         map_path, scen_path, tmp = files
         if bad == "missing-map":
@@ -141,9 +143,20 @@ class TestMainExitCodes:
             map_path = tmp
         elif bad == "dir-scen":
             scen_path = tmp
-        else:
+        elif bad == "binary-map":
             map_path = tmp / "binary.map"
             map_path.write_bytes(bytes(range(128, 256)))
+        else:
+            # Two agents swapping ends of a 1x3 corridor: each goal is
+            # reachable alone, but no conflict-free plan exists.
+            map_path = tmp / "corridor.map"
+            scen_path = tmp / "corridor.scen"
+            map_path.write_text("type octile\nheight 1\nwidth 3\nmap\n...\n")
+            scen_path.write_text(
+                "version 1\n"
+                "0\tcorridor.map\t3\t1\t0\t0\t2\t0\t2.0\n"
+                "0\tcorridor.map\t3\t1\t2\t0\t0\t0\t2.0\n"
+            )
         code = main([
             "--map", str(map_path), "--scen", str(scen_path),
             "--agents", "2", "--out", str(tmp / "r.json"),

@@ -9,7 +9,6 @@ import pytest
 
 import daccbs.cbs
 from daccbs import (
-    ConstraintSet,
     InfeasibleInstanceError,
     MapfInstance,
     optimal_soc,

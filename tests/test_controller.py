@@ -226,6 +226,16 @@ class TestDaccbsMode:
         }
         assert totals == calls
 
+    def test_factorized_marks_partition_calls(self):
+        inst = random_instance(random.Random(8), 5, 5, 4)
+        result, _ = episode(inst, t_max_ms=2000.0, h_max=16)
+        assert any(entry["k"] > 1 for entry in result.factorization_trace)
+        searches = [(step["t"], s) for step in result.telemetry for s in step["searches"]]
+        assert not all(s["factorized"] for _, s in searches)
+        factorized = {(t, s["group"]) for t, s in searches if s["factorized"]}
+        traced = {(entry["t"], entry["group"]) for entry in result.factorization_trace}
+        assert factorized == traced
+
     def test_candidate_prefixes_end_at_one_time(self, monkeypatch):
         # Node trajectories end at their goals; the prefixes handed to the
         # backup are padded so that every tail starts at time h_r.

@@ -16,6 +16,7 @@ from daccbs import (
     should_refactor,
     slackness,
 )
+from daccbs.factorization import _region_levels
 
 from conftest import CountingAdjacency, chain_graph, make_grid, random_instance
 
@@ -138,6 +139,10 @@ class TestReachableRegion:
                         assert reachable_region(g, 0, state, slack, gamma) == full_map_region(
                             g, here, slack, gamma
                         ), (size, here, slack)
+                        # the levels partition reads hold each region vertex once
+                        levels = _region_levels(g.adjacency, here, gamma, slack)
+                        admitted = [v for level in levels for v in level]
+                        assert len(admitted) == len(set(admitted)), (size, here, slack)
 
 
 def partition_of(graph, state, goals, slack, agents=None):

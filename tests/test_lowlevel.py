@@ -2,7 +2,6 @@
 suffix-greediness."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings

@@ -1,11 +1,19 @@
 """Brute-force oracle sanity: known values, limits, cap behavior."""
 
+import random
+
 import pytest
 
 from daccbs import INF, MapfInstance, OracleLimitError, exhaustive_exclusion_check, optimal_soc
 from daccbs.oracle import default_makespan_cap
 
 from conftest import chain_graph, cross_instance, make_grid
+
+# Both oracle queries, each on vertex 0 for agent 0 where one is needed.
+QUERIES = [
+    pytest.param(optimal_soc, id="optimal_soc"),
+    pytest.param(lambda inst: exhaustive_exclusion_check(inst, 0, 0, 0), id="exclusion"),
+]
 
 
 class TestOptimalSoc:
@@ -27,17 +35,19 @@ class TestOptimalSoc:
         inst = MapfInstance(g, (0, 2), (0, 2))
         assert optimal_soc(inst) == 0
 
-    def test_agent_limit(self):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_agent_limit(self, query):
         g = make_grid(4, 4)
         inst = MapfInstance(g, (0, 1, 2, 3), (12, 13, 14, 15))
         with pytest.raises(OracleLimitError):
-            optimal_soc(inst)
+            query(inst)
 
-    def test_vertex_limit(self):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_vertex_limit(self, query):
         g = make_grid(5, 5)
         inst = MapfInstance(g, (0,), (24,))
         with pytest.raises(OracleLimitError):
-            optimal_soc(inst)
+            query(inst)
 
     def test_cap_monotonicity(self):
         inst = cross_instance()
@@ -75,3 +85,23 @@ class TestExclusionCheck:
         g = chain_graph(4)
         inst = MapfInstance(g, (0,), (3,))
         assert not exhaustive_exclusion_check(inst, INF, 0, 1)
+
+    def test_agrees_with_optimal_soc(self):
+        # Every plan costs at least the optimum, so a budget one below it
+        # excludes every (agent, vertex); an optimal plan visits each
+        # agent's start, so the optimum itself excludes none of them.
+        rng = random.Random(12)
+        checked = 0
+        while checked < 20:
+            h, w = rng.choice([(1, 5), (2, 3), (2, 4), (3, 3)])
+            g = make_grid(h, w)
+            cells = list(range(g.vertex_count))
+            inst = MapfInstance(g, tuple(rng.sample(cells, 2)), tuple(rng.sample(cells, 2)))
+            opt = optimal_soc(inst)
+            if opt >= INF:
+                continue
+            checked += 1
+            for a in range(inst.n_agents):
+                for v in cells:
+                    assert exhaustive_exclusion_check(inst, opt - 1, a, v), (inst, a, v)
+                assert not exhaustive_exclusion_check(inst, opt, a, inst.starts[a]), (inst, a)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from daccbs import ControllerConfig, FleetController, MapfInstance, run_episode, soc_increment
+from daccbs import (
+    ControllerConfig,
+    FleetController,
+    InfeasibleInstanceError,
+    MapfInstance,
+    run_classic_cbs,
+    run_episode,
+    soc_increment,
+)
 from daccbs.simulate import MovementDefect, _validate_movement
 
 from conftest import chain_graph, cross_instance
@@ -89,3 +97,15 @@ class TestRunEpisode:
         assert doc["soc_increment"] == result.soc - result.gamma_sum
         assert doc["termination"] == "all-at-goals"
         assert len(doc["budget_trace"]) == result.makespan
+
+    def test_jointly_infeasible_instance(self):
+        # Two agents swapping the ends of a 3-vertex corridor: each goal is
+        # reachable alone, so the instance is accepted, but the complete
+        # backup exhausts its tree and no conflict-free plan exists.
+        inst = MapfInstance(chain_graph(3), (0, 2), (2, 0))
+        with pytest.raises(InfeasibleInstanceError):
+            run_classic_cbs(inst)
+        for mode in ("daccbs", "backup-only"):
+            controller = FleetController(inst, ControllerConfig(mode=mode))
+            with pytest.raises(InfeasibleInstanceError):
+                run_episode(inst, controller)

@@ -17,7 +17,7 @@ from daccbs import (
 )
 from daccbs.trajectory import count_conflicts, path_cost
 
-from conftest import chain_graph, positions_at, prefix_cost
+from conftest import positions_at, prefix_cost
 
 
 def jt(*vertex_lists):
