@@ -7,7 +7,8 @@ Optionally emits a factorization table (group count and largest-group ratio
 at the episode's half-makespan step).
 
 Exit codes: 0 success, 1 usage error, 2 data error (including a scenario with
-no conflict-free solution), 3 internal defect.
+no conflict-free solution), 3 internal defect (an invalid movement, a backup
+cap hit on a feasible input, or a certificate or budget invariant broken).
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .backup import BackupDefect
+from .certificate import CertificateError
 from .controller import ControllerConfig, FleetController, MODES
+from .factorization import BudgetInvariantError
 from .grid import InfeasibleInstanceError, MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
@@ -279,7 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MapFormatError, InfeasibleInstanceError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (MovementDefect, AssertionError) as exc:
+    except (
+        MovementDefect, BackupDefect, CertificateError, BudgetInvariantError, AssertionError
+    ) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3
     try:

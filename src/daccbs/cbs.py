@@ -29,6 +29,7 @@ from .trajectory import (
     Trajectory,
     count_conflicts,
     detect_first_conflict,
+    path_cost,
     soc,
 )
 
@@ -42,12 +43,13 @@ class ConstraintTreeNode:
     """Constraint set, per-agent goal-terminated trajectories, and prefix cost.
 
     A trajectory ends at its agent's goal, or at H_max when cut off there;
-    read past its end, the agent waits at its last vertex.
+    read past its end, the agent waits at its last vertex.  Its cost is the
+    running cost before its last vertex plus gamma there, and `cost` sums
+    those over the members.
     """
 
     constraints: ConstraintSet
     trajectories: dict[int, Trajectory]  # agent id -> goal-terminated trajectory
-    agent_costs: dict[int, int]
     cost: int
 
     def joint(self, agents: tuple[int, ...]) -> JointTrajectory:
@@ -82,7 +84,6 @@ def make_root(
     if agents is None:
         agents = tuple(range(instance.n_agents))
     trajectories: dict[int, Trajectory] = {}
-    agent_costs: dict[int, int] = {}
     total = 0
     for a in agents:
         gamma = instance.gammas[a]
@@ -90,9 +91,8 @@ def make_root(
         if gamma[start] >= INF:
             raise InfeasibleInstanceError(f"agent {a} cannot reach its goal from {start}")
         trajectories[a] = Trajectory(a, tuple(greedy_path(instance.graph, start, gamma, h_max)))
-        agent_costs[a] = gamma[start]
         total = sat_add(total, gamma[start])
-    return ConstraintTreeNode(ConstraintSet(), trajectories, agent_costs, total)
+    return ConstraintTreeNode(ConstraintSet(), trajectories, total)
 
 
 def expand(
@@ -125,13 +125,11 @@ def expand(
         if plan is None:
             continue
         traj, cost = plan
+        old = node.trajectories[agent].vertices
+        old_cost = path_cost(old[:-1], instance.goals[agent]) + instance.gammas[agent][old[-1]]
         trajectories = dict(node.trajectories)
         trajectories[agent] = traj
-        agent_costs = dict(node.agent_costs)
-        agent_costs[agent] = cost
-        children.append(
-            ConstraintTreeNode(constraints, trajectories, agent_costs, sum(agent_costs.values()))
-        )
+        children.append(ConstraintTreeNode(constraints, trajectories, node.cost - old_cost + cost))
     return children
 
 
@@ -168,7 +166,7 @@ def run_adaptive(
     if agents is None:
         agents = tuple(range(instance.n_agents))
     if not agents:
-        root = ConstraintTreeNode(ConstraintSet(), {}, {}, 0)
+        root = ConstraintTreeNode(ConstraintSet(), {}, 0)
         return SearchOutcome(root, h_max, "horizon")
     start_time = time.perf_counter()
     root = make_root(instance, state, h_max, agents)

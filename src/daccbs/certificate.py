@@ -36,9 +36,6 @@ class Certificate:
     paths: dict[int, tuple[int, ...]]
     budget: int
 
-    def joint(self) -> JointTrajectory:
-        return JointTrajectory([Trajectory(a, self.paths[a]) for a in self.agents])
-
     def restricted(self, agents: tuple[int, ...]) -> "Certificate":
         """Sub-certificate for a subset of the group; budget is the cost of
         the subset's own trajectories (budgets are additive per agent)."""
@@ -47,15 +44,18 @@ class Certificate:
         return Certificate(agents, paths, budget)
 
     def validate(self, instance: MapfInstance, state) -> None:
-        """Re-check all certificate conditions; raises on violation."""
+        """Re-check all certificate conditions; raises CertificateError on violation."""
         for a in self.agents:
             path = self.paths[a]
             if path[0] != state[a]:
                 raise CertificateError(f"agent {a}: certificate does not start at its state")
             if path[-1] != instance.goals[a]:
                 raise CertificateError(f"agent {a}: certificate does not end at its goal")
-            Trajectory(a, path).validate_edges(instance.graph)
-        if not is_conflict_free(self.joint()):
+            for u, v in zip(path, path[1:]):
+                if not instance.graph.has_edge(u, v):
+                    raise CertificateError(f"agent {a}: ({u}, {v}) is not a graph edge")
+        joint = JointTrajectory([Trajectory(a, self.paths[a]) for a in self.agents])
+        if not is_conflict_free(joint):
             raise CertificateError("certificate trajectories conflict")
         if self.budget != plan_cost(self.paths, instance):
             raise CertificateError("budget disagrees with trajectory cost")
@@ -114,25 +114,20 @@ def advance(cert: Certificate, executed_state) -> Certificate:
 def try_improve(
     cert: Certificate, candidate: dict[int, tuple[int, ...]], instance: MapfInstance, state
 ) -> tuple[Certificate, bool]:
-    """Within-timestep update: adopt the candidate iff it is a valid
-    conflict-free plan with cost strictly below the incumbent budget."""
-    if set(candidate) != set(cert.agents):
+    """Within-timestep update: adopt the candidate iff, goal waits stripped,
+    it costs strictly less than the incumbent budget and passes validate."""
+    if set(candidate) != set(cert.agents) or not all(candidate.values()):
         return cert, False
-    for a in cert.agents:
-        path = candidate[a]
-        if not path or path[0] != state[a] or path[-1] != instance.goals[a]:
-            return cert, False
-        for u, v in zip(path, path[1:]):
-            if not instance.graph.has_edge(u, v):
-                return cert, False
     paths = {a: _strip_goal_waits(candidate[a]) for a in cert.agents}
     cost = plan_cost(paths, instance)
     if cost >= cert.budget:
         return cert, False
-    joint = JointTrajectory([Trajectory(a, candidate[a]) for a in cert.agents])
-    if not is_conflict_free(joint):
+    improved = Certificate(cert.agents, paths, cost)
+    try:
+        improved.validate(instance, state)
+    except CertificateError:
         return cert, False
-    return Certificate(cert.agents, paths, cost), True
+    return improved, True
 
 
 def build_candidate(
@@ -143,8 +138,10 @@ def build_candidate(
 ) -> dict[int, tuple[int, ...]] | None:
     """Concatenate a conflict-free prefix with a backup tail to the goals.
 
-    Returns None when the backup cannot produce a tail (caller keeps the
-    incumbent certificate).
+    Heads that all end at their goals are the candidate as they are.
+    Otherwise each head waits at its last vertex until the longest ends, and
+    the tail starts there.  Returns None when the backup cannot produce a
+    tail (caller keeps the incumbent certificate).
     """
     terminal = {a: prefix[a][-1] for a in group}
     if all(terminal[a] == instance.goals[a] for a in group):
@@ -153,9 +150,11 @@ def build_candidate(
         tail = backup.rollout(instance, group, tuple(terminal[a] for a in group))
     except BackupError:
         return None
+    junction = max(len(prefix[a]) for a in group)
     candidate = {}
     for traj in tail.trajectories:
-        candidate[traj.agent] = prefix[traj.agent] + traj.vertices[1:]
+        head = prefix[traj.agent]
+        candidate[traj.agent] = head + (head[-1],) * (junction - len(head)) + traj.vertices[1:]
     return candidate
 
 

@@ -10,6 +10,7 @@ Three modes are provided:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if self.h_max < 1:
             raise ValueError("h_max must be >= 1")
-        if self.t_max_ms < 0:
-            raise ValueError("t_max_ms must be >= 0")
+        if not (math.isfinite(self.t_max_ms) and self.t_max_ms >= 0):
+            raise ValueError("t_max_ms must be finite and >= 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
@@ -171,13 +172,9 @@ class FleetController:
             # prefix terminal, a lower bound on any completion's cost.
             if node.cost >= cert.budget:
                 return
-            # Trajectories end at their goals; pad every prefix to h_r + 1 so
-            # the backup tail starts from terminals taken at the same time.
-            prefix = {}
-            for a in group.agents:
-                vertices = node.trajectories[a].vertices
-                head = vertices[: h_r + 1]
-                prefix[a] = head + (vertices[-1],) * (h_r + 1 - len(head))
+            # A head shorter than h_r + 1 has reached its goal; build_candidate
+            # joins the heads to the backup tail at one time.
+            prefix = {a: node.trajectories[a].vertices[: h_r + 1] for a in group.agents}
             candidate = build_candidate(prefix, self.backup, instance, group.agents)
             if candidate is None:
                 return

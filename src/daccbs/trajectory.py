@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grid import INF, Graph
+from .grid import INF
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,6 @@ class Trajectory:
 
     def __getitem__(self, t: int) -> int:
         return self.vertices[t]
-
-    def validate_edges(self, graph: Graph) -> None:
-        for u, v in zip(self.vertices, self.vertices[1:]):
-            if not graph.has_edge(u, v):
-                raise ValueError(f"agent {self.agent}: ({u}, {v}) is not a graph edge")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import daccbs
+from daccbs import BackupDefect, LacamBackup
 from daccbs.bench import RunSpec, UsageError, main, report_factorization, run_suite
 
 
@@ -112,6 +113,8 @@ class TestMainExitCodes:
             pytest.param(None, id="missing-map"),
             pytest.param(["--hmax", "0"], id="hmax-0"),
             pytest.param(["--tmax-ms", "-1"], id="tmax-negative"),
+            pytest.param(["--tmax-ms", "nan"], id="tmax-nan"),
+            pytest.param(["--tmax-ms", "inf"], id="tmax-inf"),
             pytest.param(["--backup", "nope"], id="backup-unknown"),
             pytest.param(["--backup", "cbs-full"], id="backup-removed"),
             pytest.param(["--backup", "lacam-ref"], id="backup-flag-removed"),
@@ -163,6 +166,21 @@ class TestMainExitCodes:
         ])
         assert code == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_backup_defect_is_internal(self, files, monkeypatch, capsys):
+        def capped(*args):
+            raise BackupDefect("LaCAM iteration cap exceeded on a feasible input")
+
+        monkeypatch.setattr(LacamBackup, "rollout", capped)
+        map_path, scen_path, tmp = files
+        code = main([
+            "--map", str(map_path), "--scen", str(scen_path), "--agents", "2",
+            "--out", str(tmp / "r.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal defect:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--out", "--factorization-report"])
     def test_unwritable_output(self, files, flag, capsys):

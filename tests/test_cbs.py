@@ -22,6 +22,7 @@ from daccbs.trajectory import (
     count_conflicts,
     detect_first_conflict,
     is_conflict_free,
+    path_cost,
 )
 
 from conftest import (
@@ -149,11 +150,22 @@ class TestRunAdaptive:
         outcome = run_adaptive(inst, inst.starts, 6, None, agents=())
         assert outcome.best_h == 6
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
         # Two runs certify the same prefixes in the same order and stop in the
-        # same state; the dense instance expands a few hundred nodes.
+        # same state; the dense instance expands a few hundred nodes, and at
+        # h_max 4 some of its trajectories are cut off short of their goals.
+        nodes = []
+
+        def expanded(node, *args):
+            children = expand(node, *args)
+            nodes.extend(children)
+            return children
+
+        monkeypatch.setattr(daccbs.cbs, "expand", expanded)
         dense = random_instance(random.Random(4), 5, 5, 8)
-        for inst, h_max in ((cross_instance(), 10), (dense, 12)):
+        cut_off = 0
+        for inst, h_max in ((cross_instance(), 10), (dense, 12), (dense, 4)):
+            nodes.append(make_root(inst, inst.starts, h_max))
             runs = []
             for _ in range(2):
                 prefixes = []
@@ -171,6 +183,20 @@ class TestRunAdaptive:
                 ))
             assert runs[0] == runs[1]
             assert runs[0][0]
+            # A node's cost sums, over its trajectories, the running cost
+            # before the last vertex plus gamma there.
+            for node in nodes:
+                assert node.cost == sum(
+                    path_cost(t.vertices[:-1], inst.goals[a]) + inst.gammas[a][t.vertices[-1]]
+                    for a, t in node.trajectories.items()
+                )
+            cut_off += sum(
+                t.vertices[-1] != inst.goals[a]
+                for node in nodes
+                for a, t in node.trajectories.items()
+            )
+            nodes.clear()
+        assert cut_off
 
 
 def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):

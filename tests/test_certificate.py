@@ -51,6 +51,26 @@ class TestInit:
         cert.validate(inst, inst.starts)
 
 
+class TestValidate:
+    # On the cross instance the certificate {0: (1, 4, 7), 1: (3, 3, 4, 5)}
+    # with budget 5 is valid; each case breaks one condition.
+    @pytest.mark.parametrize(
+        "paths, budget, message",
+        [
+            pytest.param({0: (4, 7), 1: (3, 3, 4, 5)}, 4, "start", id="wrong-start"),
+            pytest.param({0: (1, 4), 1: (3, 3, 4, 5)}, 5, "end", id="wrong-end"),
+            pytest.param({0: (1, 7), 1: (3, 3, 4, 5)}, 4, "edge", id="non-edge"),
+            pytest.param({0: (1, 4, 7), 1: (3, 4, 5)}, 4, "conflict", id="conflict"),
+            pytest.param({0: (1, 4, 7), 1: (3, 3, 4, 5)}, 6, "budget", id="budget-mismatch"),
+        ],
+    )
+    def test_violation_raises(self, paths, budget, message):
+        inst = cross_instance()
+        Certificate((0, 1), {0: (1, 4, 7), 1: (3, 3, 4, 5)}, 5).validate(inst, inst.starts)
+        with pytest.raises(CertificateError, match=message):
+            Certificate((0, 1), paths, budget).validate(inst, inst.starts)
+
+
 class TestAdvance:
     def test_chain_truncation(self):
         inst = chain_instance()
@@ -105,6 +125,16 @@ class TestTryImprove:
         _, ok = try_improve(self.cert, {0: (0, 1, 2, 3)}, self.inst, (0,))
         assert not ok
 
+    def test_non_edge_rejected(self):
+        # Cheaper than the incumbent, but 0 -> 2 is not a graph edge.
+        cert2, ok = try_improve(self.cert, {0: (0, 2, 3, 4)}, self.inst, (0,))
+        assert not ok
+        assert cert2 is self.cert
+
+    def test_empty_path_rejected(self):
+        _, ok = try_improve(self.cert, {0: ()}, self.inst, (0,))
+        assert not ok
+
     def test_idempotent_rejection(self):
         c1, ok1 = try_improve(self.cert, {0: (0, 0, 1, 2, 3, 4)}, self.inst, (0,))
         c2, ok2 = try_improve(c1, {0: (0, 0, 1, 2, 3, 4)}, self.inst, (0,))
@@ -125,6 +155,13 @@ class TestBuildCandidate:
         assert candidate[0][-1] == 4
         # a lone agent's backup tail is gamma-greedy
         assert candidate[0] == (0, 1, 2, 3, 4)
+
+    def test_unequal_heads_join_at_one_time(self):
+        # Agent 0's head ends at its goal first; it waits there until the
+        # longer head ends, and the backup tail starts for both at time 4.
+        inst = disjoint_instance()
+        candidate = build_candidate({0: (0, 1, 2, 3), 1: (4, 5, 6, 7, 7)}, BACKUP, inst, (0, 1))
+        assert candidate == {0: (0, 1, 2, 3, 3, 3), 1: (4, 5, 6, 7, 7, 8)}
 
     def test_all_wait_prefix_never_improves(self):
         inst = chain_instance()

@@ -237,21 +237,39 @@ class TestDaccbsMode:
         assert factorized == traced
 
     def test_candidate_prefixes_end_at_one_time(self, monkeypatch):
-        # Node trajectories end at their goals; the prefixes handed to the
-        # backup are padded so that every tail starts at time h_r.
-        lengths = []
+        # The controller hands build_candidate the node's unpadded heads,
+        # never longer than the group's trajectories however large h_max is;
+        # build_candidate pads them to one junction where the tail starts.
+        prefixed, tails = [], []
 
-        def recorded(prefix, *args):
-            lengths.append({len(p) for p in prefix.values()})
-            return build_candidate(prefix, *args)
+        def searched(*args, on_prefix_found, **kwargs):
+            def seen(node, h_r):
+                prefixed.append((node, h_r))
+                on_prefix_found(node, h_r)
 
+            return run_adaptive(*args, on_prefix_found=seen, **kwargs)
+
+        def recorded(prefix, backup, instance, group):
+            node, h_r = prefixed[-1]
+            assert prefix == {a: node.trajectories[a].vertices[: h_r + 1] for a in group}
+            longest = max(len(node.trajectories[a].vertices) for a in group)
+            assert all(len(head) <= longest for head in prefix.values())
+            candidate = build_candidate(prefix, backup, instance, group)
+            if any(prefix[a][-1] != instance.goals[a] for a in group):
+                junction = max(len(head) for head in prefix.values())
+                tail = backup.rollout(instance, group, tuple(prefix[a][-1] for a in group))
+                for a, traj in zip(group, tail.trajectories):
+                    head = prefix[a] + (prefix[a][-1],) * (junction - len(prefix[a]))
+                    assert candidate[a] == head + traj.vertices[1:]
+                tails.append(junction)
+            return candidate
+
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", searched)
         monkeypatch.setattr(daccbs.controller, "build_candidate", recorded)
         inst = random_instance(random.Random(3), 5, 5, 4)
-        controller = FleetController(inst, ControllerConfig(t_max_ms=2000.0, h_max=16))
+        controller = FleetController(inst, ControllerConfig(t_max_ms=2000.0, h_max=10**6))
         controller.plan_step(inst.starts)
-        assert lengths
-        assert all(len(sizes) == 1 for sizes in lengths)
-        assert any(sizes == {17} for sizes in lengths)
+        assert prefixed and tails
 
     def test_no_search_without_time(self):
         inst = cross_instance()

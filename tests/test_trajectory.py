@@ -163,11 +163,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(0, ())
 
-    def test_validate_edges(self, chain5):
-        Trajectory(0, (0, 1, 1, 2)).validate_edges(chain5)
-        with pytest.raises(ValueError):
-            Trajectory(0, (0, 2)).validate_edges(chain5)
-
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
