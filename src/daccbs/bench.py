@@ -53,6 +53,8 @@ class RunSpec:
     def validate(self) -> None:
         if self.agents < 0:
             raise UsageError("--agents must be >= 0")
+        if self.step_cap is not None and self.step_cap < 0:
+            raise UsageError("--step-cap must be >= 0")
         if not self.t_max_ms or not self.seeds:
             raise UsageError("at least one --tmax-ms and one --seed are required")
         for mode in self.modes:

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .backup import BackupError, LacamBackup
 from .grid import INF, InfeasibleInstanceError, MapfInstance, sat_add
-from .lowlevel import ConstraintSet, greedy_path, plan_constrained
+from .lowlevel import ConstraintSet, Reach, greedy_path, plan_constrained
 from .trajectory import (
     Conflict,
     JointTrajectory,
@@ -102,13 +102,18 @@ def expand(
     state,
     h_max: int,
     agents: tuple[int, ...],
+    reaches: dict[int, Reach] | None = None,
 ) -> list[ConstraintTreeNode]:
     """Children resolving the conflict, one added constraint each.
 
     Only the newly constrained agent is replanned; children whose replan is
     infeasible are omitted.  Edge conflicts reported at arrival time t become
-    departure-time constraints at t - 1.
+    departure-time constraints at t - 1.  `reaches` holds the search's Reach
+    for each agent replanned so far (from its vertex in `state`); agents
+    replanned here for the first time are added to it.
     """
+    if reaches is None:
+        reaches = {}
     children: list[ConstraintTreeNode] = []
     i, j = conflict.agents
     members = (agents[i], agents[j])
@@ -119,8 +124,12 @@ def expand(
             u, w = conflict.location
             edge = (u, w) if k == 0 else (w, u)
             constraints = node.constraints.with_edge(agent, conflict.time - 1, edge)
+        reach = reaches.get(agent)
+        if reach is None:
+            reach = reaches[agent] = Reach(instance.graph, state[agent])
         plan = plan_constrained(
-            instance.graph, agent, state[agent], constraints, h_max, instance.gammas[agent]
+            instance.graph, agent, state[agent], constraints, h_max, instance.gammas[agent],
+            reach=reach,
         )
         if plan is None:
             continue
@@ -131,6 +140,18 @@ def expand(
         trajectories[agent] = traj
         children.append(ConstraintTreeNode(constraints, trajectories, node.cost - old_cost + cost))
     return children
+
+
+def _first_conflict_and_count(
+    node: ConstraintTreeNode, agents: tuple[int, ...], h_max: int, horizon: int
+) -> tuple[int, Conflict | None]:
+    """(conflict events in 0..horizon, first conflict within H_max) from one
+    joint build; the count starts at the first conflict, since none precedes it."""
+    joint = node.joint(agents)
+    conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
+    if conflict is None or conflict.time > horizon:
+        return 0, conflict
+    return count_conflicts(joint, horizon, conflict.time), conflict
 
 
 def run_adaptive(
@@ -144,12 +165,13 @@ def run_adaptive(
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
 
-    Each dequeue scans the node's trajectories once, for the first conflict
-    in 0..min(H_max, makespan).  Past the group's makespan every agent waits
-    at its own goal, and goals are distinct, so no conflict can appear there.
-    When none lies inside the active prefix 0..h_r, the prefix is
-    conflict-free and h_r jumps to that conflict's time (H_max when there is
-    none); the node is then expanded on that conflict.
+    A node's trajectories are scanned once, for the first conflict in
+    0..min(H_max, makespan).  Past the group's makespan every agent waits at
+    its own goal, and goals are distinct, so no conflict can appear there.
+    When a dequeued node's first conflict lies outside the active prefix
+    0..h_r, the prefix is conflict-free and h_r jumps to that conflict's
+    time (H_max when there is none); the node is then expanded on that
+    conflict.
 
     on_prefix_found is invoked with (node, h_r) whenever a dequeued node's
     active prefix is conflict-free, and once more at h_r = H_max before the
@@ -159,9 +181,14 @@ def run_adaptive(
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
     is reached: it is pushed with the count -1, which sorts it ahead of
-    every counted node of its cost, and when it reaches the top it is
-    counted at its push-time h_r and put back.  The order is the one eager
-    counting gives, but children that are never dequeued are never counted.
+    every counted node of its cost, and when it reaches the top its joint
+    is built once and scanned for its first conflict.  No event precedes
+    that conflict, so the count is 0 when it lies past the push-time h_r
+    and otherwise starts at its time.  The entry goes back with the count
+    and the conflict, and the dequeue reads the conflict from it.  The order
+    is the one eager counting gives, but children that are never dequeued
+    are never counted, and no node is scanned twice.  Each replanned
+    agent's Reach is kept for the whole search.
     """
     if agents is None:
         agents = tuple(range(instance.n_agents))
@@ -173,10 +200,12 @@ def run_adaptive(
     seq = 0
     h_r = 1
     # (cost, conflicts at the push-time h_r or -1 until counted, seq, node,
-    # push-time h_r)
-    heap: list[tuple[int, int, int, ConstraintTreeNode, int]] = [
-        (root.cost, count_conflicts(root.joint(agents), h_r), seq, root, h_r)
+    # push-time h_r, first conflict once counted)
+    conflicts, conflict = _first_conflict_and_count(root, agents, h_max, h_r)
+    heap: list[tuple[int, int, int, ConstraintTreeNode, int, Conflict | None]] = [
+        (root.cost, conflicts, seq, root, h_r, conflict)
     ]
+    reaches: dict[int, Reach] = {}
     best_node: ConstraintTreeNode | None = None
     best_h = 0
     expansions = 0
@@ -189,15 +218,13 @@ def run_adaptive(
         if expansion_cap is not None and expansions >= expansion_cap:
             reason = "cap"
             break
-        cost, conflicts, node_seq, node, pushed_h = heap[0]
+        cost, conflicts, node_seq, node, pushed_h, conflict = heap[0]
         if conflicts < 0:
-            conflicts = count_conflicts(node.joint(agents), pushed_h)
-            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h))
+            conflicts, conflict = _first_conflict_and_count(node, agents, h_max, pushed_h)
+            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h, conflict))
             continue
         heapq.heappop(heap)
         dequeues += 1
-        joint = node.joint(agents)
-        conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
         if conflict is None or conflict.time > h_r:
             if on_prefix_found is not None:
                 on_prefix_found(node, h_r)
@@ -212,9 +239,9 @@ def run_adaptive(
             h_r = conflict.time
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        for child in expand(node, conflict, instance, state, h_max, agents):
+        for child in expand(node, conflict, instance, state, h_max, agents, reaches):
             seq += 1
-            heapq.heappush(heap, (child.cost, -1, seq, child, h_r))
+            heapq.heappush(heap, (child.cost, -1, seq, child, h_r, None))
         expansions += 1
     if best_node is None and reason in ("exhausted", "deadline"):
         reason = "no-prefix"

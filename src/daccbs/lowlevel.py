@@ -12,6 +12,10 @@ gamma, so a replan pays for the cells its constraints change, not for a
 dense t_c x V table.  It also skips every state (v, t) the agent cannot
 reach from (start, 0) by time t: the returned trajectory never visits one,
 so a constraint that raises the cost of a far-off cone costs nothing.
+Those arrival times come from a Reach, a BFS from the start grown one
+level at a time and only as far as a replan reads it; a constraint-tree
+search keeps one per replanned agent, so reach is found once per agent per
+search rather than once per replan.
 
 Constraint time conventions: a vertex constraint (a, t, v) forbids occupying
 v at time t; an edge constraint (a, t, (u, w)) forbids traversing u -> w from
@@ -85,6 +89,41 @@ def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> 
     return path
 
 
+class Reach:
+    """Earliest arrival times from one start vertex, constraints ignored.
+
+    The BFS is grown one level at a time, only as far as `grow` is asked,
+    and every level is kept: replans of one agent within one search share
+    its start, so they share this object and pay for each level once.
+    """
+
+    def __init__(self, graph: Graph, start: int) -> None:
+        self.start = start
+        self._adjacency = graph.adjacency
+        self._arrival = [INF] * len(graph.adjacency)
+        self._arrival[start] = 0
+        self._frontier = [start]
+        self._depth = 0
+
+    def grow(self, t: int) -> list[int]:
+        """Arrival times through level t: arrival[v] is v's earliest arrival
+        when that is at most t, and larger than t otherwise.  The graph is
+        reflexive, so (v, t) is reachable from (start, 0) iff arrival[v] <= t."""
+        arrival, adjacency = self._arrival, self._adjacency
+        frontier, depth = self._frontier, self._depth
+        while depth < t and frontier:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if arrival[w] == INF:
+                        arrival[w] = depth
+                        reached.append(w)
+            frontier = reached
+        self._frontier, self._depth = frontier, depth
+        return arrival
+
+
 def plan_constrained(
     graph: Graph,
     agent: int,
@@ -92,6 +131,7 @@ def plan_constrained(
     constraints: ConstraintSet,
     h_max: int,
     gamma: DistanceField,
+    reach: Reach | None = None,
 ) -> tuple[Trajectory, int] | None:
     """Optimal constrained trajectory for one agent, with its cost.
 
@@ -108,9 +148,16 @@ def plan_constrained(
     vertices whose cost-to-go differs from gamma.  Layer t can differ only at
     vertices blocked at t, at sources of edges cut at t, and at in-neighbors
     of vertices that differ in layer t + 1; only those are recomputed.  Of
-    those, a vertex the agent cannot reach by time t (a BFS from start,
-    constraints ignored) is skipped: no reachable state reads its value.
+    those, a vertex the agent cannot reach by time t is skipped: no
+    reachable state reads its value.  Arrival times come from `reach`, a
+    Reach from `start` that a search keeps across all replans of this agent
+    so that reach is found once per agent per search; without one, a fresh
+    Reach serves this call alone.
     """
+    if reach is None:
+        reach = Reach(graph, start)
+    elif reach.start != start:
+        raise ValueError(f"reach from {reach.start} given for a plan from {start}")
     forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
     if (0, start) in forbidden_vtx:
         raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
@@ -133,28 +180,14 @@ def plan_constrained(
     dist = gamma.values
     adjacency = graph.adjacency
     reverse = graph.reverse
-    # arrival[v]: earliest time the agent can stand on v, constraints
-    # ignored; `late` (t_c + 1) when that is after t_c.  The graph is
-    # reflexive, so (v, t) is reachable from (start, 0) iff arrival[v] <= t.
-    late = t_c + 1
-    arrival = [late] * len(adjacency)
-    arrival[start] = 0
-    frontier = [start]
-    for t in range(1, late):
-        reached = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if arrival[w] == late:
-                    arrival[w] = t
-                    reached.append(w)
-        frontier = reached
+    arrival = reach.grow(t_c)
     # diffs[t][v]: optimal cost from (v, t) through t_c with terminal gamma,
     # stored only where it differs from gamma[v] and only for reachable
     # (v, t).  Successors of a reachable state are reachable, so every value
     # a reachable state or the extraction below reads is exact.
     diffs: list[dict[int, int]] = [{} for _ in range(t_c)]
     diffs.append(
-        {v: INF for v in blocked.get(t_c, ()) if dist[v] < INF and arrival[v] < late}
+        {v: INF for v in blocked.get(t_c, ()) if dist[v] < INF and arrival[v] <= t_c}
     )
     for t in range(t_c - 1, -1, -1):
         nxt = diffs[t + 1]
@@ -185,14 +218,15 @@ def plan_constrained(
     prefix = [start]
     v = start
     for t in range(t_c):
-        step = 1 if v != goal else 0
-        target = diffs[t].get(v, dist[v])
+        # The value at (v, t) is finite, so a successor keeps it exactly
+        # when its own value is that minus this step's running cost.
+        target = diffs[t].get(v, dist[v]) - (1 if v != goal else 0)
         nxt = diffs[t + 1]
         cut_t = cut.get(t, ())
         v = min(
             w
             for w in adjacency[v]
-            if (v, w) not in cut_t and sat_add(step, nxt.get(w, dist[w])) == target
+            if (v, w) not in cut_t and nxt.get(w, dist[w]) == target
         )
         prefix.append(v)
 

@@ -120,11 +120,15 @@ def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | No
     return None
 
 
-def count_conflicts(joint: JointTrajectory, horizon: int) -> int:
-    """Number of (pair, time) collision events within the horizon prefix."""
+def count_conflicts(joint: JointTrajectory, horizon: int, start: int = 0) -> int:
+    """Number of (pair, time) collision events at timesteps start..horizon.
+
+    A caller that knows the joint's first conflict passes its time as
+    `start`: no event precedes it, so the count is the whole prefix's.
+    """
     rows = joint.rows
     total = 0
-    for t in range(min(horizon, joint.makespan) + 1):
+    for t in range(start, min(horizon, joint.makespan) + 1):
         seen: dict[int, int] = {}
         for row in rows:
             v = row[t]

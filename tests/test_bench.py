@@ -115,6 +115,7 @@ class TestMainExitCodes:
             pytest.param(["--tmax-ms", "-1"], id="tmax-negative"),
             pytest.param(["--tmax-ms", "nan"], id="tmax-nan"),
             pytest.param(["--tmax-ms", "inf"], id="tmax-inf"),
+            pytest.param(["--step-cap", "-3"], id="step-cap-negative"),
             pytest.param(["--backup", "nope"], id="backup-unknown"),
             pytest.param(["--backup", "cbs-full"], id="backup-removed"),
             pytest.param(["--backup", "lacam-ref"], id="backup-flag-removed"),

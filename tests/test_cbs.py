@@ -346,9 +346,9 @@ class TestLazyConflictCount:
     def test_counts_fewer_nodes_than_it_pushes(self, monkeypatch):
         counts, pushed = [], []
 
-        def counted(joint, horizon):
-            counts.append(horizon)
-            return count_conflicts(joint, horizon)
+        def counted(joint, horizon, start=0):
+            counts.append((start, horizon))
+            return count_conflicts(joint, horizon, start)
 
         def expanded(*args):
             children = expand(*args)
@@ -361,6 +361,9 @@ class TestLazyConflictCount:
         outcome = run_adaptive(inst, inst.starts, 128, None, expansion_cap=300)
         assert outcome.expansions == len(pushed) > 0
         assert len(counts) < sum(pushed), (len(counts), sum(pushed))
+        # A count starts at the node's first conflict, and a node whose first
+        # conflict lies past its push-time h_r is not counted at all.
+        assert all(0 < start <= horizon for start, horizon in counts), counts
 
 
 class TestClassicCbs:

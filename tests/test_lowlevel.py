@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from daccbs import ConstraintError, ConstraintSet, Graph, goal_distance_field, plan_constrained
 from daccbs.grid import INF, sat_add
-from daccbs.lowlevel import greedy_path
+from daccbs.lowlevel import Reach, greedy_path
 from daccbs.trajectory import Trajectory
 
 from conftest import CountingAdjacency, chain_graph, make_grid, prefix_cost, satisfies
@@ -159,11 +159,28 @@ def far_constraints(rng, graph, start, gamma, h_max):
     return cs
 
 
-def planner_outcome(planner, *args):
+def planner_outcome(planner, *args, **kwargs):
     try:
-        return planner(*args)
+        return planner(*args, **kwargs)
     except ConstraintError as exc:
         return ("error", str(exc))
+
+
+def plan_through_one_reach(graph, start, gamma, h_max, sets, steps):
+    """Plan agent 0 from start under each constraint set in turn, all through
+    one Reach as a search's replans of one agent share it, and check each
+    result against the dense planner.  Counts in `steps` how often t_c
+    rises and falls from one set to the next."""
+    reach = Reach(graph, start)
+    last = None
+    for cs in sets:
+        args = (graph, 0, start, cs, h_max, gamma)
+        got = planner_outcome(plan_constrained, *args, reach=reach)
+        assert got == planner_outcome(dense_plan_constrained, *args), cs
+        t_c = min(cs.max_time(0), h_max)
+        if last is not None and t_c != last:
+            steps["rise" if t_c > last else "fall"] += 1
+        last = t_c
 
 
 class TestSparseMatchesDense:
@@ -172,7 +189,9 @@ class TestSparseMatchesDense:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_digraphs(self, seed):
         rng = random.Random(seed)
+        others = random.Random(100 + seed)  # keeps rng's draws as they were
         kinds = {"plan": 0, "none": 0, "error": 0}
+        steps = {"rise": 0, "fall": 0}
         for _ in range(600):
             graph = random_digraph(rng, rng.randint(1, 14))
             n = graph.vertex_count
@@ -189,7 +208,10 @@ class TestSparseMatchesDense:
                 kinds["none"] += 1
             else:
                 kinds["error" if got[0] == "error" else "plan"] += 1
+            sets = [random_constraints(others, graph, 0, start, goal, h_max) for _ in range(3)]
+            plan_through_one_reach(graph, start, gamma, h_max, [*sets, cs], steps)
         assert kinds["plan"] > 300 and kinds["none"] > 20 and kinds["error"] > 10, kinds
+        assert min(steps.values()) > 300, steps
 
     @pytest.mark.parametrize("seed", range(3))
     def test_grids(self, seed):
@@ -216,7 +238,9 @@ class TestSparseMatchesDense:
         # Most states of a 12x12..16x16 grid are out of reach early on, so
         # these cases exercise the reach check the desk-scale ones cannot.
         rng = random.Random(2000 + seed)
+        others = random.Random(2100 + seed)  # keeps rng's draws as they were
         raised = 0
+        steps = {"rise": 0, "fall": 0}
         for _ in range(40):
             h, w = rng.randint(12, 16), rng.randint(12, 16)
             blocked = {(r, c) for r in range(h) for c in range(w) if rng.random() < 0.1}
@@ -230,7 +254,10 @@ class TestSparseMatchesDense:
             got = planner_outcome(plan_constrained, *args)
             assert got == planner_outcome(dense_plan_constrained, *args), (seed, cs)
             raised += got is None or got[1] > gamma[start]
+            sets = [far_constraints(others, graph, start, gamma, h_max) for _ in range(3)]
+            plan_through_one_reach(graph, start, gamma, h_max, [*sets, cs], steps)
         assert raised >= 10, raised
+        assert min(steps.values()) > 20, steps
 
     def test_goal_constraint_reads_a_fraction_of_the_cone(self):
         # 32x32 open grid, corner to corner.  Blocking the goal at the
@@ -280,6 +307,11 @@ class TestPlanConstrained:
         cs = ConstraintSet().with_vertex(0, 0, 0)
         with pytest.raises(ConstraintError):
             plan_constrained(chain5, 0, 0, cs, 4, gamma)
+
+    def test_reach_from_another_start_rejected(self, chain5):
+        gamma = goal_distance_field(chain5, 4)
+        with pytest.raises(ValueError):
+            plan_constrained(chain5, 0, 0, ConstraintSet(), 4, gamma, reach=Reach(chain5, 1))
 
     def test_infeasible_returns_none(self):
         g = chain_graph(2)

@@ -87,10 +87,15 @@ class TestGoalTerminatedScans:
                  for t in trajs]
             )
             assert padded.makespan == h_max
+            # No event precedes the first conflict, so a count may start there.
+            first = detect_first_conflict(short, short.makespan)
             for h in range(h_max + 1):
                 got = detect_first_conflict(short, min(h, short.makespan))
                 assert got == detect_first_conflict(padded, h), (trajs, h)
-                assert count_conflicts(short, h) == count_conflicts(padded, h), (trajs, h)
+                count = count_conflicts(short, h)
+                assert count == count_conflicts(padded, h), (trajs, h)
+                if first is not None:
+                    assert count_conflicts(short, h, first.time) == count, (trajs, h)
             seen["conflict" if got is not None else "free"] += 1
             seen["cut" if short.makespan == h_max else "short"] += 1
         assert min(seen.values()) > 300, seen
