@@ -5,6 +5,14 @@ configurations whose successors are proposed by a PIBT-style one-step
 generator (priority inheritance resolves pushes), with per-agent forced-move
 constraints enumerated lazily to retain completeness.  It requires a
 symmetric graph.
+
+A rollout may be given a `cost_limit`.  Each configuration then carries
+g, the off-goal agent-steps along its parent chain, and h, the sum of its
+members' goal distances.  f = g + h never decreases along a chain (an
+off-goal member adds 1 to g and lowers its distance by at most 1; a member
+at its goal adds 0 and its distance can only rise), and at the goal
+configuration f is the plan's cost.  So once a configuration with
+f >= cost_limit is created, the rollout stops with BackupError.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import getitem, ne
 
 from .grid import INF, Graph, MapfInstance, is_symmetric
 from .trajectory import JointTrajectory, Trajectory
@@ -32,11 +41,18 @@ class BackupController:
     given positions to the agents' goals, for any feasible sub-instance."""
 
     def rollout(
-        self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration
+        self,
+        instance: MapfInstance,
+        agents: tuple[int, ...],
+        start: Configuration,
+        cost_limit: int | None = None,
     ) -> JointTrajectory:
         """Conflict-free goal-reaching trajectories for `agents` from `start`.
 
         `start` holds one vertex per member of `agents`, pairwise distinct.
+        With a `cost_limit`, a rollout may raise BackupError instead of
+        returning trajectories that cost (in off-goal agent-steps) at least
+        the limit; trajectories it does return cost less than the limit.
         """
         raise NotImplementedError
 
@@ -57,9 +73,11 @@ class _LowNode:
 @dataclass
 class _HighNode:
     config: Configuration
-    parent: "._HighNode | None"
+    parent: "_HighNode | None"
     order: tuple[int, ...]  # member indices, highest priority first
     elevation: tuple[int, ...]
+    g: int  # off-goal agent-steps along the parent chain
+    off: int  # members off their goals in `config`
     tree: deque = field(default_factory=deque)
 
 
@@ -70,8 +88,25 @@ class LacamBackup(BackupController):
         self.seed = seed
 
     def rollout(
-        self, instance: MapfInstance, agents: tuple[int, ...], start: Configuration
+        self,
+        instance: MapfInstance,
+        agents: tuple[int, ...],
+        start: Configuration,
+        cost_limit: int | None = None,
     ) -> JointTrajectory:
+        """Conflict-free goal-reaching trajectories for `agents` from `start`.
+
+        With a `cost_limit`, the root and every configuration created are
+        priced, and the rollout raises BackupError at the first whose
+        f = g + h reaches the limit.  Until then it draws and explores
+        exactly as an unlimited rollout does, so a limited rollout that
+        returns gives the unlimited result.  The cut-off is exact unless
+        LaCAM revisits a configuration after the bound is crossed: the
+        unlimited search could then still reach the goals along a chain that
+        avoids the crossing configuration, and the limited one drops that
+        tail.  Dropping a tail is always safe for a caller that keeps an
+        incumbent plan.
+        """
         graph = instance.graph
         if not is_symmetric(graph):
             raise BackupError("LaCAM requires a symmetric graph")
@@ -81,23 +116,30 @@ class LacamBackup(BackupController):
         if len(set(start)) != n:
             raise BackupError("start configuration has coinciding agents")
         goals = tuple(instance.goals[a] for a in agents)
-        gammas = [instance.gammas[a] for a in agents]
+        dists = [instance.gammas[a].values for a in agents]
         for i, v in enumerate(start):
-            if gammas[i][v] >= INF:
+            if dists[i][v] >= INF:
                 raise BackupError(f"agent {agents[i]} cannot reach its goal from {v}")
-        dists = [gamma.values for gamma in gammas]
+        moves = graph.moves
         rng = random.Random(self.seed)
         makespan_cap = graph.vertex_count * n * 4
         iteration_cap = max(makespan_cap * 8 + 1000, 2_000_000)
+        limited = cost_limit is not None
+        if limited and sum(map(getitem, dists, start)) >= cost_limit:
+            raise BackupError(f"rollout reached its cost limit {cost_limit}")
+
+        # Highest elevation first, then larger initial gamma, then lower id.
+        # The last two keys are fixed for the rollout; each node sorts this
+        # order by elevation, and the stable sort keeps ties in it.
+        by_gamma = sorted(range(n), key=lambda i: (-dists[i][start[i]], i))
 
         def make_order(elevation: tuple[int, ...]) -> tuple[int, ...]:
-            # Highest elevation first, then larger initial gamma, then lower id.
-            return tuple(
-                sorted(range(n), key=lambda i: (-elevation[i], -gammas[i][start[i]], i))
-            )
+            return tuple(sorted(by_gamma, key=elevation.__getitem__, reverse=True))
 
-        root_elev = tuple(0 for _ in range(n))
-        root = _HighNode(start, None, make_order(root_elev), root_elev, deque([_LowNode()]))
+        root = _HighNode(
+            start, None, tuple(by_gamma), (0,) * n, 0, sum(map(ne, start, goals)),
+            deque([_LowNode()]),
+        )
         explored: dict[Configuration, _HighNode] = {start: root}
         stack: list[_HighNode] = [root]
 
@@ -115,9 +157,9 @@ class LacamBackup(BackupController):
             low = node.tree.popleft()
             if low.depth < n:
                 member = node.order[low.depth]
-                here = node.config[member]
-                for u in (here, *sorted(w for w in graph.neighbors(here) if w != here)):
-                    node.tree.append(_LowNode(low.who + (member,), low.where + (u,)))
+                who = low.who + (member,)
+                for u in moves[node.config[member]]:
+                    node.tree.append(_LowNode(who, low.where + (u,)))
             forced = dict(zip(low.who, low.where))
             config = _pibt_step(graph, node.config, node.order, dists, forced, rng)
             if config is None:
@@ -126,10 +168,16 @@ class LacamBackup(BackupController):
             if known is not None:
                 stack.append(known)
                 continue
+            g = node.g + node.off
+            if limited and g + sum(map(getitem, dists, config)) >= cost_limit:
+                raise BackupError(f"rollout reached its cost limit {cost_limit}")
             elevation = tuple(
-                0 if config[i] == goals[i] else node.elevation[i] + 1 for i in range(n)
+                [0 if v == goal else e + 1 for v, goal, e in zip(config, goals, node.elevation)]
             )
-            child = _HighNode(config, node, make_order(elevation), elevation, deque([_LowNode()]))
+            child = _HighNode(
+                config, node, make_order(elevation), elevation, g, n - elevation.count(0),
+                deque([_LowNode()]),
+            )
             explored[config] = child
             stack.append(child)
         # LaCAM is complete: an exhausted tree proves the sub-instance infeasible.
@@ -158,6 +206,21 @@ class LacamBackup(BackupController):
         )
 
 
+# _SHUFFLE_STEPS[m] holds random.Random.shuffle's (k, k + 1, bit length of
+# k + 1) triples for a list of m items, in the order it draws them; rows
+# are added on first use.
+_SHUFFLE_STEPS: list[tuple[tuple[int, int, int], ...]] = []
+
+
+def _shuffle_steps(m: int) -> tuple[tuple[int, int, int], ...]:
+    while len(_SHUFFLE_STEPS) <= m:
+        size = len(_SHUFFLE_STEPS)
+        _SHUFFLE_STEPS.append(
+            tuple((k, k + 1, (k + 1).bit_length()) for k in range(size - 1, 0, -1))
+        )
+    return _SHUFFLE_STEPS[m]
+
+
 def _pibt_step(
     graph: Graph,
     config: Configuration,
@@ -174,7 +237,7 @@ def _pibt_step(
     configuration (no coinciding agents, no swaps).
     """
     n = len(config)
-    occupant_now = {v: i for i, v in enumerate(config)}
+    occupant_now = dict(zip(config, range(n)))
     nxt: list[int | None] = [None] * n
     occupied_next: dict[int, int] = {}
 
@@ -188,18 +251,18 @@ def _pibt_step(
         nxt[member] = target
         occupied_next[target] = member
 
-    adjacency = graph.adjacency
+    moves = graph.moves
     getrandbits = rng.getrandbits
 
     def candidates(i: int):
-        here = config[i]
-        cands = [here]
-        cands += [w for w in adjacency[here] if w != here]
+        cands = list(moves[config[i]])
+        try:
+            steps = _SHUFFLE_STEPS[len(cands)]
+        except IndexError:
+            steps = _shuffle_steps(len(cands))
         # rng.shuffle(cands), inlined with the same getrandbits draws so
         # rollouts stay identical (tests/test_backup.py pins the draws).
-        for k in range(len(cands) - 1, 0, -1):
-            n_k = k + 1
-            bits = n_k.bit_length()
+        for k, n_k, bits in steps:
             j = getrandbits(bits)
             while j >= n_k:
                 j = getrandbits(bits)

@@ -115,7 +115,11 @@ def try_improve(
     cert: Certificate, candidate: dict[int, tuple[int, ...]], instance: MapfInstance, state
 ) -> tuple[Certificate, bool]:
     """Within-timestep update: adopt the candidate iff, goal waits stripped,
-    it costs strictly less than the incumbent budget and passes validate."""
+    it costs strictly less than the incumbent budget and passes validate.
+
+    It is the one gate that prices and validates a candidate; a candidate
+    that `build_candidate` built under the same budget is priced the same
+    way, so only validation can reject it."""
     if set(candidate) != set(cert.agents) or not all(candidate.values()):
         return cert, False
     paths = {a: _strip_goal_waits(candidate[a]) for a in cert.agents}
@@ -135,27 +139,36 @@ def build_candidate(
     backup: BackupController,
     instance: MapfInstance,
     group: tuple[int, ...],
+    budget: int,
 ) -> dict[int, tuple[int, ...]] | None:
-    """Concatenate a conflict-free prefix with a backup tail to the goals.
+    """Concatenate a conflict-free prefix with a backup tail to the goals,
+    or None when the result would not cost less than `budget`.
 
     Heads that all end at their goals are the candidate as they are.
     Otherwise each head waits at its last vertex until the longest ends, and
-    the tail starts there.  Returns None when the backup cannot produce a
-    tail (caller keeps the incumbent certificate).
+    the tail starts there.  The cost up to that junction covers each head
+    without its last vertex plus its pad of waits at that vertex; the tail's
+    rollout gets `budget` minus that cost as its `cost_limit`, so a rollout
+    that cannot end under the budget stops early.  Costs are off-goal
+    agent-steps, as `plan_cost` and `try_improve` count them.  Returns None
+    also when the backup cannot produce a tail; either way the caller keeps
+    the incumbent certificate.
     """
     terminal = {a: prefix[a][-1] for a in group}
     if all(terminal[a] == instance.goals[a] for a in group):
-        return dict(prefix)
+        return dict(prefix) if plan_cost(prefix, instance) < budget else None
+    junction = max(len(prefix[a]) for a in group)
+    heads = {a: prefix[a][:-1] + (terminal[a],) * (junction - len(prefix[a])) for a in group}
     try:
-        tail = backup.rollout(instance, group, tuple(terminal[a] for a in group))
+        tail = backup.rollout(
+            instance,
+            group,
+            tuple(terminal[a] for a in group),
+            cost_limit=budget - plan_cost(heads, instance),
+        )
     except BackupError:
         return None
-    junction = max(len(prefix[a]) for a in group)
-    candidate = {}
-    for traj in tail.trajectories:
-        head = prefix[traj.agent]
-        candidate[traj.agent] = head + (head[-1],) * (junction - len(head)) + traj.vertices[1:]
-    return candidate
+    return {traj.agent: heads[traj.agent] + traj.vertices for traj in tail.trajectories}
 
 
 def first_movement(cert: Certificate) -> Movement:

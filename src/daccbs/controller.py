@@ -46,6 +46,8 @@ class ControllerConfig:
             raise ValueError("h_max must be >= 1")
         if not (math.isfinite(self.t_max_ms) and self.t_max_ms >= 0):
             raise ValueError("t_max_ms must be finite and >= 0")
+        if self.slack_threshold < 0:
+            raise ValueError("slack_threshold must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
@@ -175,7 +177,7 @@ class FleetController:
             # A head shorter than h_r + 1 has reached its goal; build_candidate
             # joins the heads to the backup tail at one time.
             prefix = {a: node.trajectories[a].vertices[: h_r + 1] for a in group.agents}
-            candidate = build_candidate(prefix, self.backup, instance, group.agents)
+            candidate = build_candidate(prefix, self.backup, instance, group.agents, cert.budget)
             if candidate is None:
                 return
             candidates += 1

@@ -45,8 +45,9 @@ class Graph:
     adjacency[v] is the sorted tuple of out-neighbors of v and always
     contains v itself.  For grid-derived graphs, coords[v] = (row, col)
     and height/width record the grid dimensions.  The in-neighbors
-    (`reverse`) are built on first use, not at construction, so `validate`
-    still reports a malformed adjacency with its own error.
+    (`reverse`) and the move lists (`moves`) are built on first use, not at
+    construction, so `validate` still reports a malformed adjacency with its
+    own error.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -77,6 +78,12 @@ class Graph:
         if all(set(ins) == set(outs) for ins, outs in zip(incoming, self.adjacency)):
             return self.adjacency
         return tuple(map(tuple, incoming))
+
+    @cached_property
+    def moves(self) -> tuple[tuple[int, ...], ...]:
+        """moves[v] is v followed by its other out-neighbors in sorted order:
+        the order in which the backup lists an agent's next vertices."""
+        return tuple((v, *(w for w in nbrs if w != v)) for v, nbrs in enumerate(self.adjacency))
 
     def validate(self) -> None:
         n = self.vertex_count

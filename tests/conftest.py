@@ -16,6 +16,7 @@ from daccbs import (
     Trajectory,
     parse_map,
 )
+import daccbs.backup
 from daccbs.grid import sat_add
 
 
@@ -141,6 +142,22 @@ def satisfies(traj: Trajectory, constraints: ConstraintSet) -> bool:
         if agent == traj.agent and t + 1 < n and traj[t] == u and traj[t + 1] == w:
             return False
     return True
+
+
+def count_configurations(monkeypatch) -> list[int]:
+    """Make LaCAM count in `counter[0]` the configurations it creates.
+
+    A rollout that creates exactly as many configurations as its result
+    holds (makespan + 1) never revisited one."""
+    counter = [0]
+
+    class Counted(daccbs.backup._HighNode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counter[0] += 1
+
+    monkeypatch.setattr(daccbs.backup, "_HighNode", Counted)
+    return counter
 
 
 @pytest.fixture

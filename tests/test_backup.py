@@ -4,14 +4,24 @@ completeness on crowded instances."""
 import platform
 import random
 import sys
+import types
+import typing
 
 import pytest
 
+import daccbs.backup
 from daccbs import BackupError, Graph, LacamBackup, MapfInstance, optimal_soc, soc
 from daccbs.backup import _pibt_step
 from daccbs.trajectory import is_conflict_free
 
-from conftest import chain_graph, cross_instance, make_grid, positions_at, random_instance
+from conftest import (
+    chain_graph,
+    count_configurations,
+    cross_instance,
+    make_grid,
+    positions_at,
+    random_instance,
+)
 
 
 BACKUP = LacamBackup(seed=0)
@@ -65,6 +75,10 @@ class TestLacamBasics:
         with pytest.raises(BackupError):
             BACKUP.rollout(inst, (0, 1), (1, 1))
 
+    def test_node_type_hints_resolve(self):
+        hints = typing.get_type_hints(daccbs.backup._HighNode)
+        assert hints["parent"] == daccbs.backup._HighNode | None
+
 
 class TestLacamProperties:
     def test_determinism_under_seed(self):
@@ -107,6 +121,61 @@ class TestLacamProperties:
         jt2 = rollout_all(BACKUP, inst, mid)
         assert is_conflict_free(jt2)
         assert positions_at(jt2, jt2.makespan) == inst.goals
+
+
+class TestCostLimit:
+    def probe(self, monkeypatch, inst, start, seed, cost_limit):
+        """The rollout's trajectories (or its BackupError), the state of the
+        rng it drew from, and the number of configurations it created."""
+        rngs = []
+
+        def recorded(seed):
+            rngs.append(random.Random(seed))
+            return rngs[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(daccbs.backup, "random", types.SimpleNamespace(Random=recorded))
+            created = count_configurations(m)
+            agents = tuple(range(inst.n_agents))
+            try:
+                result = LacamBackup(seed).rollout(inst, agents, start, cost_limit=cost_limit)
+            except BackupError as exc:
+                result = exc
+        return result, rngs[0].getstate(), created[0]
+
+    def test_cut_off_is_exact(self, monkeypatch):
+        # Limits around each unlimited rollout's cost: a limited rollout
+        # returns exactly the unlimited result below its cost and stops at
+        # or above it; it stops early only after revisiting a configuration.
+        rng = random.Random(2)
+        outcomes = {"returned": 0, "cut": 0}
+        for seed in range(60):
+            inst = random_instance(rng, 6, 6, rng.randint(2, 12))
+            start = tuple(rng.sample(range(inst.graph.vertex_count), inst.n_agents))
+            full, full_state, created = self.probe(monkeypatch, inst, start, seed, None)
+            cost = soc(full, inst.goals)
+            revisited = created > full.makespan + 1
+            for limit in range(max(cost - 3, 0), cost + 4):
+                result, state, _ = self.probe(monkeypatch, inst, start, seed, limit)
+                if isinstance(result, BackupError):
+                    outcomes["cut"] += 1
+                    assert cost >= limit or revisited, (seed, limit, cost)
+                else:
+                    outcomes["returned"] += 1
+                    assert cost < limit, (seed, limit, cost)
+                    assert [t.vertices for t in result.trajectories] == [
+                        t.vertices for t in full.trajectories
+                    ]
+                    assert state == full_state
+        assert outcomes["returned"] and outcomes["cut"], outcomes
+
+    def test_limit_at_root(self):
+        # The start's distance sum already reaches the limit: nothing is drawn.
+        inst = MapfInstance(chain_graph(5), (0,), (4,))
+        with pytest.raises(BackupError):
+            BACKUP.rollout(inst, (0,), (0,), cost_limit=4)
+        assert rollout_all(BACKUP, inst)[0].vertices == (0, 1, 2, 3, 4)
+        assert BACKUP.rollout(inst, (0,), (0,), cost_limit=5)[0].vertices == (0, 1, 2, 3, 4)
 
 
 class TestRolloutMemory:
@@ -152,7 +221,7 @@ class TestPibtStep:
                 self.order.append(v)
                 return 0
 
-        for length in range(1, 7):
+        for length in range(1, 13):
             star = Graph((tuple(range(length)),) + tuple((0, v) for v in range(1, length)))
             for seed in range(2000):
                 dists = Recorder()

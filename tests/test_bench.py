@@ -116,6 +116,7 @@ class TestMainExitCodes:
             pytest.param(["--tmax-ms", "nan"], id="tmax-nan"),
             pytest.param(["--tmax-ms", "inf"], id="tmax-inf"),
             pytest.param(["--step-cap", "-3"], id="step-cap-negative"),
+            pytest.param(["--slack-threshold", "-7"], id="slack-threshold-negative"),
             pytest.param(["--backup", "nope"], id="backup-unknown"),
             pytest.param(["--backup", "cbs-full"], id="backup-removed"),
             pytest.param(["--backup", "lacam-ref"], id="backup-flag-removed"),

@@ -1,8 +1,11 @@
 """Certificate lifecycle: init via backup, inheritance, improvement, movement."""
 
+import random
+
 import pytest
 
 from daccbs import (
+    INF,
     Certificate,
     CertificateError,
     LacamBackup,
@@ -14,7 +17,13 @@ from daccbs import (
 )
 from daccbs.certificate import first_movement, plan_cost
 
-from conftest import chain_graph, cross_instance, make_grid
+from conftest import (
+    chain_graph,
+    count_configurations,
+    cross_instance,
+    make_grid,
+    random_instance,
+)
 
 
 def chain_instance():
@@ -28,6 +37,7 @@ def disjoint_instance():
 
 
 BACKUP = LacamBackup(seed=0)
+NO_BUDGET = INF  # a budget that no candidate reaches
 
 
 class TestInit:
@@ -145,12 +155,12 @@ class TestTryImprove:
 class TestBuildCandidate:
     def test_prefix_already_at_goals(self):
         inst = chain_instance()
-        candidate = build_candidate({0: (0, 1, 2, 3, 4)}, BACKUP, inst, (0,))
+        candidate = build_candidate({0: (0, 1, 2, 3, 4)}, BACKUP, inst, (0,), NO_BUDGET)
         assert candidate == {0: (0, 1, 2, 3, 4)}
 
     def test_chain_tail(self):
         inst = chain_instance()
-        candidate = build_candidate({0: (0, 1)}, BACKUP, inst, (0,))
+        candidate = build_candidate({0: (0, 1)}, BACKUP, inst, (0,), NO_BUDGET)
         assert candidate[0][:2] == (0, 1)
         assert candidate[0][-1] == 4
         # a lone agent's backup tail is gamma-greedy
@@ -160,16 +170,55 @@ class TestBuildCandidate:
         # Agent 0's head ends at its goal first; it waits there until the
         # longer head ends, and the backup tail starts for both at time 4.
         inst = disjoint_instance()
-        candidate = build_candidate({0: (0, 1, 2, 3), 1: (4, 5, 6, 7, 7)}, BACKUP, inst, (0, 1))
+        candidate = build_candidate(
+            {0: (0, 1, 2, 3), 1: (4, 5, 6, 7, 7)}, BACKUP, inst, (0, 1), NO_BUDGET
+        )
         assert candidate == {0: (0, 1, 2, 3, 3, 3), 1: (4, 5, 6, 7, 7, 8)}
+
+    def test_budget_drops_exactly_the_candidates_it_would_reject(self, monkeypatch):
+        # Heads cut from an incumbent's paths at random lengths (ending at
+        # distinct vertices), so some end off their goals before the junction
+        # and pay for their pad.  build_candidate gives the candidate built
+        # under no budget when that costs less than the budget, else None.
+        created = count_configurations(monkeypatch)
+        rng = random.Random(4)
+        outcomes = {"built": 0, "dropped": 0}
+        for _ in range(60):
+            inst = random_instance(rng, 6, 6, rng.randint(2, 8))
+            group = tuple(range(inst.n_agents))
+            cert = init_certificate(BACKUP, inst, inst.starts, group)
+            prefix = {a: cert.paths[a][: rng.randint(1, len(cert.paths[a]))] for a in group}
+            if len({head[-1] for head in prefix.values()}) < len(group):
+                continue
+            created[0] = 0
+            tail = BACKUP.rollout(inst, group, tuple(prefix[a][-1] for a in group))
+            if created[0] > tail.makespan + 1:
+                continue  # LaCAM revisited a configuration
+            unlimited = build_candidate(prefix, BACKUP, inst, group, NO_BUDGET)
+            cost = plan_cost(unlimited, inst)
+            for budget in range(cost - 2, cost + 3):
+                candidate = build_candidate(prefix, BACKUP, inst, group, budget)
+                if cost >= budget:
+                    assert candidate is None, (budget, cost)
+                    outcomes["dropped"] += 1
+                else:
+                    assert candidate == unlimited
+                    outcomes["built"] += 1
+        assert outcomes["built"] and outcomes["dropped"], outcomes
 
     def test_all_wait_prefix_never_improves(self):
         inst = chain_instance()
         cert = init_certificate(BACKUP, inst, inst.starts, (0,))
-        candidate = build_candidate({0: (0, 0)}, BACKUP, inst, (0,))
+        assert build_candidate({0: (0, 0)}, BACKUP, inst, (0,), cert.budget) is None
+        candidate = build_candidate({0: (0, 0)}, BACKUP, inst, (0,), NO_BUDGET)
         assert plan_cost({0: candidate[0]}, inst) >= cert.budget + 1
         _, ok = try_improve(cert, candidate, inst, inst.starts)
         assert not ok
+
+    def test_prefix_at_goals_priced_against_the_budget(self):
+        inst = chain_instance()
+        assert build_candidate({0: (0, 1, 2, 3, 4)}, BACKUP, inst, (0,), 5) == {0: (0, 1, 2, 3, 4)}
+        assert build_candidate({0: (0, 1, 2, 3, 4)}, BACKUP, inst, (0,), 4) is None
 
 
 class TestFirstMovement:

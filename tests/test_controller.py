@@ -7,6 +7,7 @@ import pytest
 
 import daccbs.controller
 from daccbs import (
+    INF,
     CertificateError,
     ControllerConfig,
     FleetController,
@@ -69,6 +70,11 @@ class TestConfig:
     def test_bad_hmax(self):
         with pytest.raises(ValueError):
             ControllerConfig(h_max=0)
+
+    def test_negative_slack_threshold(self):
+        with pytest.raises(ValueError, match="slack_threshold"):
+            ControllerConfig(slack_threshold=-1)
+        assert ControllerConfig(slack_threshold=0).slack_threshold == 0
 
 
 class TestDaccbsMode:
@@ -206,6 +212,20 @@ class TestDaccbsMode:
             for search in step["searches"]:
                 assert 0 <= search["accepted"] <= search["candidates"] <= search["prefixes"]
 
+    def test_every_built_candidate_is_accepted(self):
+        # build_candidate drops every candidate that cannot undercut the
+        # budget it is given, so only validation could reject one it builds.
+        rng = random.Random(6)
+        built = 0
+        for _ in range(6):
+            inst = random_instance(rng, 6, 6, 6)
+            result, _ = episode(inst, t_max_ms=10.0)
+            for step in result.telemetry:
+                for search in step["searches"]:
+                    assert search["accepted"] == search["candidates"], (step["t"], search)
+                    built += search["candidates"]
+        assert built > 0
+
     def test_split_group_search_recorded_once(self, monkeypatch):
         calls = count_calls(monkeypatch)
         inst = random_instance(random.Random(8), 5, 5, 4)
@@ -249,18 +269,22 @@ class TestDaccbsMode:
 
             return run_adaptive(*args, on_prefix_found=seen, **kwargs)
 
-        def recorded(prefix, backup, instance, group):
+        def recorded(prefix, backup, instance, group, budget):
             node, h_r = prefixed[-1]
             assert prefix == {a: node.trajectories[a].vertices[: h_r + 1] for a in group}
             longest = max(len(node.trajectories[a].vertices) for a in group)
             assert all(len(head) <= longest for head in prefix.values())
-            candidate = build_candidate(prefix, backup, instance, group)
+            candidate = build_candidate(prefix, backup, instance, group, budget)
             if any(prefix[a][-1] != instance.goals[a] for a in group):
+                # Under no budget the tail is built whatever it costs; under
+                # the certificate's, the candidate is that one or None.
+                unlimited = build_candidate(prefix, backup, instance, group, INF)
+                assert candidate in (None, unlimited)
                 junction = max(len(head) for head in prefix.values())
                 tail = backup.rollout(instance, group, tuple(prefix[a][-1] for a in group))
                 for a, traj in zip(group, tail.trajectories):
                     head = prefix[a] + (prefix[a][-1],) * (junction - len(prefix[a]))
-                    assert candidate[a] == head + traj.vertices[1:]
+                    assert unlimited[a] == head + traj.vertices[1:]
                 tails.append(junction)
             return candidate
 
