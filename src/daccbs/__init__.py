@@ -7,7 +7,7 @@ splitting the fleet into independently plannable groups whenever the budget
 slack permits.
 """
 
-from .backup import BackupController, BackupDefect, BackupError, LacamBackup
+from .backup import BackupDefect, BackupError, LacamBackup
 from .cbs import ConstraintTreeNode, SearchOutcome, run_adaptive, run_classic_cbs
 from .certificate import (
     Certificate,
@@ -54,7 +54,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackupController",
     "BackupDefect",
     "BackupError",
     "BudgetInvariantError",

@@ -1,5 +1,10 @@
 """Complete backup solver producing conflict-free goal-reaching plans.
 
+LacamBackup.rollout hands back a plan in the certificate's format: for each
+agent, its path from its start to its goal with goal waits stripped.  On any
+feasible sub-instance the paths are mutually conflict-free (read past its
+end, a path waits at its goal); on an infeasible one it raises BackupError.
+
 The solver follows the LaCAM scheme: a lazy depth-first search over joint
 configurations whose successors are proposed by a PIBT-style one-step
 generator (priority inheritance resolves pushes), with per-agent forced-move
@@ -12,7 +17,8 @@ members' goal distances.  f = g + h never decreases along a chain (an
 off-goal member adds 1 to g and lowers its distance by at most 1; a member
 at its goal adds 0 and its distance can only rise), and at the goal
 configuration f is the plan's cost.  So once a configuration with
-f >= cost_limit is created, the rollout stops with BackupError.
+f >= cost_limit is created, the rollout stops with BackupError, and paths it
+does return cost less than the limit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import getitem, ne
 
 from .grid import INF, Graph, MapfInstance, is_symmetric
-from .trajectory import JointTrajectory, Trajectory
+from .trajectory import strip_goal_waits
 
 Configuration = tuple[int, ...]
 
@@ -36,40 +42,6 @@ class BackupDefect(RuntimeError):
     """Internal defect: the iteration cap or the makespan cap was exceeded."""
 
 
-class BackupController:
-    """Contract: rollout returns mutually conflict-free trajectories from the
-    given positions to the agents' goals, for any feasible sub-instance."""
-
-    def rollout(
-        self,
-        instance: MapfInstance,
-        agents: tuple[int, ...],
-        start: Configuration,
-        cost_limit: int | None = None,
-    ) -> JointTrajectory:
-        """Conflict-free goal-reaching trajectories for `agents` from `start`.
-
-        `start` holds one vertex per member of `agents`, pairwise distinct.
-        With a `cost_limit`, a rollout may raise BackupError instead of
-        returning trajectories that cost (in off-goal agent-steps) at least
-        the limit; trajectories it does return cost less than the limit.
-        """
-        raise NotImplementedError
-
-
-@dataclass
-class _LowNode:
-    """Lazily enumerated forced-move constraints: the first `depth` agents in
-    the parent's order are pinned to `where`."""
-
-    who: tuple[int, ...] = ()
-    where: tuple[int, ...] = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.who)
-
-
 @dataclass
 class _HighNode:
     config: Configuration
@@ -78,10 +50,12 @@ class _HighNode:
     elevation: tuple[int, ...]
     g: int  # off-goal agent-steps along the parent chain
     off: int  # members off their goals in `config`
-    tree: deque = field(default_factory=deque)
+    # Lazily enumerated low-level constraints, each a tuple of (member,
+    # vertex) pins: the first len(low) members in `order` are pinned.
+    tree: deque = field(default_factory=lambda: deque([()]))
 
 
-class LacamBackup(BackupController):
+class LacamBackup:
     """Lazy configuration-tree search with priority-inheritance successors."""
 
     def __init__(self, seed: int = 0):
@@ -93,26 +67,30 @@ class LacamBackup(BackupController):
         agents: tuple[int, ...],
         start: Configuration,
         cost_limit: int | None = None,
-    ) -> JointTrajectory:
-        """Conflict-free goal-reaching trajectories for `agents` from `start`.
+    ) -> dict[int, tuple[int, ...]]:
+        """Conflict-free paths for `agents` from `start` to their goals, goal
+        waits stripped, keyed by agent in the order of `agents`.
 
-        With a `cost_limit`, the root and every configuration created are
-        priced, and the rollout raises BackupError at the first whose
-        f = g + h reaches the limit.  Until then it draws and explores
-        exactly as an unlimited rollout does, so a limited rollout that
-        returns gives the unlimited result.  The cut-off is exact unless
-        LaCAM revisits a configuration after the bound is crossed: the
-        unlimited search could then still reach the goals along a chain that
-        avoids the crossing configuration, and the limited one drops that
-        tail.  Dropping a tail is always safe for a caller that keeps an
-        incumbent plan.
+        `start` holds one vertex per member of `agents`, pairwise distinct.
+        With a `cost_limit`, a rollout may raise BackupError instead of
+        returning paths that cost (in off-goal agent-steps) at least the
+        limit; paths it does return cost less than the limit.  The root and
+        every configuration created are then priced, and the rollout raises
+        BackupError at the first whose f = g + h reaches the limit.  Until
+        then it draws and explores exactly as an unlimited rollout does, so a
+        limited rollout that returns gives the unlimited result.  The cut-off
+        is exact unless LaCAM revisits a configuration after the bound is
+        crossed: the unlimited search could then still reach the goals along
+        a chain that avoids the crossing configuration, and the limited one
+        drops that tail.  Dropping a tail is always safe for a caller that
+        keeps an incumbent plan.
         """
         graph = instance.graph
         if not is_symmetric(graph):
             raise BackupError("LaCAM requires a symmetric graph")
         n = len(agents)
         if n == 0:
-            return JointTrajectory([])
+            return {}
         if len(set(start)) != n:
             raise BackupError("start configuration has coinciding agents")
         goals = tuple(instance.goals[a] for a in agents)
@@ -136,10 +114,7 @@ class LacamBackup(BackupController):
         def make_order(elevation: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(sorted(by_gamma, key=elevation.__getitem__, reverse=True))
 
-        root = _HighNode(
-            start, None, tuple(by_gamma), (0,) * n, 0, sum(map(ne, start, goals)),
-            deque([_LowNode()]),
-        )
+        root = _HighNode(start, None, tuple(by_gamma), (0,) * n, 0, sum(map(ne, start, goals)))
         explored: dict[Configuration, _HighNode] = {start: root}
         stack: list[_HighNode] = [root]
 
@@ -155,12 +130,11 @@ class LacamBackup(BackupController):
                 stack.pop()
                 continue
             low = node.tree.popleft()
-            if low.depth < n:
-                member = node.order[low.depth]
-                who = low.who + (member,)
+            if len(low) < n:
+                member = node.order[len(low)]
                 for u in moves[node.config[member]]:
-                    node.tree.append(_LowNode(who, low.where + (u,)))
-            forced = dict(zip(low.who, low.where))
+                    node.tree.append(low + ((member, u),))
+            forced = dict(low)
             config = _pibt_step(graph, node.config, node.order, dists, forced, rng)
             if config is None:
                 continue
@@ -175,8 +149,7 @@ class LacamBackup(BackupController):
                 [0 if v == goal else e + 1 for v, goal, e in zip(config, goals, node.elevation)]
             )
             child = _HighNode(
-                config, node, make_order(elevation), elevation, g, n - elevation.count(0),
-                deque([_LowNode()]),
+                config, node, make_order(elevation), elevation, g, n - elevation.count(0)
             )
             explored[config] = child
             stack.append(child)
@@ -185,7 +158,7 @@ class LacamBackup(BackupController):
 
     def _backtrack(
         self, node: _HighNode, agents: tuple[int, ...], makespan_cap: int
-    ) -> JointTrajectory:
+    ) -> dict[int, tuple[int, ...]]:
         configs: list[Configuration] = []
         cur: _HighNode | None = node
         while cur is not None:
@@ -194,16 +167,14 @@ class LacamBackup(BackupController):
         configs.reverse()
         if len(configs) - 1 > makespan_cap:
             raise BackupDefect(f"rollout makespan exceeds safety cap {makespan_cap}")
-        # Built from a list, each trajectory tuple is allocated at its final
-        # size.  tuple(<generator>) starts from a 10-slot tuple and resizes it,
-        # so freed trajectories would pile up on the free lists of sizes that
-        # such builds never draw from.
-        return JointTrajectory(
-            [
-                Trajectory(a, tuple([cfg[i] for cfg in configs]))
-                for i, a in enumerate(agents)
-            ]
-        )
+        # Built from a list, each path tuple is allocated at its final size.
+        # tuple(<generator>) starts from a 10-slot tuple and resizes it, so
+        # freed paths would pile up on the free lists of sizes that such
+        # builds never draw from.
+        return {
+            a: strip_goal_waits(tuple([cfg[i] for cfg in configs]))
+            for i, a in enumerate(agents)
+        }
 
 
 # _SHUFFLE_STEPS[m] holds random.Random.shuffle's (k, k + 1, bit length of

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .backup import BackupError, LacamBackup
+from .certificate import plan_cost
 from .grid import INF, InfeasibleInstanceError, MapfInstance, sat_add
 from .lowlevel import ConstraintSet, Reach, greedy_path, plan_constrained
 from .trajectory import (
@@ -30,7 +31,7 @@ from .trajectory import (
     count_conflicts,
     detect_first_conflict,
     path_cost,
-    soc,
+    strip_goal_waits,
 )
 
 
@@ -248,45 +249,39 @@ def run_adaptive(
     return SearchOutcome(best_node, best_h, reason, expansions, dequeues)
 
 
-def trim_to_goals(joint: JointTrajectory, goals) -> JointTrajectory:
-    """Drop trailing timesteps where every agent already sits at its goal."""
-    end = joint.makespan
-    while end > 0 and all(
-        traj[end] == goals[traj.agent] and traj[end - 1] == goals[traj.agent]
-        for traj in joint.trajectories
-    ):
-        end -= 1
-    return JointTrajectory(
-        [Trajectory(t.agent, t.vertices[: end + 1]) for t in joint.trajectories]
-    )
-
-
 def run_classic_cbs(
     instance: MapfInstance,
     h_max: int | None = None,
     expansion_cap: int | None = None,
 ) -> JointTrajectory:
-    """Full-horizon CBS: SOC-optimal conflict-free solution.
+    """Full-horizon CBS: SOC-optimal conflict-free solution, each trajectory
+    ending where its agent reaches its goal for good.
 
     When h_max is not given, a backup rollout supplies a sound horizon bound
     (its cost upper-bounds the optimal SOC, which upper-bounds the optimal
-    makespan).
+    makespan).  A given h_max must cover a solution: when the search's
+    conflict-free plan leaves an agent short of its goal at h_max,
+    InfeasibleInstanceError is raised.
     """
     if instance.n_agents == 0:
         return JointTrajectory([])
+    agents = tuple(range(instance.n_agents))
     if h_max is None:
         try:
-            rollout = LacamBackup(seed=0).rollout(
-                instance, tuple(range(instance.n_agents)), instance.starts
-            )
+            paths = LacamBackup(seed=0).rollout(instance, agents, instance.starts)
         except BackupError as exc:
             raise InfeasibleInstanceError(str(exc)) from exc
-        h_max = max(soc(rollout, instance.goals), 1)
+        h_max = max(plan_cost(paths, instance), 1)
     outcome = run_adaptive(instance, instance.starts, h_max, None,
                            expansion_cap=expansion_cap)
     if outcome.reason == "cap":
         raise ExpansionCapExceeded(f"expansion cap {expansion_cap} exceeded")
     if outcome.best_node is None or outcome.best_h < h_max:
         raise InfeasibleInstanceError("no conflict-free solution found (infeasible instance?)")
-    agents = tuple(range(instance.n_agents))
-    return trim_to_goals(outcome.best_node.joint(agents), instance.goals)
+    paths = {a: strip_goal_waits(outcome.best_node.trajectories[a].vertices) for a in agents}
+    for a in agents:
+        if paths[a][-1] != instance.goals[a]:
+            raise InfeasibleInstanceError(
+                f"h_max {h_max} is too short: agent {a} does not reach its goal"
+            )
+    return JointTrajectory([Trajectory(a, paths[a]) for a in agents])

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backup import BackupController, BackupError
+from .backup import BackupError, LacamBackup
 from .grid import InfeasibleInstanceError, MapfInstance
-from .trajectory import JointTrajectory, Trajectory, is_conflict_free, path_cost
+from .trajectory import JointTrajectory, Trajectory, is_conflict_free, path_cost, strip_goal_waits
 
 
 class CertificateError(RuntimeError):
@@ -67,7 +67,7 @@ def plan_cost(paths: dict[int, tuple[int, ...]], instance: MapfInstance) -> int:
 
 
 def init_certificate(
-    backup: BackupController, instance: MapfInstance, state, group: tuple[int, ...]
+    backup: LacamBackup, instance: MapfInstance, state, group: tuple[int, ...]
 ) -> Certificate:
     """Certificate from a backup rollout at the current state.
 
@@ -75,18 +75,10 @@ def init_certificate(
     plan from this state and InfeasibleInstanceError is raised.
     """
     try:
-        rollout = backup.rollout(instance, group, tuple(state[a] for a in group))
+        paths = backup.rollout(instance, group, tuple(state[a] for a in group))
     except BackupError as exc:
         raise InfeasibleInstanceError(f"no plan for group {group}: {exc}") from exc
-    paths = {traj.agent: _strip_goal_waits(traj.vertices) for traj in rollout.trajectories}
     return Certificate(group, paths, plan_cost(paths, instance))
-
-
-def _strip_goal_waits(vertices: tuple[int, ...]) -> tuple[int, ...]:
-    end = len(vertices) - 1
-    while end > 0 and vertices[end - 1] == vertices[-1]:
-        end -= 1
-    return vertices[: end + 1]
 
 
 def advance(cert: Certificate, executed_state) -> Certificate:
@@ -122,7 +114,7 @@ def try_improve(
     way, so only validation can reject it."""
     if set(candidate) != set(cert.agents) or not all(candidate.values()):
         return cert, False
-    paths = {a: _strip_goal_waits(candidate[a]) for a in cert.agents}
+    paths = {a: strip_goal_waits(candidate[a]) for a in cert.agents}
     cost = plan_cost(paths, instance)
     if cost >= cert.budget:
         return cert, False
@@ -136,7 +128,7 @@ def try_improve(
 
 def build_candidate(
     prefix: dict[int, tuple[int, ...]],
-    backup: BackupController,
+    backup: LacamBackup,
     instance: MapfInstance,
     group: tuple[int, ...],
     budget: int,
@@ -168,7 +160,7 @@ def build_candidate(
         )
     except BackupError:
         return None
-    return {traj.agent: heads[traj.agent] + traj.vertices for traj in tail.trajectories}
+    return {a: heads[a] + tail[a] for a in group}
 
 
 def first_movement(cert: Certificate) -> Movement:

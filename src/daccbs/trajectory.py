@@ -1,5 +1,10 @@
 """Trajectory containers, padding semantics, conflict detection, and costs.
 
+Read past a path's end, its agent waits at the last vertex; JointTrajectory
+pads paths with those waits to a common makespan.  A plan's path ends at the
+goal, where its agent arrives for good, and strip_goal_waits drops any waits
+after that arrival.
+
 The running cost p(v) charges 1 for every timestep an agent occupies a vertex
 other than its goal, evaluated literally per timestep: intermediate goal
 visits cost 0 even if the agent leaves again.  The finite-horizon cost of a
@@ -147,6 +152,15 @@ def count_conflicts(joint: JointTrajectory, horizon: int, start: int = 0) -> int
     return total
 
 
+def strip_goal_waits(vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The path without the waits at its last vertex (its goal, in a plan):
+    it ends when its agent arrives there for good."""
+    end = len(vertices) - 1
+    while end > 0 and vertices[end - 1] == vertices[-1]:
+        end -= 1
+    return vertices[: end + 1]
+
+
 def path_cost(vertices: tuple[int, ...] | list[int], goal: int) -> int:
     """Running cost of a full vertex sequence (its terminal assumed at goal)."""
     return sum(1 for v in vertices if v != goal)
@@ -174,6 +188,7 @@ __all__ = [
     "detect_first_conflict",
     "count_conflicts",
     "path_cost",
+    "strip_goal_waits",
     "soc",
     "is_conflict_free",
     "INF",

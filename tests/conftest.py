@@ -17,6 +17,8 @@ from daccbs import (
     parse_map,
 )
 import daccbs.backup
+import daccbs.controller
+from daccbs.cbs import run_adaptive
 from daccbs.grid import sat_add
 
 
@@ -127,6 +129,12 @@ def prefix_cost(traj: Trajectory, h_r: int, gamma: DistanceField) -> int:
     return sat_add(running, gamma[traj[h_r]])
 
 
+def joint(paths: dict[int, tuple[int, ...]]) -> JointTrajectory:
+    """The padded view of a path dict (a rollout's result), for the checks
+    that read one: is_conflict_free, soc and positions_at."""
+    return JointTrajectory([Trajectory(a, path) for a, path in paths.items()])
+
+
 def positions_at(joint: JointTrajectory, t: int) -> tuple[int, ...]:
     """Every agent's vertex at time t, read from the padded rows."""
     return tuple(row[t] for row in joint.rows)
@@ -158,6 +166,22 @@ def count_configurations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(daccbs.backup, "_HighNode", Counted)
     return counter
+
+
+@pytest.fixture
+def fixed_work(monkeypatch):
+    """Call with an expansion cap to make every controller search run with
+    no deadline and at most that many expansions, so an episode does the
+    same work, and gives the same outputs, on any machine."""
+
+    def cap_searches(expansion_cap: int) -> None:
+        def capped(instance, state, h_max, deadline_s, **kwargs):
+            return run_adaptive(instance, state, h_max, None, expansion_cap=expansion_cap,
+                                **kwargs)
+
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", capped)
+
+    return cap_searches
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from conftest import (
     chain_graph,
     count_configurations,
     cross_instance,
+    joint,
     make_grid,
     positions_at,
     random_instance,
@@ -37,21 +38,21 @@ class TestLacamBasics:
     def test_all_at_goals(self):
         g = chain_graph(5)
         inst = MapfInstance(g, (0, 4), (0, 4))
-        jt = rollout_all(BACKUP, inst)
+        jt = joint(rollout_all(BACKUP, inst))
         assert jt.makespan == 0
         assert positions_at(jt, 0) == (0, 4)
 
     def test_single_agent_greedy(self):
         g = chain_graph(5)
         inst = MapfInstance(g, (0,), (4,))
-        jt = rollout_all(BACKUP, inst)
-        assert jt[0].vertices == (0, 1, 2, 3, 4)
+        paths = rollout_all(BACKUP, inst)
+        assert paths[0] == (0, 1, 2, 3, 4)
 
     def test_corridor_with_pocket(self):
         # 1x5 corridor with a side pocket above cell 2; two agents head-on
         g = make_grid(2, 5, {(0, 0), (0, 1), (0, 3), (0, 4)})
         inst = MapfInstance(g, (1, 5), (5, 1))
-        jt = rollout_all(BACKUP, inst)
+        jt = joint(rollout_all(BACKUP, inst))
         assert is_conflict_free(jt)
         assert positions_at(jt, jt.makespan) == inst.goals
         assert soc(jt, inst.goals) >= optimal_soc(inst)
@@ -86,13 +87,13 @@ class TestLacamProperties:
         inst = random_instance(rng, 4, 4, 4)
         a = rollout_all(LacamBackup(seed=5), inst)
         b = rollout_all(LacamBackup(seed=5), inst)
-        assert [t.vertices for t in a.trajectories] == [t.vertices for t in b.trajectories]
+        assert a == b
 
     def test_cost_lower_bound(self):
         rng = random.Random(11)
         for _ in range(10):
             inst = random_instance(rng, 4, 4, 3)
-            jt = rollout_all(BACKUP, inst)
+            jt = joint(rollout_all(BACKUP, inst))
             gamma_sum = sum(g[s] for g, s in zip(inst.gammas, inst.starts))
             assert soc(jt, inst.goals) >= gamma_sum
 
@@ -102,7 +103,7 @@ class TestLacamProperties:
         starts = (0, 1, 2, 3, 4, 5, 6, 7)
         goals = (7, 6, 5, 4, 3, 2, 1, 0)
         inst = MapfInstance(g, starts, goals)
-        jt = rollout_all(BACKUP, inst)
+        jt = joint(rollout_all(BACKUP, inst))
         assert is_conflict_free(jt)
         assert positions_at(jt, jt.makespan) == goals
 
@@ -110,22 +111,25 @@ class TestLacamProperties:
         rng = random.Random(42)
         for _ in range(15):
             inst = random_instance(rng, 5, 5, rng.randint(2, 6))
-            jt = rollout_all(BACKUP, inst)
+            paths = rollout_all(BACKUP, inst)
+            jt = joint(paths)
             assert is_conflict_free(jt)
             assert positions_at(jt, jt.makespan) == inst.goals
+            # Goal waits are stripped: a path ends when its agent arrives.
+            assert all(len(p) == 1 or p[-2] != p[-1] for p in paths.values())
 
     def test_mid_episode_restart(self):
         inst = cross_instance()
-        jt = rollout_all(BACKUP, inst)
+        jt = joint(rollout_all(BACKUP, inst))
         mid = positions_at(jt, 1)
-        jt2 = rollout_all(BACKUP, inst, mid)
+        jt2 = joint(rollout_all(BACKUP, inst, mid))
         assert is_conflict_free(jt2)
         assert positions_at(jt2, jt2.makespan) == inst.goals
 
 
 class TestCostLimit:
     def probe(self, monkeypatch, inst, start, seed, cost_limit):
-        """The rollout's trajectories (or its BackupError), the state of the
+        """The rollout's paths (or its BackupError), the state of the
         rng it drew from, and the number of configurations it created."""
         rngs = []
 
@@ -153,8 +157,8 @@ class TestCostLimit:
             inst = random_instance(rng, 6, 6, rng.randint(2, 12))
             start = tuple(rng.sample(range(inst.graph.vertex_count), inst.n_agents))
             full, full_state, created = self.probe(monkeypatch, inst, start, seed, None)
-            cost = soc(full, inst.goals)
-            revisited = created > full.makespan + 1
+            cost = soc(joint(full), inst.goals)
+            revisited = created > joint(full).makespan + 1
             for limit in range(max(cost - 3, 0), cost + 4):
                 result, state, _ = self.probe(monkeypatch, inst, start, seed, limit)
                 if isinstance(result, BackupError):
@@ -163,9 +167,7 @@ class TestCostLimit:
                 else:
                     outcomes["returned"] += 1
                     assert cost < limit, (seed, limit, cost)
-                    assert [t.vertices for t in result.trajectories] == [
-                        t.vertices for t in full.trajectories
-                    ]
+                    assert result == full
                     assert state == full_state
         assert outcomes["returned"] and outcomes["cut"], outcomes
 
@@ -174,8 +176,8 @@ class TestCostLimit:
         inst = MapfInstance(chain_graph(5), (0,), (4,))
         with pytest.raises(BackupError):
             BACKUP.rollout(inst, (0,), (0,), cost_limit=4)
-        assert rollout_all(BACKUP, inst)[0].vertices == (0, 1, 2, 3, 4)
-        assert BACKUP.rollout(inst, (0,), (0,), cost_limit=5)[0].vertices == (0, 1, 2, 3, 4)
+        assert rollout_all(BACKUP, inst)[0] == (0, 1, 2, 3, 4)
+        assert BACKUP.rollout(inst, (0,), (0,), cost_limit=5)[0] == (0, 1, 2, 3, 4)
 
 
 class TestRolloutMemory:
@@ -184,7 +186,7 @@ class TestRolloutMemory:
         reason="counts CPython allocator blocks",
     )
     def test_repeated_rollouts_leave_no_blocks_behind(self):
-        # Trajectory tuples allocated at their final size are reused by later
+        # Path tuples allocated at their final size are reused by later
         # rollouts; resized ones would pile up on tuple free lists, about ten
         # blocks per rollout.
         inst = random_instance(random.Random(0), 12, 12, 10)

@@ -391,6 +391,22 @@ class TestClassicCbs:
         inst = MapfInstance(g, (), ())
         assert len(run_classic_cbs(inst)) == 0
 
+    def test_h_max_too_short_to_reach_the_goals(self):
+        # The root's greedy walk is cut off at h_max and has no conflict, so
+        # the search ends conflict-free at h_max without reaching the goal.
+        inst = MapfInstance(chain_graph(6), (0,), (5,))
+        with pytest.raises(InfeasibleInstanceError, match="h_max 2"):
+            run_classic_cbs(inst, h_max=2)
+        solution = run_classic_cbs(inst, h_max=5)
+        assert [t.vertices for t in solution.trajectories] == [(0, 1, 2, 3, 4, 5)]
+
+    def test_solution_ends_when_the_last_agent_arrives(self):
+        # Agent 1 steps aside from agent 0's path and comes back; the
+        # solution ends at its return, however long h_max is.
+        inst = MapfInstance(make_grid(2, 3), (0, 1), (2, 1))
+        solution = run_classic_cbs(inst, h_max=20)
+        assert [t.vertices for t in solution.trajectories] == [(0, 1, 2), (1, 4, 1)]
+
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(7)
         for _ in range(30):

@@ -21,6 +21,7 @@ from conftest import (
     chain_graph,
     count_configurations,
     cross_instance,
+    joint,
     make_grid,
     random_instance,
 )
@@ -169,11 +170,12 @@ class TestBuildCandidate:
     def test_unequal_heads_join_at_one_time(self):
         # Agent 0's head ends at its goal first; it waits there until the
         # longer head ends, and the backup tail starts for both at time 4.
+        # Agent 0's tail is its goal alone: the backup strips goal waits.
         inst = disjoint_instance()
         candidate = build_candidate(
             {0: (0, 1, 2, 3), 1: (4, 5, 6, 7, 7)}, BACKUP, inst, (0, 1), NO_BUDGET
         )
-        assert candidate == {0: (0, 1, 2, 3, 3, 3), 1: (4, 5, 6, 7, 7, 8)}
+        assert candidate == {0: (0, 1, 2, 3, 3), 1: (4, 5, 6, 7, 7, 8)}
 
     def test_budget_drops_exactly_the_candidates_it_would_reject(self, monkeypatch):
         # Heads cut from an incumbent's paths at random lengths (ending at
@@ -192,7 +194,7 @@ class TestBuildCandidate:
                 continue
             created[0] = 0
             tail = BACKUP.rollout(inst, group, tuple(prefix[a][-1] for a in group))
-            if created[0] > tail.makespan + 1:
+            if created[0] > joint(tail).makespan + 1:
                 continue  # LaCAM revisited a configuration
             unlimited = build_candidate(prefix, BACKUP, inst, group, NO_BUDGET)
             cost = plan_cost(unlimited, inst)

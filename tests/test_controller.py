@@ -282,9 +282,9 @@ class TestDaccbsMode:
                 assert candidate in (None, unlimited)
                 junction = max(len(head) for head in prefix.values())
                 tail = backup.rollout(instance, group, tuple(prefix[a][-1] for a in group))
-                for a, traj in zip(group, tail.trajectories):
+                for a in group:
                     head = prefix[a] + (prefix[a][-1],) * (junction - len(prefix[a]))
-                    assert unlimited[a] == head + traj.vertices[1:]
+                    assert unlimited[a] == head + tail[a][1:]
                 tails.append(junction)
             return candidate
 

@@ -1,0 +1,63 @@
+"""Episode outputs pinned at a fixed work budget.
+
+Every search runs with no deadline and a fixed expansion cap (the
+`fixed_work` fixture), so an episode's outputs depend only on the code, not
+on the machine's speed or on hash randomization.  A change that must keep
+outputs identical keeps these values; one that changes them on purpose says
+so and records them again.
+"""
+
+import random
+
+import pytest
+
+from daccbs import ControllerConfig, FleetController, run_episode
+
+from conftest import random_instance
+
+
+def outputs(instance, mode, fixed_work):
+    """(soc, initial budget, termination, per-step budgets, factorization
+    entries) of one episode, every search capped at 20 expansions."""
+    fixed_work(20)
+    controller = FleetController(instance, ControllerConfig(h_max=32, mode=mode, seed=0))
+    result = run_episode(instance, controller, step_cap=100)
+    budgets = [budget for _, budget, _ in result.budget_trace]
+    return (result.soc, result.initial_budget, result.termination, budgets,
+            len(result.factorization_trace))
+
+
+# Keyed by the random_instance seed and the mode.
+PINNED = {
+    (0, "daccbs"): (50, 54, "all-at-goals", [50, 40, 30, 21, 15, 11, 7, 4, 2, 1], 2),
+    (0, "accbs"): (50, None, "all-at-goals", [], 0),
+    (1, "daccbs"): (63, 68, "all-at-goals", [68, 56, 47, 39, 31, 23, 15, 10, 7, 5, 3], 6),
+    (1, "accbs"): (59, None, "all-at-goals", [], 0),
+    (2, "daccbs"): (63, 77, "all-at-goals", [75, 55, 46, 39, 32, 25, 18, 11, 6, 3, 1], 6),
+    (2, "accbs"): (65, None, "all-at-goals", [], 0),
+    (3, "daccbs"): (56, 69, "all-at-goals", [59, 46, 36, 27, 20, 15, 10, 7, 5, 3, 1], 3),
+    (3, "accbs"): (56, None, "all-at-goals", [], 0),
+    (4, "daccbs"): (67, 89, "all-at-goals", [67, 57, 47, 37, 27, 18, 11, 6, 3, 1], 1),
+    (4, "accbs"): (67, None, "all-at-goals", [], 0),
+    (5, "daccbs"): (61, 69, "all-at-goals", [68, 58, 48, 33, 26, 18, 14, 10, 5, 2], 7),
+    (5, "accbs"): (61, None, "all-at-goals", [], 0),
+    (6, "daccbs"): (45, 56, "all-at-goals", [52, 35, 28, 20, 15, 11, 6, 2], 5),
+    (6, "accbs"): (45, None, "all-at-goals", [], 0),
+    (7, "daccbs"): (57, 71, "all-at-goals", [66, 56, 37, 28, 19, 13, 8, 5, 4, 3, 2, 1], 3),
+    (7, "accbs"): (55, None, "all-at-goals", [], 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["daccbs", "accbs"])
+@pytest.mark.parametrize("seed", range(8))
+def test_small_blocked_grids(seed, mode, fixed_work):
+    instance = random_instance(random.Random(seed), 8, 8, 10, 0.1)
+    assert outputs(instance, mode, fixed_work) == PINNED[(seed, mode)]
+
+
+def test_contested_size_episode(fixed_work):
+    # The size of the contested benchmark workload: 16x16 open grid, 30 agents.
+    instance = random_instance(random.Random(0), 16, 16, 30)
+    budgets = [302, 265, 236, 209, 182, 158, 136, 115, 98, 71, 53, 41, 32, 23, 17, 14, 12,
+               10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
+    assert outputs(instance, "daccbs", fixed_work) == (285, 318, "all-at-goals", budgets, 10)
