@@ -17,6 +17,7 @@ from .certificate import (
     init_certificate,
     try_improve,
 )
+from .clock import WallClock, WorkClock
 from .controller import MODES, ControllerConfig, FleetController
 from .factorization import (
     BudgetInvariantError,
@@ -80,6 +81,8 @@ __all__ = [
     "OracleLimitError",
     "SearchOutcome",
     "Trajectory",
+    "WallClock",
+    "WorkClock",
     "advance",
     "build_candidate",
     "detect_first_conflict",

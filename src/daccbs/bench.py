@@ -151,22 +151,23 @@ def run_suite(spec: RunSpec) -> dict:
 def report_factorization(suite: dict) -> list[dict]:
     """Per-episode (N, K, max group size / N) at the half-makespan step.
 
-    Non-terminated episodes are excluded with a note.
+    Non-terminated episodes, and episodes with no step, are excluded with a
+    note.
     """
     rows = []
     n = suite["spec"]["agents"]
     for ep in suite["episodes"]:
         if ep["mode"] != "daccbs":
             continue
-        if ep["termination"] != "all-at-goals":
-            rows.append(
-                {"seed": ep["seed"], "t_max_ms": ep["t_max_ms"], "excluded": "not terminated"}
-            )
+        excluded = ("not terminated" if ep["termination"] != "all-at-goals"
+                    else "no steps" if ep["makespan"] == 0 else None)
+        if excluded:
+            rows.append({"seed": ep["seed"], "t_max_ms": ep["t_max_ms"], "excluded": excluded})
             continue
         half = math.ceil(ep["makespan"] / 2)
         groups = groups_at_step(ep, half)
         k = len(groups)
-        ratio = max(groups, default=n or 1) / n if n else 0.0
+        ratio = max(groups) / n
         rows.append(
             {
                 "seed": ep["seed"],

@@ -16,12 +16,12 @@ an optimal solution, which makes it plain full-horizon CBS.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 from .backup import BackupError, LacamBackup
 from .certificate import plan_cost
+from .clock import WallClock, WorkClock
 from .grid import INF, InfeasibleInstanceError, MapfInstance, sat_add
 from .lowlevel import ConstraintSet, Reach, greedy_path, plan_constrained
 from .trajectory import (
@@ -159,10 +159,9 @@ def run_adaptive(
     instance: MapfInstance,
     state,
     h_max: int,
-    deadline_s: float | None,
+    clock: WallClock | WorkClock | None,
     on_prefix_found: Callable[[ConstraintTreeNode, int], None] | None = None,
     agents: tuple[int, ...] | None = None,
-    expansion_cap: int | None = None,
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
 
@@ -176,8 +175,9 @@ def run_adaptive(
 
     on_prefix_found is invoked with (node, h_r) whenever a dequeued node's
     active prefix is conflict-free, and once more at h_r = H_max before the
-    final break.  deadline_s is a wall-clock budget in seconds (None = no
-    limit), checked before every dequeue and every conflict count.
+    final break.  The clock (None = no limit) is asked before every dequeue
+    and every conflict count; once it has expired the search stops with the
+    clock's reason.
 
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
@@ -196,7 +196,6 @@ def run_adaptive(
     if not agents:
         root = ConstraintTreeNode(ConstraintSet(), {}, 0)
         return SearchOutcome(root, h_max, "horizon")
-    start_time = time.perf_counter()
     root = make_root(instance, state, h_max, agents)
     seq = 0
     h_r = 1
@@ -213,11 +212,8 @@ def run_adaptive(
     dequeues = 0
     reason = "exhausted"
     while heap:
-        if deadline_s is not None and time.perf_counter() - start_time >= deadline_s:
-            reason = "deadline"
-            break
-        if expansion_cap is not None and expansions >= expansion_cap:
-            reason = "cap"
+        if clock is not None and clock.expired(expansions):
+            reason = clock.reason
             break
         cost, conflicts, node_seq, node, pushed_h, conflict = heap[0]
         if conflicts < 0:
@@ -229,8 +225,6 @@ def run_adaptive(
         if conflict is None or conflict.time > h_r:
             if on_prefix_found is not None:
                 on_prefix_found(node, h_r)
-            if h_r > best_h:
-                best_node, best_h = node, h_r
             if conflict is None:  # conflict-free up to h_max
                 best_node, best_h = node, h_max
                 if on_prefix_found is not None:
@@ -272,8 +266,8 @@ def run_classic_cbs(
         except BackupError as exc:
             raise InfeasibleInstanceError(str(exc)) from exc
         h_max = max(plan_cost(paths, instance), 1)
-    outcome = run_adaptive(instance, instance.starts, h_max, None,
-                           expansion_cap=expansion_cap)
+    clock = None if expansion_cap is None else WorkClock(expansion_cap)
+    outcome = run_adaptive(instance, instance.starts, h_max, clock)
     if outcome.reason == "cap":
         raise ExpansionCapExceeded(f"expansion cap {expansion_cap} exceeded")
     if outcome.best_node is None or outcome.best_h < h_max:

@@ -2,10 +2,10 @@
 certificate improvement, slackness-triggered factorization, and movement
 extraction.
 
-Three modes are provided:
-  * "daccbs"      - certificates + adaptive search + factorization;
-  * "accbs"       - certificate-free adaptive search (ablation baseline);
-  * "backup-only" - follow the backup certificate with no search.
+Two modes are provided:
+  * "daccbs" - certificates + adaptive search + factorization;
+  * "accbs"  - certificate-free adaptive search (ablation baseline).
+At t_max 0 a daccbs group runs no search and follows its certificate.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from .certificate import (
     init_certificate,
     try_improve,
 )
+from .clock import WallClock
 from .factorization import partition, reachable_region, should_refactor, slackness
 from .grid import INF, MapfInstance
 
 
-MODES = ("daccbs", "accbs", "backup-only")
+MODES = ("daccbs", "accbs")
 
 
 @dataclass
@@ -77,7 +78,7 @@ class FleetController:
         self._next_group_id = 0
         self._prev_regions: dict[int, frozenset[int]] = {}
 
-    # -- daccbs / backup-only -------------------------------------------------
+    # -- daccbs ---------------------------------------------------------------
 
     def plan_step(self, state) -> tuple[Movement, dict]:
         """Movement for the current state plus a step telemetry record."""
@@ -93,12 +94,12 @@ class FleetController:
         groups = self.groups
         assert groups is not None
         # Groups are planned one after another, so each gets an equal share.
-        deadline_s = self.config.t_max_ms / 1000.0 / max(len(groups), 1)
+        share = self.config.t_max_ms / 1000.0 / max(len(groups), 1)
 
         new_groups: list[GroupState] = []
         searches = []
         for group in groups:
-            parts, search, trace = self._plan_group(group, state, deadline_s)
+            parts, search, trace = self._plan_group(group, state, share)
             new_groups.extend(parts)
             searches.append(search)
             if trace is not None:
@@ -152,7 +153,7 @@ class FleetController:
         return gid
 
     def _plan_group(
-        self, group: GroupState, state, deadline_s: float
+        self, group: GroupState, state, share: float
     ) -> tuple[list[GroupState], dict, dict | None]:
         """The group's parts after this step, one record of its search, and
         a factorization trace entry if a split was attempted."""
@@ -190,9 +191,9 @@ class FleetController:
         # already equals it (slack 0) can never be improved: skip its search.
         slack = slackness(group.agents, cert.budget, state, instance.gammas)
         # Why the search stopped: a SearchOutcome.reason, "skipped" when the
-        # group's slack is 0, or None when the mode or deadline runs no search.
+        # group's slack is 0, or None when a zero share runs no search.
         search, expansions, dequeues = None, 0, 0
-        if self.config.mode == "daccbs" and deadline_s > 0:
+        if share > 0:
             if slack == 0:
                 search = "skipped"
             else:
@@ -200,7 +201,7 @@ class FleetController:
                     instance,
                     state,
                     self.config.h_max,
-                    deadline_s,
+                    WallClock(share),
                     on_prefix_found=on_prefix,
                     agents=group.agents,
                 )
@@ -245,7 +246,7 @@ class FleetController:
     def _plan_step_accbs(self, state) -> tuple[Movement, dict]:
         agents = tuple(range(self.instance.n_agents))
         outcome = run_adaptive(
-            self.instance, state, self.config.h_max, self.config.t_max_ms / 1000.0,
+            self.instance, state, self.config.h_max, WallClock(self.config.t_max_ms / 1000.0),
             agents=agents,
         )
         movement: Movement = {}

@@ -112,9 +112,6 @@ class DistanceField:
     def __getitem__(self, v: int) -> int:
         return self.values[v]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _bfs(adjacency: tuple[tuple[int, ...], ...], source: int) -> tuple[int, ...]:
     dist = [INF] * len(adjacency)

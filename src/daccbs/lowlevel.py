@@ -70,9 +70,6 @@ class ConstraintSet:
         times += [t + 1 for a, t, _ in self.edge_constraints if a == agent]
         return max(times, default=0)
 
-    def __len__(self) -> int:
-        return len(self.vertex_constraints) + len(self.edge_constraints)
-
 
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
     """Gamma-greedy walk of at most `length` steps: descend gamma via the

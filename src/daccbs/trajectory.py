@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grid import INF
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -179,17 +177,3 @@ def soc(joint: JointTrajectory, goals) -> int:
 
 def is_conflict_free(joint: JointTrajectory) -> bool:
     return detect_first_conflict(joint, joint.makespan) is None
-
-
-__all__ = [
-    "Trajectory",
-    "JointTrajectory",
-    "Conflict",
-    "detect_first_conflict",
-    "count_conflicts",
-    "path_cost",
-    "strip_goal_waits",
-    "soc",
-    "is_conflict_free",
-    "INF",
-]

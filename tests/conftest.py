@@ -14,11 +14,11 @@ from daccbs import (
     JointTrajectory,
     MapfInstance,
     Trajectory,
+    WorkClock,
     parse_map,
 )
 import daccbs.backup
 import daccbs.controller
-from daccbs.cbs import run_adaptive
 from daccbs.grid import sat_add
 
 
@@ -170,16 +170,13 @@ def count_configurations(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def fixed_work(monkeypatch):
-    """Call with an expansion cap to make every controller search run with
-    no deadline and at most that many expansions, so an episode does the
-    same work, and gives the same outputs, on any machine."""
+    """Call with an expansion cap to hand every controller search a
+    WorkClock of that many expansions instead of its WallClock, so an episode
+    does the same work, and gives the same outputs, on any machine."""
 
     def cap_searches(expansion_cap: int) -> None:
-        def capped(instance, state, h_max, deadline_s, **kwargs):
-            return run_adaptive(instance, state, h_max, None, expansion_cap=expansion_cap,
-                                **kwargs)
-
-        monkeypatch.setattr(daccbs.controller, "run_adaptive", capped)
+        monkeypatch.setattr(daccbs.controller, "WallClock",
+                            lambda seconds: WorkClock(expansion_cap))
 
     return cap_searches
 

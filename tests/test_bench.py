@@ -63,7 +63,7 @@ class TestRunSuite:
         assert suite["aggregates"][0]["mean_soc_increment"] == 0.0
 
     def test_cartesian_product(self, files):
-        spec = base_spec(*files, modes=["daccbs", "backup-only"], seeds=[0, 1])
+        spec = base_spec(*files, modes=["daccbs", "accbs"], seeds=[0, 1])
         suite = run_suite(spec)
         assert len(suite["episodes"]) == 4
         assert len(suite["aggregates"]) == 2
@@ -83,8 +83,7 @@ class TestRunSuite:
     def test_replay_identical(self, files):
         # The CLI path: episodes run one after another, groups one after another.
         def episodes():
-            spec = base_spec(*files, modes=["daccbs", "backup-only"], t_max_ms=[0.0],
-                             seeds=[0, 1])
+            spec = base_spec(*files, t_max_ms=[0.0], seeds=[0, 1, 2, 3])
             eps = run_suite(spec)["episodes"]
             for ep in eps:
                 for telem in ep["telemetry"]:
@@ -120,6 +119,7 @@ class TestMainExitCodes:
             pytest.param(["--backup", "nope"], id="backup-unknown"),
             pytest.param(["--backup", "cbs-full"], id="backup-removed"),
             pytest.param(["--backup", "lacam-ref"], id="backup-flag-removed"),
+            pytest.param(["--mode", "backup-only"], id="mode-removed"),
             pytest.param(["--out", "{tmp}"], id="out-dir"),
             pytest.param(["--factorization-report", "{tmp}"], id="report-dir"),
         ],
@@ -245,3 +245,19 @@ class TestFactorizationReport:
         assert table
         assert table[0]["k_groups"] == 2
         assert table[0]["max_group_ratio"] == 0.5
+
+    def test_zero_step_episode_excluded(self, tmp_path):
+        # Both agents start on their goals, so the episode has no step and
+        # no groups to report.
+        map_path = tmp_path / "line.map"
+        scen_path = tmp_path / "line.scen"
+        report = tmp_path / "report.json"
+        map_path.write_text("type octile\nheight 1\nwidth 3\nmap\n...\n")
+        scen_path.write_text("version 1\n0\tline.map\t3\t1\t0\t0\t0\t0\t0.0\n"
+                             "0\tline.map\t3\t1\t2\t0\t2\t0\t0.0\n")
+        code = main(["--map", str(map_path), "--scen", str(scen_path), "--agents", "2",
+                     "--out", str(tmp_path / "o.json"), "--factorization-report", str(report)])
+        assert code == 0
+        assert json.loads(report.read_text()) == [
+            {"seed": 0, "t_max_ms": 100.0, "excluded": "no steps"}
+        ]

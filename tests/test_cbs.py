@@ -3,6 +3,7 @@ classic full-horizon mode against the brute-force oracle."""
 
 import heapq
 import random
+import time
 from itertools import product
 
 import pytest
@@ -11,6 +12,8 @@ import daccbs.cbs
 from daccbs import (
     InfeasibleInstanceError,
     MapfInstance,
+    WallClock,
+    WorkClock,
     optimal_soc,
     run_adaptive,
     run_classic_cbs,
@@ -134,7 +137,7 @@ class TestRunAdaptive:
 
     def test_zero_deadline(self):
         inst = cross_instance()
-        outcome = run_adaptive(inst, inst.starts, 10, 0.0)
+        outcome = run_adaptive(inst, inst.starts, 10, WallClock(0.0))
         assert outcome.best_node is None
         assert outcome.reason == "no-prefix"
 
@@ -255,7 +258,7 @@ class TestHorizonScan:
             for cap in (5, 40, 200):
                 seen, expected = [], []
                 outcome = run_adaptive(
-                    inst, inst.starts, h_max, None, expansion_cap=cap,
+                    inst, inst.starts, h_max, WorkClock(cap),
                     on_prefix_found=lambda n, h: seen.append((h, n.cost, n.constraints)),
                 )
                 best_node, best_h, reason, expansions, dequeues = incremental_run_adaptive(
@@ -330,7 +333,7 @@ class TestLazyConflictCount:
             for cap in (5, 60, 300):
                 seen, expected = [], []
                 outcome = run_adaptive(
-                    inst, inst.starts, h_max, None, expansion_cap=cap,
+                    inst, inst.starts, h_max, WorkClock(cap),
                     on_prefix_found=lambda n, h: seen.append((n.cost, h, n.trajectories)),
                 )
                 best_node, best_h, reason, expansions, dequeues = eager_run_adaptive(
@@ -358,7 +361,7 @@ class TestLazyConflictCount:
         monkeypatch.setattr(daccbs.cbs, "count_conflicts", counted)
         monkeypatch.setattr(daccbs.cbs, "expand", expanded)
         inst = random_instance(random.Random(1), *WORKLOAD_SHAPES[1])
-        outcome = run_adaptive(inst, inst.starts, 128, None, expansion_cap=300)
+        outcome = run_adaptive(inst, inst.starts, 128, WorkClock(300))
         assert outcome.expansions == len(pushed) > 0
         assert len(counts) < sum(pushed), (len(counts), sum(pushed))
         # A count starts at the node's first conflict, and a node whose first
@@ -414,3 +417,26 @@ class TestClassicCbs:
             solution = run_classic_cbs(inst)
             assert is_conflict_free(solution)
             assert soc(solution, inst.goals) == optimal_soc(inst)
+
+
+class TestWorkClock:
+    def test_search_never_reads_the_wall_clock(self, monkeypatch):
+        # Under a work budget a search's outcome depends on the code alone:
+        # with the wall clock unreadable, both searches end exactly as before.
+        inst = random_instance(random.Random(1), *WORKLOAD_SHAPES[1])
+        offline = random_instance(random.Random(0), *WORKLOAD_SHAPES[2])
+
+        def outcomes():
+            outcome = run_adaptive(inst, inst.starts, 128, WorkClock(50))
+            solved = run_classic_cbs(offline, expansion_cap=400)  # solves within the cap
+            return (outcome.reason, outcome.best_h, outcome.expansions, outcome.dequeues,
+                    outcome.best_node.trajectories, solved.rows)
+
+        expected = outcomes()
+        assert (expected[0], expected[2]) == ("cap", 50)
+
+        def unreadable():
+            raise AssertionError("the wall clock was read")
+
+        monkeypatch.setattr(time, "perf_counter", unreadable)
+        assert outcomes() == expected

@@ -344,10 +344,13 @@ class TestAccbsMode:
         assert result.budget_trace == []
 
 
-class TestBackupOnlyMode:
+class TestZeroDeadline:
     def test_terminates(self):
+        # With no search time every group follows its backup certificate.
         rng = random.Random(2)
         inst = random_instance(rng, 4, 4, 3)
-        result, controller = episode(inst, mode="backup-only")
+        result, controller = episode(inst, t_max_ms=0.0)
         assert result.termination == "all-at-goals"
         assert result.soc == controller.initial_budget
+        searches = [s for telem in result.telemetry for s in telem["searches"]]
+        assert searches and all(s["search"] is None for s in searches)

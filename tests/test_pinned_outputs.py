@@ -1,8 +1,8 @@
 """Episode outputs pinned at a fixed work budget.
 
-Every search runs with no deadline and a fixed expansion cap (the
-`fixed_work` fixture), so an episode's outputs depend only on the code, not
-on the machine's speed or on hash randomization.  A change that must keep
+Every search runs under a WorkClock of a fixed number of expansions instead
+of its WallClock (the `fixed_work` fixture), so an episode's outputs depend
+only on the code, not on the machine's speed or on hash randomization.  A change that must keep
 outputs identical keeps these values; one that changes them on purpose says
 so and records them again.
 """

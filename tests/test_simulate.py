@@ -60,8 +60,8 @@ class TestRunEpisode:
     def test_single_chain_any_mode(self):
         g = chain_graph(5)
         inst = MapfInstance(g, (0,), (4,))
-        for mode in ("daccbs", "accbs", "backup-only"):
-            controller = FleetController(inst, ControllerConfig(mode=mode, t_max_ms=20.0))
+        for mode, t_max_ms in (("daccbs", 20.0), ("accbs", 20.0), ("daccbs", 0.0)):
+            controller = FleetController(inst, ControllerConfig(mode=mode, t_max_ms=t_max_ms))
             result = run_episode(inst, controller)
             assert result.soc == 4
             assert result.makespan == 4
@@ -69,7 +69,7 @@ class TestRunEpisode:
     def test_step_cap_reported(self):
         g = chain_graph(5)
         inst = MapfInstance(g, (0,), (4,))
-        controller = FleetController(inst, ControllerConfig(mode="backup-only"))
+        controller = FleetController(inst, ControllerConfig(t_max_ms=0.0))
         result = run_episode(inst, controller, step_cap=2)
         assert result.termination == "step-cap"
         assert result.makespan == 2
@@ -105,7 +105,7 @@ class TestRunEpisode:
         inst = MapfInstance(chain_graph(3), (0, 2), (2, 0))
         with pytest.raises(InfeasibleInstanceError):
             run_classic_cbs(inst)
-        for mode in ("daccbs", "backup-only"):
-            controller = FleetController(inst, ControllerConfig(mode=mode))
+        for t_max_ms in (ControllerConfig.t_max_ms, 0.0):
+            controller = FleetController(inst, ControllerConfig(t_max_ms=t_max_ms))
             with pytest.raises(InfeasibleInstanceError):
                 run_episode(inst, controller)
