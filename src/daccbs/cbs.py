@@ -9,6 +9,11 @@ first conflict (or to H_max), found by one scan.  Because trajectories are
 gamma-greedy past their last constrained step, node costs are invariant
 under horizon extension and the tree is reused across increments.
 
+A node costs one low-level plan at most and one scan from where it changed.
+A search plans each (agent, own constraints) pair once (Replanner), and a
+child's scan starts at the first step where its replanned row leaves its
+parent's, since no conflict can lie before it.
+
 run_classic_cbs drives the same machinery to a horizon long enough to cover
 an optimal solution, which makes it plain full-horizon CBS.
 """
@@ -52,6 +57,10 @@ class ConstraintTreeNode:
     constraints: ConstraintSet
     trajectories: dict[int, Trajectory]  # agent id -> goal-terminated trajectory
     cost: int
+    # No conflict lies before this step, so the node's scan starts here: 0 at
+    # a root, and in a child the first step at which its replanned row
+    # differs from its parent's (at the latest the parent's conflict time).
+    scan_from: int = 0
 
     def joint(self, agents: tuple[int, ...]) -> JointTrajectory:
         """The members' trajectories padded to the group's own makespan."""
@@ -96,6 +105,49 @@ def make_root(
     return ConstraintTreeNode(ConstraintSet(), trajectories, total)
 
 
+class Replanner:
+    """One search's low-level plans from `state`.
+
+    A plan reads only its agent's own constraints: the agent's start, h_max,
+    gamma and Reach are fixed for the whole search.  So each (agent, own
+    constraints) pair is planned once and its result kept, an infeasible
+    None included, and each agent's Reach is grown once.  Trajectories are
+    frozen, so the children that share a plan share one object.
+    """
+
+    def __init__(self, instance: MapfInstance, state, h_max: int) -> None:
+        self._instance = instance
+        self._state = state
+        self._h_max = h_max
+        self._reaches: dict[int, Reach] = {}
+        self._plans: dict[tuple, tuple[Trajectory, int] | None] = {}
+
+    def plan(self, agent: int, constraints: ConstraintSet) -> tuple[Trajectory, int] | None:
+        own = constraints.only(agent)
+        key = (agent, own)
+        if key in self._plans:
+            return self._plans[key]
+        reach = self._reaches.get(agent)
+        if reach is None:
+            reach = self._reaches[agent] = Reach(self._instance.graph, self._state[agent])
+        plan = self._plans[key] = plan_constrained(
+            self._instance.graph, agent, self._state[agent], own, self._h_max,
+            self._instance.gammas[agent], reach=reach,
+        )
+        return plan
+
+
+def _first_change(old: tuple[int, ...], new: tuple[int, ...], end: int) -> int:
+    """First step before `end` at which two paths, each read as waiting at
+    its last vertex past its end, differ; `end` when they agree up to it."""
+    old = old[:end] + old[-1:] * (end - len(old))
+    new = new[:end] + new[-1:] * (end - len(new))
+    for t in range(1, end):
+        if old[t] != new[t]:
+            return t
+    return end
+
+
 def expand(
     node: ConstraintTreeNode,
     conflict: Conflict,
@@ -103,18 +155,23 @@ def expand(
     state,
     h_max: int,
     agents: tuple[int, ...],
-    reaches: dict[int, Reach] | None = None,
+    replanner: Replanner | None = None,
 ) -> list[ConstraintTreeNode]:
     """Children resolving the conflict, one added constraint each.
 
     Only the newly constrained agent is replanned; children whose replan is
     infeasible are omitted.  Edge conflicts reported at arrival time t become
-    departure-time constraints at t - 1.  `reaches` holds the search's Reach
-    for each agent replanned so far (from its vertex in `state`); agents
-    replanned here for the first time are added to it.
+    departure-time constraints at t - 1.  `replanner` is the search's
+    (without one, a fresh one serves this call alone).
+
+    A child's rows equal its parent's before the first step at which the
+    replanned row changes, and the parent had no conflict before its own
+    conflict's time; an edge conflict at t reads rows t - 1 and t.  So the
+    child has no conflict before the earlier of the two, and its scan_from
+    is that step.
     """
-    if reaches is None:
-        reaches = {}
+    if replanner is None:
+        replanner = Replanner(instance, state, h_max)
     children: list[ConstraintTreeNode] = []
     i, j = conflict.agents
     members = (agents[i], agents[j])
@@ -125,13 +182,7 @@ def expand(
             u, w = conflict.location
             edge = (u, w) if k == 0 else (w, u)
             constraints = node.constraints.with_edge(agent, conflict.time - 1, edge)
-        reach = reaches.get(agent)
-        if reach is None:
-            reach = reaches[agent] = Reach(instance.graph, state[agent])
-        plan = plan_constrained(
-            instance.graph, agent, state[agent], constraints, h_max, instance.gammas[agent],
-            reach=reach,
-        )
+        plan = replanner.plan(agent, constraints)
         if plan is None:
             continue
         traj, cost = plan
@@ -139,7 +190,10 @@ def expand(
         old_cost = path_cost(old[:-1], instance.goals[agent]) + instance.gammas[agent][old[-1]]
         trajectories = dict(node.trajectories)
         trajectories[agent] = traj
-        children.append(ConstraintTreeNode(constraints, trajectories, node.cost - old_cost + cost))
+        children.append(ConstraintTreeNode(
+            constraints, trajectories, node.cost - old_cost + cost,
+            _first_change(old, traj.vertices, conflict.time),
+        ))
     return children
 
 
@@ -147,9 +201,10 @@ def _first_conflict_and_count(
     node: ConstraintTreeNode, agents: tuple[int, ...], h_max: int, horizon: int
 ) -> tuple[int, Conflict | None]:
     """(conflict events in 0..horizon, first conflict within H_max) from one
-    joint build; the count starts at the first conflict, since none precedes it."""
+    joint build.  The scan starts at the node's scan_from and the count at
+    the first conflict, since none precedes either."""
     joint = node.joint(agents)
-    conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
+    conflict = detect_first_conflict(joint, min(h_max, joint.makespan), node.scan_from)
     if conflict is None or conflict.time > horizon:
         return 0, conflict
     return count_conflicts(joint, horizon, conflict.time), conflict
@@ -189,7 +244,10 @@ def run_adaptive(
     and the conflict, and the dequeue reads the conflict from it.  The order
     is the one eager counting gives, but children that are never dequeued
     are never counted, and no node is scanned twice.  Each replanned
-    agent's Reach is kept for the whole search.
+    agent's Reach is kept for the whole search, and so is each (agent, own
+    constraints) pair's plan, so no pair is planned twice.  A child's scan
+    starts at its scan_from, the first step where its replanned row leaves
+    its parent's, since no conflict precedes it.
     """
     if agents is None:
         agents = tuple(range(instance.n_agents))
@@ -205,7 +263,7 @@ def run_adaptive(
     heap: list[tuple[int, int, int, ConstraintTreeNode, int, Conflict | None]] = [
         (root.cost, conflicts, seq, root, h_r, conflict)
     ]
-    reaches: dict[int, Reach] = {}
+    replanner = Replanner(instance, state, h_max)
     best_node: ConstraintTreeNode | None = None
     best_h = 0
     expansions = 0
@@ -234,7 +292,7 @@ def run_adaptive(
             h_r = conflict.time
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        for child in expand(node, conflict, instance, state, h_max, agents, reaches):
+        for child in expand(node, conflict, instance, state, h_max, agents, replanner):
             seq += 1
             heapq.heappush(heap, (child.cost, -1, seq, child, h_r, None))
         expansions += 1

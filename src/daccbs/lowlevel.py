@@ -15,7 +15,9 @@ so a constraint that raises the cost of a far-off cone costs nothing.
 Those arrival times come from a Reach, a BFS from the start grown one
 level at a time and only as far as a replan reads it; a constraint-tree
 search keeps one per replanned agent, so reach is found once per agent per
-search rather than once per replan.
+search rather than once per replan.  A plan reads only its agent's own
+constraints (ConstraintSet.only), so the search also plans each (agent, own
+constraints) pair once.
 
 Constraint time conventions: a vertex constraint (a, t, v) forbids occupying
 v at time t; an edge constraint (a, t, (u, w)) forbids traversing u -> w from
@@ -56,6 +58,16 @@ class ConstraintSet:
             raise ConstraintError(f"negative constraint time {time}")
         return ConstraintSet(
             self.vertex_constraints, self.edge_constraints | {(agent, time, edge)}
+        )
+
+    def only(self, agent: int) -> "ConstraintSet":
+        """The agent's own constraints, in one pass over the set.
+
+        A plan for the agent reads only these, so planning under them gives
+        the plan under the whole set, and they key a search's plans."""
+        return ConstraintSet(
+            frozenset(c for c in self.vertex_constraints if c[0] == agent),
+            frozenset(c for c in self.edge_constraints if c[0] == agent),
         )
 
     def for_agent(self, agent: int) -> tuple[set[tuple[int, int]], set[tuple[int, int, int]]]:

@@ -84,16 +84,21 @@ class JointTrajectory:
         return self.trajectories[i]
 
 
-def detect_first_conflict(joint: JointTrajectory, horizon: int) -> Conflict | None:
-    """Earliest conflict within timesteps 0..horizon, or None.
+def detect_first_conflict(
+    joint: JointTrajectory, horizon: int, start: int = 0
+) -> Conflict | None:
+    """Earliest conflict within timesteps start..horizon, or None.
 
+    A caller that knows no conflict precedes `start` passes it: the scan
+    then finds the whole prefix's first conflict.  An edge conflict at t
+    reads rows t - 1 and t, so the scan reads row start - 1 too.
     Tie order at equal time: vertex conflicts before edge conflicts; among
     same-kind conflicts, the lowest (i, j) pair in lexicographic member order.
     """
     if horizon > joint.makespan:
         raise ValueError(f"horizon {horizon} exceeds makespan {joint.makespan}")
     rows = joint.rows
-    for t in range(horizon + 1):
+    for t in range(start, horizon + 1):
         occupied: dict[int, int] = {}
         vertex_hits: list[tuple[int, int, int]] = []
         for i, row in enumerate(rows):

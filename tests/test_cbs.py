@@ -4,6 +4,7 @@ classic full-horizon mode against the brute-force oracle."""
 import heapq
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,7 +20,8 @@ from daccbs import (
     run_classic_cbs,
     soc,
 )
-from daccbs.cbs import expand, make_root
+from daccbs.cbs import ConstraintTreeNode, expand, make_root
+from daccbs.lowlevel import ConstraintSet, plan_constrained
 from daccbs.trajectory import (
     Conflict,
     count_conflicts,
@@ -103,6 +105,25 @@ class TestExpand:
             for a, traj in child.trajectories.items():
                 assert satisfies(traj, child.constraints)
             assert child.cost >= root.cost
+
+    def test_child_scan_starts_where_its_row_changes(self):
+        # Agent 0 waits at its goal 2, where agent 1 passes at t = 3.  Kept
+        # off 1 and 3 at t = 3 as well, agent 0 must leave at t = 2: before
+        # the conflict, and past the end of its parent's path, which is read
+        # as waiting at its last vertex.
+        inst = MapfInstance(chain_graph(6), (2, 5), (2, 0))
+        root = make_root(inst, inst.starts, 8)
+        node = ConstraintTreeNode(
+            ConstraintSet(frozenset({(0, 3, 1), (0, 3, 3)})), root.trajectories, root.cost
+        )
+        conflict = detect_first_conflict(node.joint((0, 1)), 5)
+        assert conflict == Conflict("vertex", (0, 1), 3, 2)
+        dodged, waited = expand(node, conflict, inst, inst.starts, 8, (0, 1))
+        assert dodged.trajectories[0].vertices == (2, 2, 1, 0, 1, 2)
+        assert dodged.scan_from == 2
+        # Agent 1 waits one step; its rows first differ at the conflict.
+        assert waited.trajectories[1].vertices == (5, 4, 3, 3, 2, 1, 0)
+        assert waited.scan_from == 3
 
     def test_corridor_one_child_survives(self):
         # 1-wide corridor: the constrained agent may have no alternative
@@ -318,32 +339,43 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
 # starved, contested and offline-cbs.
 WORKLOAD_SHAPES = ((32, 32, 50, 0.1), (16, 16, 30, 0.0), (16, 16, 12, 0.1))
 
+# (shape, seed) of the searches checked against eager_run_adaptive.
+# offline-cbs searches end within a few dozen expansions, so they take more
+# seeds; seeds 3 and 6 reorder if counted at the current h_r.
+EAGER_CASES = [*product(WORKLOAD_SHAPES[:2], range(2)), *product(WORKLOAD_SHAPES[2:], range(8))]
+
+
+def adaptive_outputs(inst, h_max, cap):
+    """run_adaptive's prefixes (cost, h_r, trajectories) and outcome under a
+    WorkClock of `cap` expansions, in eager_outputs' form."""
+    seen = []
+    outcome = run_adaptive(
+        inst, inst.starts, h_max, WorkClock(cap),
+        on_prefix_found=lambda n, h: seen.append((n.cost, h, n.trajectories)),
+    )
+    return (seen, outcome.reason, outcome.best_h, outcome.expansions, outcome.dequeues,
+            outcome.best_node.trajectories)
+
+
+def eager_outputs(inst, h_max, cap):
+    expected = []
+    best_node, best_h, reason, expansions, dequeues = eager_run_adaptive(
+        inst, h_max, lambda n, h: expected.append((n.cost, h, n.trajectories)), cap
+    )
+    return expected, reason, best_h, expansions, dequeues, best_node.trajectories
+
 
 class TestLazyConflictCount:
     def test_matches_eager_counting(self):
         # Counting a child's conflicts only when its cost level is reached
         # dequeues nodes in the same (cost, conflicts, seq) order.
-        h_max = 128
         reasons = set()
-        # offline-cbs searches end within a few dozen expansions, so they
-        # take more seeds; seeds 3 and 6 reorder if counted at the current h_r.
-        cases = [*product(WORKLOAD_SHAPES[:2], range(2)), *product(WORKLOAD_SHAPES[2:], range(8))]
-        for shape, seed in cases:
+        for shape, seed in EAGER_CASES:
             inst = random_instance(random.Random(seed), *shape)
             for cap in (5, 60, 300):
-                seen, expected = [], []
-                outcome = run_adaptive(
-                    inst, inst.starts, h_max, WorkClock(cap),
-                    on_prefix_found=lambda n, h: seen.append((n.cost, h, n.trajectories)),
-                )
-                best_node, best_h, reason, expansions, dequeues = eager_run_adaptive(
-                    inst, h_max, lambda n, h: expected.append((n.cost, h, n.trajectories)), cap
-                )
-                assert seen == expected, (shape, cap)
-                assert (outcome.reason, outcome.best_h) == (reason, best_h), (shape, cap)
-                assert (outcome.expansions, outcome.dequeues) == (expansions, dequeues)
-                assert outcome.best_node.trajectories == best_node.trajectories
-                reasons.add(reason)
+                got = adaptive_outputs(inst, 128, cap)
+                assert got == eager_outputs(inst, 128, cap), (shape, cap)
+                reasons.add(got[1])
         assert reasons == {"horizon", "cap"}
 
     def test_counts_fewer_nodes_than_it_pushes(self, monkeypatch):
@@ -367,6 +399,69 @@ class TestLazyConflictCount:
         # A count starts at the node's first conflict, and a node whose first
         # conflict lies past its push-time h_r is not counted at all.
         assert all(0 < start <= horizon for start, horizon in counts), counts
+
+
+class TestScanStart:
+    def test_finds_what_a_scan_from_zero_finds(self, monkeypatch):
+        # A child's scan starts where its replanned row first differs from
+        # its parent's.  On every counted node it finds the conflict that a
+        # scan from t = 0 finds.
+        starts = []
+
+        def checked(node, agents, h_max, horizon):
+            joint = node.joint(agents)
+            full = detect_first_conflict(joint, min(h_max, joint.makespan))
+            count, conflict = first_conflict_and_count(node, agents, h_max, horizon)
+            assert conflict == full, (node.scan_from, conflict, full)
+            starts.append((node.scan_from, full))
+            return count, conflict
+
+        first_conflict_and_count = daccbs.cbs._first_conflict_and_count
+        monkeypatch.setattr(daccbs.cbs, "_first_conflict_and_count", checked)
+        for shape, seed in EAGER_CASES:
+            inst = random_instance(random.Random(seed), *shape)
+            for cap in (5, 60, 300):
+                run_adaptive(inst, inst.starts, 128, WorkClock(cap))
+        # Scans start late, and some find their conflict at the very step
+        # they start from.
+        assert sum(s > 1 for s, _ in starts) > len(starts) // 2, len(starts)
+        assert any(c is not None and c.time == s for s, c in starts)
+
+
+class TestPlanMemo:
+    def test_plans_each_constraint_set_once(self, monkeypatch):
+        # A plan reads only its agent's own constraints, so a search plans
+        # each (agent, own constraints) pair once and keeps the result, None
+        # included.  eager_run_adaptive calls expand without the search's
+        # Replanner, so it replans every pair it meets; both searches must
+        # meet the same pairs and end the same way.
+        planned = []
+
+        def recorded(graph, agent, start, constraints, h_max, gamma, reach=None):
+            plan = plan_constrained(graph, agent, start, constraints, h_max, gamma, reach=reach)
+            planned.append(((agent, *map(frozenset, constraints.for_agent(agent))), plan is None))
+            return plan
+
+        monkeypatch.setattr(daccbs.cbs, "plan_constrained", recorded)
+        # A contested-shape and an offline-cbs-shape instance, and one on
+        # which an infeasible replan repeats.
+        cases = [(WORKLOAD_SHAPES[1], 1), (WORKLOAD_SHAPES[2], 0), ((8, 8, 10, 0.1), 1)]
+        repeated_infeasible = 0
+        for shape, seed in cases:
+            inst = random_instance(random.Random(seed), *shape)
+            planned.clear()
+            got = adaptive_outputs(inst, 128, 300)
+            searched = [key for key, _ in planned]
+            assert len(searched) == len(set(searched)), shape
+            planned.clear()
+            assert got == eager_outputs(inst, 128, 300), shape
+            replanned = Counter(key for key, _ in planned)
+            assert set(searched) == set(replanned), shape
+            assert len(replanned) < sum(replanned.values()), shape
+            repeated_infeasible += sum(
+                1 for key, infeasible in set(planned) if infeasible and replanned[key] > 1
+            )
+        assert repeated_infeasible > 0
 
 
 class TestClassicCbs:

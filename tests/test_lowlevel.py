@@ -204,6 +204,11 @@ class TestSparseMatchesDense:
             args = (graph, 0, start, cs, h_max, gamma)
             got = planner_outcome(plan_constrained, *args)
             assert got == planner_outcome(dense_plan_constrained, *args), (seed, cs)
+            # A plan reads only its agent's own constraints, and the other
+            # agent's constraints are left out of cs.only(0).
+            only = cs.only(0)
+            assert {c[0] for c in (*only.vertex_constraints, *only.edge_constraints)} <= {0}
+            assert planner_outcome(plan_constrained, graph, 0, start, only, h_max, gamma) == got
             if got is None:
                 kinds["none"] += 1
             else:

@@ -100,6 +100,32 @@ class TestGoalTerminatedScans:
             seen["cut" if short.makespan == h_max else "short"] += 1
         assert min(seen.values()) > 300, seen
 
+    def test_scan_from_a_conflict_free_start(self):
+        # A scan from s finds what a scan from 0 finds whenever the latter
+        # finds nothing before s.  That includes an edge conflict at s
+        # itself, which reads row s - 1.
+        rng = random.Random(1)
+        seen = {"vertex at start": 0, "edge at start": 0, "later": 0, "none": 0}
+        for _ in range(2000):
+            n = rng.randint(2, 6)
+            n_vertices = n + rng.randint(0, 4)
+            makespan = rng.randint(1, 8)
+            joint = jt(*([rng.randrange(n_vertices) for _ in range(makespan + 1)]
+                         for _ in range(n)))
+            for h in range(makespan + 1):
+                full = detect_first_conflict(joint, h)
+                for s in range(h + 2):
+                    if full is not None and full.time < s:
+                        break
+                    assert detect_first_conflict(joint, h, s) == full, (joint.rows, h, s)
+                    if full is None:
+                        seen["none"] += 1
+                    elif full.time > s:
+                        seen["later"] += 1
+                    else:
+                        seen[f"{full.kind} at start"] += 1
+        assert min(seen.values()) > 100, seen
+
 
 class TestPadding:
     def test_padded_to_common_makespan(self):
