@@ -12,6 +12,15 @@ could then see its region grow, breaking region shrinkage and with it the
 inheritability of the partition.)  Agents whose regions are disjoint can
 never interact again under the current budget, so connected components of
 region overlap form independently plannable groups.
+
+Most partitions find one group, and the goal distance fields the instance
+already holds often prove that before any region search runs.  An agent's
+own goal lies in its region (its excess is 0), and agent k's goal lies in
+agent i's region whenever gamma_k(x_i) + gamma_i(g_k) - gamma_i(x_i) fits
+the slack: gamma_k(x_i) is the hop distance from x_i to g_k, which bounds
+the cost-distance cp(x_i, g_k) from above, on directed graphs too.  Such a
+goal witnesses an overlap, so joining its two agents never changes the
+components.
 """
 
 from __future__ import annotations
@@ -97,8 +106,12 @@ def partition(
 ) -> list[tuple[int, ...]]:
     """Groups of agents whose reachable regions form connected overlaps.
 
-    Advances the agents' region searches in lock-step, one level per agent
-    per round.  Each vertex records the first agent that admitted it; when
+    First joins agents through goal witnesses (`_goal_witnesses`): each is
+    a region vertex two agents provably share, read from the distance
+    fields alone, so it only adds joins the searches would make anyway.  If
+    that leaves one component, no region search runs.  Otherwise advances
+    the agents' region searches in lock-step, one level per agent per
+    round.  Each vertex records the first agent that admitted it; when
     a second agent admits it, the two agents' components are joined in a
     union-find.  Every region vertex is admitted by its agent exactly once,
     so every overlap is seen at the shared vertex, whichever agent reaches
@@ -130,6 +143,9 @@ def partition(
             components -= 1
         return components == 1
 
+    for i, j, _ in _goal_witnesses(agents, state, slack, gammas):
+        if join(i, j):
+            return [tuple(sorted(agents))]
     searches = [
         (i, _region_levels(adjacency, state[a], gammas[a], slack))
         for i, a in enumerate(agents)
@@ -152,6 +168,41 @@ def partition(
     for i, a in enumerate(agents):
         members.setdefault(find(i), []).append(a)
     return sorted(tuple(sorted(group)) for group in members.values())
+
+
+def _goal_witnesses(agents, state, slack: int, gammas):
+    """Yield (i, j, goal) where `goal` lies in the regions of agents[i] and
+    agents[j]: one component grown in rounds from the first agent whose
+    region is nonempty, each pending agent tested once against each agent
+    that joined in the round before.  An agent whose goal is out of reach
+    has an empty region and takes no part."""
+    probes = []  # (index, vertex, goal, cost-to-go, limit)
+    for i, a in enumerate(agents):
+        here, gamma = state[a], gammas[a]
+        if gamma[here] < INF:
+            # Below INF, as in _region_levels, so no sum with an unreachable
+            # distance fits.
+            probes.append((i, here, gamma.anchor, gamma.values,
+                           min(slack + gamma[here], INF - 1)))
+    frontier, pending = probes[:1], probes[1:]
+    while frontier and pending:
+        joined, left = [], []
+        for probe in pending:
+            i, here, goal, cost_to_go, limit = probe
+            for j, there, other, to_other, bound in frontier:
+                # to_other[here] is the hop distance from here to the other
+                # agent's goal, an upper bound on this agent's cost-distance
+                if to_other[here] + cost_to_go[other] <= limit:
+                    yield i, j, other
+                elif cost_to_go[there] + to_other[goal] <= bound:
+                    yield i, j, goal
+                else:
+                    continue
+                joined.append(probe)
+                break
+            else:
+                left.append(probe)
+        frontier, pending = joined, left
 
 
 def should_refactor(last_slack: int, current_slack: int, threshold: int) -> bool:

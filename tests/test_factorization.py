@@ -16,7 +16,7 @@ from daccbs import (
     should_refactor,
     slackness,
 )
-from daccbs.factorization import _region_levels
+from daccbs.factorization import _goal_witnesses, _region_levels
 
 from conftest import CountingAdjacency, chain_graph, make_grid, random_instance
 
@@ -235,9 +235,11 @@ class TestPartition:
 
     def test_matches_overlap_components(self):
         # random grids at three blocking rates, and one-way random digraphs;
-        # some agents parked on their goal, some unable to reach it
+        # some agents parked on their goal, some unable to reach it.  Every
+        # join the goal-witness phase makes names a goal in both agents'
+        # regions.
         rng = random.Random(7)
-        unreachable = 0
+        unreachable = joins = 0
         for trial in range(180):
             if trial % 4 == 3:
                 g = random_digraph(rng, rng.randint(4, 80))
@@ -254,25 +256,46 @@ class TestPartition:
             unreachable += sum(gammas[a][state[a]] >= INF for a in range(n))
             slack = rng.choice((0, 1, 2, rng.randint(0, 60)))
             agents = tuple(rng.sample(range(n), n))
-            assert partition(g, agents, state, slack, gammas) == reference_partition(
-                g, state, goals, slack
+            regions = {a: full_map_region(g, state[a], slack, gammas[a]) for a in range(n)}
+            assert partition(g, agents, state, slack, gammas) == overlap_components(
+                regions
             ), (trial, state, goals, slack)
-        assert unreachable > 0
+            for i, j, goal in _goal_witnesses(agents, state, slack, gammas):
+                joins += 1
+                assert goal in regions[agents[i]] & regions[agents[j]], (trial, i, j, goal)
+        assert unreachable > 0 and joins > 0
 
     def test_stops_once_one_group_is_left(self):
-        # 48x48, 200 agents: the regions meet long before the searches end, so
-        # the lock-step search reads far fewer adjacency rows than full
-        # searches (at least one row per region vertex) would
-        inst = random_instance(random.Random(0), 48, 48, 200)
-        agents = tuple(range(200))
-        slack = 10
-        covered = sum(
-            len(reachable_region(inst.graph, a, inst.starts, slack, inst.gammas[a]))
-            for a in agents
-        )
-        adjacency = CountingAdjacency(inst.graph.adjacency)
-        assert partition(Graph(adjacency), agents, inst.starts, slack, inst.gammas) == [agents]
-        assert adjacency.reads < covered / 4, (adjacency.reads, covered)
+        # 48x48 grids: the regions meet long before the searches end, so
+        # partition reads far fewer adjacency rows than full searches (at
+        # least one row per region vertex) would.  With 200 agents at slack
+        # 10 the goal witnesses alone prove one group; with 100 at slack 0
+        # they leave at least two components, which the lock-step region
+        # searches merge before they finish.
+        for n, slack, searched in ((200, 10, False), (100, 0, True)):
+            inst = random_instance(random.Random(0), 48, 48, n)
+            agents = tuple(range(n))
+            joins = list(_goal_witnesses(agents, inst.starts, slack, inst.gammas))
+            assert (len(joins) < n - 1) == searched, (n, len(joins))
+            covered = sum(
+                len(reachable_region(inst.graph, a, inst.starts, slack, inst.gammas[a]))
+                for a in agents
+            )
+            adjacency = CountingAdjacency(inst.graph.adjacency)
+            assert partition(Graph(adjacency), agents, inst.starts, slack, inst.gammas) == [agents]
+            assert (adjacency.reads > 0) == searched, (n, adjacency.reads)
+            assert adjacency.reads < covered / 4, (n, adjacency.reads, covered)
+
+    def test_witnesses_prove_one_group_without_region_search(self, monkeypatch):
+        # the starved workload's shape: 32x32, 10% blocked, 50 agents at
+        # their starts, slack 36
+        def no_search(*args):
+            raise AssertionError("region search started")
+
+        monkeypatch.setattr("daccbs.factorization._region_levels", no_search)
+        inst = random_instance(random.Random(0), 32, 32, 50, 0.1)
+        agents = tuple(range(50))
+        assert partition(inst.graph, agents, inst.starts, 36, inst.gammas) == [agents]
 
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
