@@ -194,11 +194,21 @@ def groups_at_step(episode: dict, step: int) -> list[int]:
     return []
 
 
-def write_output(suite: dict, path: str, fmt: str) -> None:
+def open_output(path: str):
+    """Open `path` for writing, creating its parent directories."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    return out.open("w", newline="")
+
+
+def write_json(data, path: str) -> None:
+    with open_output(path) as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")
+
+
+def write_output(suite: dict, path: str, fmt: str) -> None:
     if fmt == "json":
-        out.write_text(json.dumps(suite, indent=2) + "\n")
+        write_json(suite, path)
         return
     # CSV: one row per episode; structured traces are JSON-encoded cells so
     # both encodings carry identical values.
@@ -215,7 +225,7 @@ def write_output(suite: dict, path: str, fmt: str) -> None:
         "budget_trace",
         "factorization_trace",
     ]
-    with out.open("w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for ep in suite["episodes"]:
@@ -294,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         write_output(suite, spec.out, spec.fmt)
         if spec.factorization_report:
-            rows = report_factorization(suite)
-            Path(spec.factorization_report).write_text(json.dumps(rows, indent=2) + "\n")
+            write_json(report_factorization(suite), spec.factorization_report)
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,11 @@
 """Constraint-tree search over agent groups.
 
 run_adaptive implements the finite-horizon best-first search with a growing
-running horizon: nodes store goal-terminated trajectories (each ends where
-its agent reaches its goal for good, or at H_max when cut off there),
+running horizon: nodes store goal-terminated paths (each ends where its
+agent reaches its goal for good, or at H_max when cut off there),
 conflicts are resolved only inside the active prefix, and whenever the
 dequeued node's prefix is conflict-free the horizon jumps to that node's
-first conflict (or to H_max), found by one scan.  Because trajectories are
+first conflict (or to H_max), found by one scan.  Because paths are
 gamma-greedy past their last constrained step, node costs are invariant
 under horizon extension and the tree is reused across increments.
 
@@ -35,6 +35,8 @@ from .trajectory import (
     Trajectory,
     count_conflicts,
     detect_first_conflict,
+    makespan,
+    pad,
     path_cost,
     strip_goal_waits,
 )
@@ -46,25 +48,21 @@ class ExpansionCapExceeded(RuntimeError):
 
 @dataclass
 class ConstraintTreeNode:
-    """Constraint set, per-agent goal-terminated trajectories, and prefix cost.
+    """Constraint set, per-agent goal-terminated paths, and prefix cost.
 
-    A trajectory ends at its agent's goal, or at H_max when cut off there;
-    read past its end, the agent waits at its last vertex.  Its cost is the
+    A path ends at its agent's goal, or at H_max when cut off there; read
+    past its end, the agent waits at its last vertex.  Its cost is the
     running cost before its last vertex plus gamma there, and `cost` sums
     those over the members.
     """
 
     constraints: ConstraintSet
-    trajectories: dict[int, Trajectory]  # agent id -> goal-terminated trajectory
+    paths: dict[int, tuple[int, ...]]  # agent id -> goal-terminated path
     cost: int
     # No conflict lies before this step, so the node's scan starts here: 0 at
     # a root, and in a child the first step at which its replanned row
     # differs from its parent's (at the latest the parent's conflict time).
     scan_from: int = 0
-
-    def joint(self, agents: tuple[int, ...]) -> JointTrajectory:
-        """The members' trajectories padded to the group's own makespan."""
-        return JointTrajectory([self.trajectories[a] for a in agents])
 
 
 @dataclass
@@ -93,16 +91,16 @@ def make_root(
     goal (cut off at h_max steps)."""
     if agents is None:
         agents = tuple(range(instance.n_agents))
-    trajectories: dict[int, Trajectory] = {}
+    paths: dict[int, tuple[int, ...]] = {}
     total = 0
     for a in agents:
         gamma = instance.gammas[a]
         start = state[a]
         if gamma[start] >= INF:
             raise InfeasibleInstanceError(f"agent {a} cannot reach its goal from {start}")
-        trajectories[a] = Trajectory(a, tuple(greedy_path(instance.graph, start, gamma, h_max)))
+        paths[a] = tuple(greedy_path(instance.graph, start, gamma, h_max))
         total = sat_add(total, gamma[start])
-    return ConstraintTreeNode(ConstraintSet(), trajectories, total)
+    return ConstraintTreeNode(ConstraintSet(), paths, total)
 
 
 class Replanner:
@@ -111,8 +109,8 @@ class Replanner:
     A plan reads only its agent's own constraints: the agent's start, h_max,
     gamma and Reach are fixed for the whole search.  So each (agent, own
     constraints) pair is planned once and its result kept, an infeasible
-    None included, and each agent's Reach is grown once.  Trajectories are
-    frozen, so the children that share a plan share one object.
+    None included, and each agent's Reach is grown once.  Paths are tuples,
+    so the children that share a plan share one object.
     """
 
     def __init__(self, instance: MapfInstance, state, h_max: int) -> None:
@@ -120,9 +118,11 @@ class Replanner:
         self._state = state
         self._h_max = h_max
         self._reaches: dict[int, Reach] = {}
-        self._plans: dict[tuple, tuple[Trajectory, int] | None] = {}
+        self._plans: dict[tuple, tuple[tuple[int, ...], int] | None] = {}
 
-    def plan(self, agent: int, constraints: ConstraintSet) -> tuple[Trajectory, int] | None:
+    def plan(
+        self, agent: int, constraints: ConstraintSet
+    ) -> tuple[tuple[int, ...], int] | None:
         own = constraints.only(agent)
         key = (agent, own)
         if key in self._plans:
@@ -185,14 +185,14 @@ def expand(
         plan = replanner.plan(agent, constraints)
         if plan is None:
             continue
-        traj, cost = plan
-        old = node.trajectories[agent].vertices
+        path, cost = plan
+        old = node.paths[agent]
         old_cost = path_cost(old[:-1], instance.goals[agent]) + instance.gammas[agent][old[-1]]
-        trajectories = dict(node.trajectories)
-        trajectories[agent] = traj
+        paths = dict(node.paths)
+        paths[agent] = path
         children.append(ConstraintTreeNode(
-            constraints, trajectories, node.cost - old_cost + cost,
-            _first_change(old, traj.vertices, conflict.time),
+            constraints, paths, node.cost - old_cost + cost,
+            _first_change(old, path, conflict.time),
         ))
     return children
 
@@ -200,14 +200,14 @@ def expand(
 def _first_conflict_and_count(
     node: ConstraintTreeNode, agents: tuple[int, ...], h_max: int, horizon: int
 ) -> tuple[int, Conflict | None]:
-    """(conflict events in 0..horizon, first conflict within H_max) from one
-    joint build.  The scan starts at the node's scan_from and the count at
-    the first conflict, since none precedes either."""
-    joint = node.joint(agents)
-    conflict = detect_first_conflict(joint, min(h_max, joint.makespan), node.scan_from)
+    """(conflict events in 0..horizon, first conflict within H_max) from the
+    members' padded rows.  The scan starts at the node's scan_from and the
+    count at the first conflict, since none precedes either."""
+    rows = pad(node.paths[a] for a in agents)
+    conflict = detect_first_conflict(rows, min(h_max, makespan(rows)), node.scan_from)
     if conflict is None or conflict.time > horizon:
         return 0, conflict
-    return count_conflicts(joint, horizon, conflict.time), conflict
+    return count_conflicts(rows, horizon, conflict.time), conflict
 
 
 def run_adaptive(
@@ -220,7 +220,7 @@ def run_adaptive(
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
 
-    A node's trajectories are scanned once, for the first conflict in
+    A node's paths are scanned once, for the first conflict in
     0..min(H_max, makespan).  Past the group's makespan every agent waits at
     its own goal, and goals are distinct, so no conflict can appear there.
     When a dequeued node's first conflict lies outside the active prefix
@@ -237,13 +237,14 @@ def run_adaptive(
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
     is reached: it is pushed with the count -1, which sorts it ahead of
-    every counted node of its cost, and when it reaches the top its joint
-    is built once and scanned for its first conflict.  No event precedes
+    every counted node of its cost, and when it reaches the top its rows
+    are padded once and scanned for its first conflict.  No event precedes
     that conflict, so the count is 0 when it lies past the push-time h_r
     and otherwise starts at its time.  The entry goes back with the count
-    and the conflict, and the dequeue reads the conflict from it.  The order
-    is the one eager counting gives, but children that are never dequeued
-    are never counted, and no node is scanned twice.  Each replanned
+    and the conflict, and the dequeue reads the conflict from it.  The root
+    is pushed the same way.  The order is the one eager counting gives, but
+    children that are never dequeued are never counted, and no node is
+    scanned twice.  Each replanned
     agent's Reach is kept for the whole search, and so is each (agent, own
     constraints) pair's plan, so no pair is planned twice.  A child's scan
     starts at its scan_from, the first step where its replanned row leaves
@@ -259,9 +260,8 @@ def run_adaptive(
     h_r = 1
     # (cost, conflicts at the push-time h_r or -1 until counted, seq, node,
     # push-time h_r, first conflict once counted)
-    conflicts, conflict = _first_conflict_and_count(root, agents, h_max, h_r)
     heap: list[tuple[int, int, int, ConstraintTreeNode, int, Conflict | None]] = [
-        (root.cost, conflicts, seq, root, h_r, conflict)
+        (root.cost, -1, seq, root, h_r, None)
     ]
     replanner = Replanner(instance, state, h_max)
     best_node: ConstraintTreeNode | None = None
@@ -330,7 +330,7 @@ def run_classic_cbs(
         raise ExpansionCapExceeded(f"expansion cap {expansion_cap} exceeded")
     if outcome.best_node is None or outcome.best_h < h_max:
         raise InfeasibleInstanceError("no conflict-free solution found (infeasible instance?)")
-    paths = {a: strip_goal_waits(outcome.best_node.trajectories[a].vertices) for a in agents}
+    paths = {a: strip_goal_waits(outcome.best_node.paths[a]) for a in agents}
     for a in agents:
         if paths[a][-1] != instance.goals[a]:
             raise InfeasibleInstanceError(

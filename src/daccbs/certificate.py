@@ -1,6 +1,6 @@
 """Incumbent certificate plans and their budget bookkeeping.
 
-A certificate is a mutually conflict-free trajectory set from the group's
+A certificate is a mutually conflict-free path set from the group's
 current positions to its goals, together with its cost (the fleet budget).
 Across timesteps it is inherited by dropping the executed first step, which
 decreases the budget by exactly the number of off-goal agents; within a
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .backup import BackupError, LacamBackup
 from .grid import InfeasibleInstanceError, MapfInstance
-from .trajectory import JointTrajectory, Trajectory, is_conflict_free, path_cost, strip_goal_waits
+from .trajectory import is_conflict_free, path_cost, strip_goal_waits
 
 
 class CertificateError(RuntimeError):
@@ -38,7 +38,7 @@ class Certificate:
 
     def restricted(self, agents: tuple[int, ...]) -> "Certificate":
         """Sub-certificate for a subset of the group; budget is the cost of
-        the subset's own trajectories (budgets are additive per agent)."""
+        the subset's own paths (budgets are additive per agent)."""
         paths = {a: self.paths[a] for a in agents}
         budget = sum(path_cost(paths[a], paths[a][-1]) for a in agents)
         return Certificate(agents, paths, budget)
@@ -54,11 +54,10 @@ class Certificate:
             for u, v in zip(path, path[1:]):
                 if not instance.graph.has_edge(u, v):
                     raise CertificateError(f"agent {a}: ({u}, {v}) is not a graph edge")
-        joint = JointTrajectory([Trajectory(a, self.paths[a]) for a in self.agents])
-        if not is_conflict_free(joint):
-            raise CertificateError("certificate trajectories conflict")
+        if not is_conflict_free(self.paths[a] for a in self.agents):
+            raise CertificateError("certificate paths conflict")
         if self.budget != plan_cost(self.paths, instance):
-            raise CertificateError("budget disagrees with trajectory cost")
+            raise CertificateError("budget disagrees with path cost")
 
 
 def plan_cost(paths: dict[int, tuple[int, ...]], instance: MapfInstance) -> int:
@@ -163,10 +162,7 @@ def build_candidate(
     return {a: heads[a] + tail[a] for a in group}
 
 
-def first_movement(cert: Certificate) -> Movement:
-    """Per-agent first-step edge of the certificate (self-loop for singletons)."""
-    movement: Movement = {}
-    for a in cert.agents:
-        path = cert.paths[a]
-        movement[a] = (path[0], path[1] if len(path) > 1 else path[0])
-    return movement
+def first_movement(paths: dict[int, tuple[int, ...]]) -> Movement:
+    """Each agent's first-step edge along its path (a self-loop for a
+    one-vertex path: the agent is at its goal)."""
+    return {a: (path[0], path[1] if len(path) > 1 else path[0]) for a, path in paths.items()}

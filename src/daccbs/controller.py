@@ -115,7 +115,7 @@ class FleetController:
 
         movement: Movement = {}
         for g in new_groups:
-            movement.update(first_movement(g.certificate))
+            movement.update(first_movement(g.certificate.paths))
         telem = {
             "t": self.t,
             "mode": self.config.mode,
@@ -177,7 +177,7 @@ class FleetController:
                 return
             # A head shorter than h_r + 1 has reached its goal; build_candidate
             # joins the heads to the backup tail at one time.
-            prefix = {a: node.trajectories[a].vertices[: h_r + 1] for a in group.agents}
+            prefix = {a: node.paths[a][: h_r + 1] for a in group.agents}
             candidate = build_candidate(prefix, self.backup, instance, group.agents, cert.budget)
             if candidate is None:
                 return
@@ -249,12 +249,8 @@ class FleetController:
             self.instance, state, self.config.h_max, WallClock(self.config.t_max_ms / 1000.0),
             agents=agents,
         )
-        movement: Movement = {}
         if outcome.best_node is not None and outcome.best_h >= 1:
-            for a in agents:
-                # An agent already at its goal has a one-vertex trajectory.
-                vertices = outcome.best_node.trajectories[a].vertices
-                movement[a] = (vertices[0], vertices[1] if len(vertices) > 1 else vertices[0])
+            movement = first_movement(outcome.best_node.paths)
         else:
             movement = {a: (state[a], state[a]) for a in agents}
         telem = {

@@ -1,6 +1,6 @@
 """Single-agent space-time planning under vertex and edge constraint sets.
 
-plan_constrained returns a trajectory minimizing the finite-horizon cost
+plan_constrained returns a path minimizing the finite-horizon cost
 (running cost plus terminal cost-to-go) subject to the constraints.  Beyond
 the largest constrained timestep the returned suffix is gamma-greedy: each
 step satisfies p(v_t) + gamma(v_{t+1}) = gamma(v_t), so the prefix cost is
@@ -10,7 +10,7 @@ goal; only a walk cut off by the horizon runs to H_max.
 The DP stores each time layer of the cost-to-go as its differences from
 gamma, so a replan pays for the cells its constraints change, not for a
 dense t_c x V table.  It also skips every state (v, t) the agent cannot
-reach from (start, 0) by time t: the returned trajectory never visits one,
+reach from (start, 0) by time t: the returned path never visits one,
 so a constraint that raises the cost of a far-off cone costs nothing.
 Those arrival times come from a Reach, a BFS from the start grown one
 level at a time and only as far as a replan reads it; a constraint-tree
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .grid import INF, DistanceField, Graph, sat_add
-from .trajectory import Trajectory
 
 VertexConstraint = tuple[int, int, int]  # (agent, time, vertex)
 EdgeConstraint = tuple[int, int, tuple[int, int]]  # (agent, time, (u, w))
@@ -75,12 +74,6 @@ class ConstraintSet:
         vtx = {(t, v) for a, t, v in self.vertex_constraints if a == agent}
         edg = {(t, u, w) for a, t, (u, w) in self.edge_constraints if a == agent}
         return vtx, edg
-
-    def max_time(self, agent: int) -> int:
-        """Largest timestep the agent's trajectory is constrained at (0 if none)."""
-        times = [t for a, t, _ in self.vertex_constraints if a == agent]
-        times += [t + 1 for a, t, _ in self.edge_constraints if a == agent]
-        return max(times, default=0)
 
 
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
@@ -141,13 +134,13 @@ def plan_constrained(
     h_max: int,
     gamma: DistanceField,
     reach: Reach | None = None,
-) -> tuple[Trajectory, int] | None:
-    """Optimal constrained trajectory for one agent, with its cost.
+) -> tuple[tuple[int, ...], int] | None:
+    """Optimal constrained path for one agent, with its cost.
 
-    The trajectory runs through the last constrained step and then follows
-    gamma to the goal, where it ends; read past its end, the agent waits at
-    its last vertex.  Returns None when no trajectory satisfies the
-    constraints within h_max.
+    The path runs through the last constrained step and then follows gamma
+    to the goal, where it ends; read past its end, the agent waits at its
+    last vertex.  Returns None when no path satisfies the constraints
+    within h_max.
     Among equal-cost optima, the lexicographically smallest vertex sequence is
     returned, built by dynamic programming over (vertex, time) up to the last
     constrained step followed by the gamma-greedy suffix.
@@ -170,7 +163,6 @@ def plan_constrained(
     forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
     if (0, start) in forbidden_vtx:
         raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
-    t_c = min(constraints.max_time(agent), h_max)
     for t, _ in forbidden_vtx:
         if t > h_max:
             raise ConstraintError(f"vertex constraint time {t} beyond horizon {h_max}")
@@ -184,6 +176,8 @@ def plan_constrained(
     cut: dict[int, set[tuple[int, int]]] = {}
     for t, u, w in forbidden_edg:
         cut.setdefault(t, set()).add((u, w))
+    # The last constrained step: a cut edge departing at t constrains t + 1.
+    t_c = max([*blocked, *(t + 1 for t in cut)], default=0)
 
     goal = gamma.anchor
     dist = gamma.values
@@ -240,6 +234,6 @@ def plan_constrained(
         prefix.append(v)
 
     # The gamma-greedy suffix keeps the cost-to-go, so the DP value at the
-    # start is the prefix cost of the returned trajectory at any horizon.
+    # start is the prefix cost of the returned path at any horizon.
     suffix = greedy_path(graph, prefix[-1], gamma, h_max - t_c)
-    return Trajectory(agent, tuple(prefix[:-1] + suffix)), cost
+    return tuple(prefix[:-1] + suffix), cost

@@ -1,9 +1,10 @@
-"""Trajectory containers, padding semantics, conflict detection, and costs.
+"""Paths, padding semantics, conflict detection, and costs.
 
-Read past a path's end, its agent waits at the last vertex; JointTrajectory
-pads paths with those waits to a common makespan.  A plan's path ends at the
-goal, where its agent arrives for good, and strip_goal_waits drops any waits
-after that arrival.
+A path is one agent's vertex tuple, one entry per timestep.  Read past its
+end, its agent waits at the last vertex; pad extends a set of paths with
+those waits to a common makespan, and the conflict scans read the padded
+rows.  A plan's path ends at the goal, where its agent arrives for good, and
+strip_goal_waits drops any waits after that arrival.
 
 The running cost p(v) charges 1 for every timestep an agent occupies a vertex
 other than its goal, evaluated literally per timestep: intermediate goal
@@ -15,12 +16,14 @@ cost-to-go at the prefix terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Iterable
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One agent's vertex sequence, one entry per timestep."""
+    """One agent's path, as run_classic_cbs returns it."""
 
     agent: int
     vertices: tuple[int, ...]
@@ -29,16 +32,10 @@ class Trajectory:
         if not self.vertices:
             raise ValueError("trajectory must be non-empty")
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __getitem__(self, t: int) -> int:
-        return self.vertices[t]
-
 
 @dataclass(frozen=True)
 class Conflict:
-    """First-collision record between two trajectories.
+    """First-collision record between two paths.
 
     For kind "vertex", location is the shared vertex occupied at `time`.
     For kind "edge", location is the ordered edge (u, w) traversed by the
@@ -51,43 +48,33 @@ class Conflict:
     location: int | tuple[int, int]
 
 
+def pad(paths: Iterable[tuple[int, ...]]) -> Rows:
+    """The paths as rows of one length, the longest's: each is extended with
+    waits at its last vertex.  A path already that long is its own row."""
+    paths = tuple(paths)
+    length = max(map(len, paths), default=0)
+    return tuple(
+        path if len(path) == length else path + (path[-1],) * (length - len(path))
+        for path in paths
+    )
+
+
+def makespan(rows: Rows) -> int:
+    """Last timestep of padded rows (0 for none)."""
+    return len(rows[0]) - 1 if rows else 0
+
+
 class JointTrajectory:
-    """Per-agent trajectories padded with terminal waits to a common makespan.
+    """A solution: per-agent trajectories and their padded rows."""
 
-    `rows[i]` is trajectory i's vertex tuple padded to makespan + 1 entries;
-    the conflict scans read these.  The padded Trajectory objects are built
-    on first access, since a search builds a joint per node and scans it once.
-    """
-
-    def __init__(self, trajectories: list[Trajectory] | tuple[Trajectory, ...]):
-        self._given = tuple(trajectories)
-        makespan = max((len(t.vertices) - 1 for t in self._given), default=0)
-        rows = []
-        for traj in self._given:
-            vertices = traj.vertices
-            pad = makespan + 1 - len(vertices)
-            rows.append(vertices + (vertices[-1],) * pad if pad else vertices)
-        self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
-        self.makespan = makespan
-
-    @cached_property
-    def trajectories(self) -> tuple[Trajectory, ...]:
-        return tuple(
-            traj if traj.vertices is row else Trajectory(traj.agent, row)
-            for traj, row in zip(self._given, self.rows)
-        )
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> Trajectory:
-        return self.trajectories[i]
+    def __init__(self, trajectories: Iterable[Trajectory]):
+        self.trajectories = tuple(trajectories)
+        self.rows = pad(traj.vertices for traj in self.trajectories)
+        self.makespan = makespan(self.rows)
 
 
-def detect_first_conflict(
-    joint: JointTrajectory, horizon: int, start: int = 0
-) -> Conflict | None:
-    """Earliest conflict within timesteps start..horizon, or None.
+def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Conflict | None:
+    """Earliest conflict of padded rows within timesteps start..horizon, or None.
 
     A caller that knows no conflict precedes `start` passes it: the scan
     then finds the whole prefix's first conflict.  An edge conflict at t
@@ -95,9 +82,8 @@ def detect_first_conflict(
     Tie order at equal time: vertex conflicts before edge conflicts; among
     same-kind conflicts, the lowest (i, j) pair in lexicographic member order.
     """
-    if horizon > joint.makespan:
-        raise ValueError(f"horizon {horizon} exceeds makespan {joint.makespan}")
-    rows = joint.rows
+    if horizon > makespan(rows):
+        raise ValueError(f"horizon {horizon} exceeds makespan {makespan(rows)}")
     for t in range(start, horizon + 1):
         occupied: dict[int, int] = {}
         vertex_hits: list[tuple[int, int, int]] = []
@@ -128,15 +114,15 @@ def detect_first_conflict(
     return None
 
 
-def count_conflicts(joint: JointTrajectory, horizon: int, start: int = 0) -> int:
-    """Number of (pair, time) collision events at timesteps start..horizon.
+def count_conflicts(rows: Rows, horizon: int, start: int = 0) -> int:
+    """Number of (pair, time) collision events of padded rows at timesteps
+    start..horizon.
 
-    A caller that knows the joint's first conflict passes its time as
+    A caller that knows the rows' first conflict passes its time as
     `start`: no event precedes it, so the count is the whole prefix's.
     """
-    rows = joint.rows
     total = 0
-    for t in range(start, min(horizon, joint.makespan) + 1):
+    for t in range(start, min(horizon, makespan(rows)) + 1):
         seen: dict[int, int] = {}
         for row in rows:
             v = row[t]
@@ -174,11 +160,13 @@ def soc(joint: JointTrajectory, goals) -> int:
     total = 0
     for traj in joint.trajectories:
         goal = goals[traj.agent]
-        if traj[len(traj) - 1] != goal:
+        if traj.vertices[-1] != goal:
             raise ValueError(f"agent {traj.agent} does not end at its goal")
         total += path_cost(traj.vertices, goal)
     return total
 
 
-def is_conflict_free(joint: JointTrajectory) -> bool:
-    return detect_first_conflict(joint, joint.makespan) is None
+def is_conflict_free(paths: Iterable[tuple[int, ...]]) -> bool:
+    """True iff the paths, padded to a common makespan, never conflict."""
+    rows = pad(paths)
+    return detect_first_conflict(rows, makespan(rows)) is None

@@ -1,5 +1,5 @@
 """Shared builders for graphs, grids, and random feasible instances, and
-reference checks on trajectories that the library itself does not need."""
+reference checks on paths that the library itself does not need."""
 
 from __future__ import annotations
 
@@ -116,22 +116,22 @@ def random_instance(
     raise RuntimeError("could not generate a feasible instance")
 
 
-def prefix_cost(traj: Trajectory, h_r: int, gamma: DistanceField) -> int:
+def prefix_cost(path: tuple[int, ...], h_r: int, gamma: DistanceField) -> int:
     """Running cost over the first h_r steps plus cost-to-go at step h_r.
 
-    gamma must be the to-goal field of the trajectory's agent; its anchor is
-    the goal vertex used by the running cost.
+    gamma must be the to-goal field of the path's agent; its anchor is the
+    goal vertex used by the running cost.
     """
-    if h_r > len(traj) - 1:
-        raise ValueError(f"h_r {h_r} exceeds trajectory length {len(traj) - 1}")
+    if h_r > len(path) - 1:
+        raise ValueError(f"h_r {h_r} exceeds path length {len(path) - 1}")
     goal = gamma.anchor
-    running = sum(1 for v in traj.vertices[:h_r] if v != goal)
-    return sat_add(running, gamma[traj[h_r]])
+    running = sum(1 for v in path[:h_r] if v != goal)
+    return sat_add(running, gamma[path[h_r]])
 
 
 def joint(paths: dict[int, tuple[int, ...]]) -> JointTrajectory:
     """The padded view of a path dict (a rollout's result), for the checks
-    that read one: is_conflict_free, soc and positions_at."""
+    that read one: soc, makespan and positions_at."""
     return JointTrajectory([Trajectory(a, path) for a, path in paths.items()])
 
 
@@ -140,14 +140,14 @@ def positions_at(joint: JointTrajectory, t: int) -> tuple[int, ...]:
     return tuple(row[t] for row in joint.rows)
 
 
-def satisfies(traj: Trajectory, constraints: ConstraintSet) -> bool:
-    """True iff the trajectory obeys every constraint addressed to its agent."""
-    n = len(traj)
-    for agent, t, v in constraints.vertex_constraints:
-        if agent == traj.agent and t < n and traj[t] == v:
+def satisfies(agent: int, path: tuple[int, ...], constraints: ConstraintSet) -> bool:
+    """True iff the agent's path obeys every constraint addressed to it."""
+    n = len(path)
+    for a, t, v in constraints.vertex_constraints:
+        if a == agent and t < n and path[t] == v:
             return False
-    for agent, t, (u, w) in constraints.edge_constraints:
-        if agent == traj.agent and t + 1 < n and traj[t] == u and traj[t + 1] == w:
+    for a, t, (u, w) in constraints.edge_constraints:
+        if a == agent and t + 1 < n and path[t] == u and path[t + 1] == w:
             return False
     return True
 

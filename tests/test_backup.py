@@ -53,7 +53,7 @@ class TestLacamBasics:
         g = make_grid(2, 5, {(0, 0), (0, 1), (0, 3), (0, 4)})
         inst = MapfInstance(g, (1, 5), (5, 1))
         jt = joint(rollout_all(BACKUP, inst))
-        assert is_conflict_free(jt)
+        assert is_conflict_free(jt.rows)
         assert positions_at(jt, jt.makespan) == inst.goals
         assert soc(jt, inst.goals) >= optimal_soc(inst)
 
@@ -104,7 +104,7 @@ class TestLacamProperties:
         goals = (7, 6, 5, 4, 3, 2, 1, 0)
         inst = MapfInstance(g, starts, goals)
         jt = joint(rollout_all(BACKUP, inst))
-        assert is_conflict_free(jt)
+        assert is_conflict_free(jt.rows)
         assert positions_at(jt, jt.makespan) == goals
 
     def test_random_instances_conflict_free(self):
@@ -113,7 +113,7 @@ class TestLacamProperties:
             inst = random_instance(rng, 5, 5, rng.randint(2, 6))
             paths = rollout_all(BACKUP, inst)
             jt = joint(paths)
-            assert is_conflict_free(jt)
+            assert is_conflict_free(jt.rows)
             assert positions_at(jt, jt.makespan) == inst.goals
             # Goal waits are stripped: a path ends when its agent arrives.
             assert all(len(p) == 1 or p[-2] != p[-1] for p in paths.values())
@@ -123,7 +123,7 @@ class TestLacamProperties:
         jt = joint(rollout_all(BACKUP, inst))
         mid = positions_at(jt, 1)
         jt2 = joint(rollout_all(BACKUP, inst, mid))
-        assert is_conflict_free(jt2)
+        assert is_conflict_free(jt2.rows)
         assert positions_at(jt2, jt2.makespan) == inst.goals
 
 

@@ -106,6 +106,19 @@ class TestMainExitCodes:
         assert code == 0
         assert json.loads(out.read_text())["episodes"]
 
+    def test_outputs_into_missing_directories(self, files):
+        # Both files are written through one writer that makes the parents.
+        map_path, scen_path, tmp = files
+        out = tmp / "new" / "r.json"
+        report = tmp / "other" / "deeper" / "report.json"
+        code = main([
+            "--map", str(map_path), "--scen", str(scen_path), "--agents", "2",
+            "--tmax-ms", "5", "--out", str(out), "--factorization-report", str(report),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["episodes"]
+        assert len(json.loads(report.read_text())) == 1
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -27,6 +27,8 @@ from daccbs.trajectory import (
     count_conflicts,
     detect_first_conflict,
     is_conflict_free,
+    makespan,
+    pad,
     path_cost,
 )
 
@@ -38,6 +40,11 @@ from conftest import (
     random_instance,
     satisfies,
 )
+
+
+def joint_rows(node, agents):
+    """The members' paths padded to the group's own makespan."""
+    return pad(node.paths[a] for a in agents)
 
 
 def disjoint_chains_instance():
@@ -98,12 +105,12 @@ class TestExpand:
     def test_children_satisfy_constraints(self):
         inst = cross_instance()
         root = make_root(inst, inst.starts, 8)
-        joint = root.joint((0, 1))
+        joint = joint_rows(root, (0, 1))
         conflict = detect_first_conflict(joint, 2)
         assert conflict is not None
         for child in expand(root, conflict, inst, inst.starts, 8, (0, 1)):
-            for a, traj in child.trajectories.items():
-                assert satisfies(traj, child.constraints)
+            for a, path in child.paths.items():
+                assert satisfies(a, path, child.constraints)
             assert child.cost >= root.cost
 
     def test_child_scan_starts_where_its_row_changes(self):
@@ -114,15 +121,15 @@ class TestExpand:
         inst = MapfInstance(chain_graph(6), (2, 5), (2, 0))
         root = make_root(inst, inst.starts, 8)
         node = ConstraintTreeNode(
-            ConstraintSet(frozenset({(0, 3, 1), (0, 3, 3)})), root.trajectories, root.cost
+            ConstraintSet(frozenset({(0, 3, 1), (0, 3, 3)})), root.paths, root.cost
         )
-        conflict = detect_first_conflict(node.joint((0, 1)), 5)
+        conflict = detect_first_conflict(joint_rows(node, (0, 1)), 5)
         assert conflict == Conflict("vertex", (0, 1), 3, 2)
         dodged, waited = expand(node, conflict, inst, inst.starts, 8, (0, 1))
-        assert dodged.trajectories[0].vertices == (2, 2, 1, 0, 1, 2)
+        assert dodged.paths[0] == (2, 2, 1, 0, 1, 2)
         assert dodged.scan_from == 2
         # Agent 1 waits one step; its rows first differ at the conflict.
-        assert waited.trajectories[1].vertices == (5, 4, 3, 3, 2, 1, 0)
+        assert waited.paths[1] == (5, 4, 3, 3, 2, 1, 0)
         assert waited.scan_from == 3
 
     def test_corridor_one_child_survives(self):
@@ -130,13 +137,13 @@ class TestExpand:
         g = chain_graph(3)
         inst = MapfInstance(g, (0, 2), (2, 0))
         root = make_root(inst, inst.starts, 2)
-        conflict = detect_first_conflict(root.joint((0, 1)), 1)
+        conflict = detect_first_conflict(joint_rows(root, (0, 1)), 1)
         assert conflict is not None
         children = expand(root, conflict, inst, inst.starts, 2, (0, 1))
         # with h_max=2 neither agent can both dodge and still exist... at
         # least one side is pruned
         assert len(children) <= 1 or all(
-            satisfies(c.trajectories[a], c.constraints)
+            satisfies(a, c.paths[a], c.constraints)
             for c in children
             for a in (0, 1)
         )
@@ -177,7 +184,7 @@ class TestRunAdaptive:
     def test_determinism(self, monkeypatch):
         # Two runs certify the same prefixes in the same order and stop in the
         # same state; the dense instance expands a few hundred nodes, and at
-        # h_max 4 some of its trajectories are cut off short of their goals.
+        # h_max 4 some of its paths are cut off short of their goals.
         nodes = []
 
         def expanded(node, *args):
@@ -203,21 +210,21 @@ class TestRunAdaptive:
                     outcome.dequeues,
                     outcome.reason,
                     outcome.best_h,
-                    outcome.best_node.trajectories,
+                    outcome.best_node.paths,
                 ))
             assert runs[0] == runs[1]
             assert runs[0][0]
-            # A node's cost sums, over its trajectories, the running cost
-            # before the last vertex plus gamma there.
+            # A node's cost sums, over its paths, the running cost before
+            # the last vertex plus gamma there.
             for node in nodes:
                 assert node.cost == sum(
-                    path_cost(t.vertices[:-1], inst.goals[a]) + inst.gammas[a][t.vertices[-1]]
-                    for a, t in node.trajectories.items()
+                    path_cost(p[:-1], inst.goals[a]) + inst.gammas[a][p[-1]]
+                    for a, p in node.paths.items()
                 )
             cut_off += sum(
-                t.vertices[-1] != inst.goals[a]
+                p[-1] != inst.goals[a]
                 for node in nodes
-                for a, t in node.trajectories.items()
+                for a, p in node.paths.items()
             )
             nodes.clear()
         assert cut_off
@@ -225,12 +232,12 @@ class TestRunAdaptive:
 
 def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
     """Reference search that extends the horizon one step at a time, each
-    step rescanning the prefix from t=0 (no deadline).  Trajectories end at
-    their goals, so each scan is clamped to the node's makespan."""
+    step rescanning the prefix from t=0 (no deadline).  Paths end at their
+    goals, so each scan is clamped to the node's makespan."""
     agents = tuple(range(inst.n_agents))
     root = make_root(inst, inst.starts, h_max, agents)
     seq, h_r = 0, 1
-    heap = [(root.cost, count_conflicts(root.joint(agents), h_r), seq, root)]
+    heap = [(root.cost, count_conflicts(joint_rows(root, agents), h_r), seq, root)]
     best_node, best_h = None, 0
     expansions = dequeues = 0
     reason = "exhausted"
@@ -240,15 +247,15 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
             break
         node = heapq.heappop(heap)[3]
         dequeues += 1
-        joint = node.joint(agents)
-        conflict = detect_first_conflict(joint, min(h_r, joint.makespan))
+        joint = joint_rows(node, agents)
+        conflict = detect_first_conflict(joint, min(h_r, makespan(joint)))
         if conflict is None:
             on_prefix_found(node, h_r)
             if h_r > best_h:
                 best_node, best_h = node, h_r
             while conflict is None and h_r < h_max:
                 h_r += 1
-                conflict = detect_first_conflict(joint, min(h_r, joint.makespan))
+                conflict = detect_first_conflict(joint, min(h_r, makespan(joint)))
             if conflict is None:
                 best_node, best_h = node, h_r
                 on_prefix_found(node, h_r)
@@ -259,7 +266,7 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
         for child in expand(node, conflict, inst, inst.starts, h_max, agents):
             seq += 1
             heapq.heappush(
-                heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
+                heap, (child.cost, count_conflicts(joint_rows(child, agents), h_r), seq, child)
             )
         expansions += 1
     if best_node is None:
@@ -288,7 +295,7 @@ class TestHorizonScan:
                 assert seen == expected
                 assert (outcome.expansions, outcome.dequeues) == (expansions, dequeues)
                 assert (outcome.reason, outcome.best_h) == (reason, best_h)
-                assert outcome.best_node.trajectories == best_node.trajectories
+                assert outcome.best_node.paths == best_node.paths
                 reasons.add(reason)
         assert reasons == {"horizon", "cap"}
 
@@ -300,7 +307,7 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
     agents = tuple(range(inst.n_agents))
     root = make_root(inst, inst.starts, h_max, agents)
     seq, h_r = 0, 1
-    heap = [(root.cost, count_conflicts(root.joint(agents), h_r), seq, root)]
+    heap = [(root.cost, count_conflicts(joint_rows(root, agents), h_r), seq, root)]
     best_node, best_h = None, 0
     expansions = dequeues = 0
     reason = "exhausted"
@@ -310,8 +317,8 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
             break
         node = heapq.heappop(heap)[3]
         dequeues += 1
-        joint = node.joint(agents)
-        conflict = detect_first_conflict(joint, min(h_max, joint.makespan))
+        joint = joint_rows(node, agents)
+        conflict = detect_first_conflict(joint, min(h_max, makespan(joint)))
         if conflict is None or conflict.time > h_r:
             on_prefix_found(node, h_r)
             if h_r > best_h:
@@ -327,7 +334,7 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
         for child in expand(node, conflict, inst, inst.starts, h_max, agents):
             seq += 1
             heapq.heappush(
-                heap, (child.cost, count_conflicts(child.joint(agents), h_r), seq, child)
+                heap, (child.cost, count_conflicts(joint_rows(child, agents), h_r), seq, child)
             )
         expansions += 1
     if best_node is None:
@@ -346,23 +353,23 @@ EAGER_CASES = [*product(WORKLOAD_SHAPES[:2], range(2)), *product(WORKLOAD_SHAPES
 
 
 def adaptive_outputs(inst, h_max, cap):
-    """run_adaptive's prefixes (cost, h_r, trajectories) and outcome under a
+    """run_adaptive's prefixes (cost, h_r, paths) and outcome under a
     WorkClock of `cap` expansions, in eager_outputs' form."""
     seen = []
     outcome = run_adaptive(
         inst, inst.starts, h_max, WorkClock(cap),
-        on_prefix_found=lambda n, h: seen.append((n.cost, h, n.trajectories)),
+        on_prefix_found=lambda n, h: seen.append((n.cost, h, n.paths)),
     )
     return (seen, outcome.reason, outcome.best_h, outcome.expansions, outcome.dequeues,
-            outcome.best_node.trajectories)
+            outcome.best_node.paths)
 
 
 def eager_outputs(inst, h_max, cap):
     expected = []
     best_node, best_h, reason, expansions, dequeues = eager_run_adaptive(
-        inst, h_max, lambda n, h: expected.append((n.cost, h, n.trajectories)), cap
+        inst, h_max, lambda n, h: expected.append((n.cost, h, n.paths)), cap
     )
-    return expected, reason, best_h, expansions, dequeues, best_node.trajectories
+    return expected, reason, best_h, expansions, dequeues, best_node.paths
 
 
 class TestLazyConflictCount:
@@ -381,9 +388,9 @@ class TestLazyConflictCount:
     def test_counts_fewer_nodes_than_it_pushes(self, monkeypatch):
         counts, pushed = [], []
 
-        def counted(joint, horizon, start=0):
+        def counted(rows, horizon, start=0):
             counts.append((start, horizon))
-            return count_conflicts(joint, horizon, start)
+            return count_conflicts(rows, horizon, start)
 
         def expanded(*args):
             children = expand(*args)
@@ -409,8 +416,8 @@ class TestScanStart:
         starts = []
 
         def checked(node, agents, h_max, horizon):
-            joint = node.joint(agents)
-            full = detect_first_conflict(joint, min(h_max, joint.makespan))
+            joint = joint_rows(node, agents)
+            full = detect_first_conflict(joint, min(h_max, makespan(joint)))
             count, conflict = first_conflict_and_count(node, agents, h_max, horizon)
             assert conflict == full, (node.scan_from, conflict, full)
             starts.append((node.scan_from, full))
@@ -475,7 +482,7 @@ class TestClassicCbs:
         inst = cross_instance()
         solution = run_classic_cbs(inst)
         assert soc(solution, inst.goals) == 5
-        assert is_conflict_free(solution)
+        assert is_conflict_free(solution.rows)
 
     def test_four_cycle_swap(self):
         g = cycle_graph(4)
@@ -487,7 +494,7 @@ class TestClassicCbs:
     def test_empty_fleet(self):
         g = chain_graph(3)
         inst = MapfInstance(g, (), ())
-        assert len(run_classic_cbs(inst)) == 0
+        assert len(run_classic_cbs(inst).trajectories) == 0
 
     def test_h_max_too_short_to_reach_the_goals(self):
         # The root's greedy walk is cut off at h_max and has no conflict, so
@@ -510,7 +517,7 @@ class TestClassicCbs:
         for _ in range(30):
             inst = random_instance(rng, 3, 3, rng.randint(2, 3), block_prob=0.15)
             solution = run_classic_cbs(inst)
-            assert is_conflict_free(solution)
+            assert is_conflict_free(solution.rows)
             assert soc(solution, inst.goals) == optimal_soc(inst)
 
 
@@ -525,7 +532,7 @@ class TestWorkClock:
             outcome = run_adaptive(inst, inst.starts, 128, WorkClock(50))
             solved = run_classic_cbs(offline, expansion_cap=400)  # solves within the cap
             return (outcome.reason, outcome.best_h, outcome.expansions, outcome.dequeues,
-                    outcome.best_node.trajectories, solved.rows)
+                    outcome.best_node.paths, solved.rows)
 
         expected = outcomes()
         assert (expected[0], expected[2]) == ("cap", 50)

@@ -226,15 +226,15 @@ class TestBuildCandidate:
 class TestFirstMovement:
     def test_singleton_waits(self):
         cert = Certificate((0,), {0: (4,)}, 0)
-        assert first_movement(cert) == {0: (4, 4)}
+        assert first_movement(cert.paths) == {0: (4, 4)}
 
     def test_first_edge(self):
         cert = Certificate((0,), {0: (0, 1, 2)}, 2)
-        assert first_movement(cert) == {0: (0, 1)}
+        assert first_movement(cert.paths) == {0: (0, 1)}
 
     def test_movements_conflict_free(self):
         inst = cross_instance()
         cert = init_certificate(BACKUP, inst, inst.starts, (0, 1))
-        mv = first_movement(cert)
+        mv = first_movement(cert.paths)
         targets = [mv[a][1] for a in (0, 1)]
         assert len(set(targets)) == 2

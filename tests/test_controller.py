@@ -271,8 +271,8 @@ class TestDaccbsMode:
 
         def recorded(prefix, backup, instance, group, budget):
             node, h_r = prefixed[-1]
-            assert prefix == {a: node.trajectories[a].vertices[: h_r + 1] for a in group}
-            longest = max(len(node.trajectories[a].vertices) for a in group)
+            assert prefix == {a: node.paths[a][: h_r + 1] for a in group}
+            longest = max(len(node.paths[a]) for a in group)
             assert all(len(head) <= longest for head in prefix.values())
             candidate = build_candidate(prefix, backup, instance, group, budget)
             if any(prefix[a][-1] != instance.goals[a] for a in group):

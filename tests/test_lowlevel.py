@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from daccbs import ConstraintError, ConstraintSet, Graph, goal_distance_field, plan_constrained
 from daccbs.grid import INF, sat_add
 from daccbs.lowlevel import Reach, greedy_path
-from daccbs.trajectory import Trajectory
 
 from conftest import CountingAdjacency, chain_graph, make_grid, prefix_cost, satisfies
 
@@ -25,8 +24,7 @@ def brute_force_best(graph, start, constraints, h_max, gamma):
             walk + (w,) for walk in frontier for w in graph.neighbors(walk[-1])
         ]
     for walk in frontier:
-        traj = Trajectory(0, walk)
-        if not satisfies(traj, constraints):
+        if not satisfies(0, walk, constraints):
             continue
         cost = sum(1 for t in range(h_max) if walk[t] != goal) + gamma[walk[h_max]]
         if best is None or cost < best:
@@ -34,15 +32,22 @@ def brute_force_best(graph, start, constraints, h_max, gamma):
     return best
 
 
+def last_constrained_step(constraints, agent):
+    """Largest timestep the agent's path is constrained at (0 if none)."""
+    times = [t for a, t, _ in constraints.vertex_constraints if a == agent]
+    times += [t + 1 for a, t, _ in constraints.edge_constraints if a == agent]
+    return max(times, default=0)
+
+
 def dense_plan_constrained(graph, agent, start, constraints, h_max, gamma):
     """Reference planner: the dense (t_c + 1) x V cost-to-go table that
     plan_constrained replaced, with the same checks and tie-break.  Its
-    greedy suffix ends at the goal, so the cost is read at the trajectory's
-    last step."""
+    greedy suffix ends at the goal, so the cost is read at the path's last
+    step."""
     forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
     if (0, start) in forbidden_vtx:
         raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
-    t_c = min(constraints.max_time(agent), h_max)
+    t_c = min(last_constrained_step(constraints, agent), h_max)
     for t, _ in forbidden_vtx:
         if t > h_max:
             raise ConstraintError(f"vertex constraint time {t} beyond horizon {h_max}")
@@ -80,8 +85,8 @@ def dense_plan_constrained(graph, agent, start, constraints, h_max, gamma):
         )
         prefix.append(v)
     suffix = reference_greedy_path(graph, prefix[-1], gamma, h_max - t_c)
-    traj = Trajectory(agent, tuple(prefix[:-1] + suffix))
-    return traj, prefix_cost(traj, len(traj) - 1, gamma)
+    path = tuple(prefix[:-1] + suffix)
+    return path, prefix_cost(path, len(path) - 1, gamma)
 
 
 def reference_greedy_path(graph, start, gamma, length):
@@ -177,7 +182,7 @@ def plan_through_one_reach(graph, start, gamma, h_max, sets, steps):
         args = (graph, 0, start, cs, h_max, gamma)
         got = planner_outcome(plan_constrained, *args, reach=reach)
         assert got == planner_outcome(dense_plan_constrained, *args), cs
-        t_c = min(cs.max_time(0), h_max)
+        t_c = min(last_constrained_step(cs, 0), h_max)
         if last is not None and t_c != last:
             steps["rise" if t_c > last else "fall"] += 1
         last = t_c
@@ -290,21 +295,21 @@ class TestSparseMatchesDense:
 class TestPlanConstrained:
     def test_unconstrained_chain(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        traj, cost = plan_constrained(chain5, 0, 0, ConstraintSet(), 6, gamma)
-        assert traj.vertices == (0, 1, 2, 3, 4)
+        path, cost = plan_constrained(chain5, 0, 0, ConstraintSet(), 6, gamma)
+        assert path == (0, 1, 2, 3, 4)
         assert cost == 4
 
     def test_vertex_constraint_forces_wait(self, chain5):
         gamma = goal_distance_field(chain5, 4)
         cs = ConstraintSet().with_vertex(0, 1, 1)
-        traj, cost = plan_constrained(chain5, 0, 0, cs, 6, gamma)
+        path, cost = plan_constrained(chain5, 0, 0, cs, 6, gamma)
         assert cost == 5
-        assert traj.vertices == (0, 0, 1, 2, 3, 4)
+        assert path == (0, 0, 1, 2, 3, 4)
 
     def test_start_at_goal(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        traj, cost = plan_constrained(chain5, 0, 4, ConstraintSet(), 3, gamma)
-        assert traj.vertices == (4,)
+        path, cost = plan_constrained(chain5, 0, 4, ConstraintSet(), 3, gamma)
+        assert path == (4,)
         assert cost == 0
 
     def test_t0_vertex_constraint_rejected(self, chain5):
@@ -330,8 +335,8 @@ class TestPlanConstrained:
         cs = ConstraintSet().with_vertex(0, 2, 2).with_edge(0, 1, (1, 2))
         out = plan_constrained(chain5, 0, 0, cs, 8, gamma)
         assert out is not None
-        traj, _ = out
-        assert satisfies(traj, cs)
+        path, _ = out
+        assert satisfies(0, path, cs)
 
     def test_suffix_greedy(self, chain5):
         gamma = goal_distance_field(chain5, 4)
@@ -373,23 +378,23 @@ class TestPlanConstrained:
         if out is None:
             assert expected is None or expected >= (1 << 30)
         else:
-            traj, cost = out
+            path, cost = out
             assert cost == expected
-            assert satisfies(traj, cs)
+            assert satisfies(0, path, cs)
 
 
 class TestSatisfies:
     def test_vertex_violation(self):
         cs = ConstraintSet().with_vertex(0, 1, 1)
-        assert not satisfies(Trajectory(0, (0, 1)), cs)
+        assert not satisfies(0, (0, 1), cs)
 
     def test_edge_direction_matters(self):
         cs = ConstraintSet().with_edge(0, 0, (1, 0))
-        assert satisfies(Trajectory(0, (0, 1)), cs)
-        assert not satisfies(Trajectory(0, (1, 0)), cs)
+        assert satisfies(0, (0, 1), cs)
+        assert not satisfies(0, (1, 0), cs)
 
     def test_empty_set(self):
-        assert satisfies(Trajectory(0, (0, 1)), ConstraintSet())
+        assert satisfies(0, (0, 1), ConstraintSet())
 
 
 class TestGreedyPath:

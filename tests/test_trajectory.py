@@ -15,7 +15,7 @@ from daccbs import (
     is_conflict_free,
     soc,
 )
-from daccbs.trajectory import count_conflicts, path_cost
+from daccbs.trajectory import count_conflicts, makespan, pad, path_cost
 
 from conftest import positions_at, prefix_cost
 
@@ -24,36 +24,40 @@ def jt(*vertex_lists):
     return JointTrajectory([Trajectory(i, tuple(vs)) for i, vs in enumerate(vertex_lists)])
 
 
+def rows(*vertex_lists):
+    return pad(tuple(vs) for vs in vertex_lists)
+
+
 class TestConflictDetection:
     def test_vertex_conflict(self):
-        c = detect_first_conflict(jt([0, 1], [2, 1]), 1)
+        c = detect_first_conflict(rows([0, 1], [2, 1]), 1)
         assert c is not None
         assert (c.kind, c.agents, c.time, c.location) == ("vertex", (0, 1), 1, 1)
 
     def test_edge_conflict(self):
-        c = detect_first_conflict(jt([1, 2], [2, 1]), 1)
+        c = detect_first_conflict(rows([1, 2], [2, 1]), 1)
         assert c is not None
         assert (c.kind, c.agents, c.time, c.location) == ("edge", (0, 1), 1, (1, 2))
 
     def test_no_conflict(self):
-        assert detect_first_conflict(jt([0, 1], [3, 3]), 1) is None
+        assert detect_first_conflict(rows([0, 1], [3, 3]), 1) is None
 
     def test_vertex_before_edge_at_equal_time(self):
         # At t=1: agents 0/1 swap (edge conflict) and agents 2/3 collide on 9.
-        c = detect_first_conflict(jt([1, 2], [2, 1], [8, 9], [9, 9]), 1)
+        c = detect_first_conflict(rows([1, 2], [2, 1], [8, 9], [9, 9]), 1)
         assert c.kind == "vertex"
         assert c.agents == (2, 3)
 
     def test_lowest_pair_wins(self):
-        c = detect_first_conflict(jt([0, 5], [1, 5], [2, 6], [3, 6]), 1)
+        c = detect_first_conflict(rows([0, 5], [1, 5], [2, 6], [3, 6]), 1)
         assert c.agents == (0, 1)
 
     def test_horizon_beyond_makespan_rejected(self):
         with pytest.raises(ValueError):
-            detect_first_conflict(jt([0, 1]), 2)
+            detect_first_conflict(rows([0, 1]), 2)
 
     def test_prefix_monotonicity(self):
-        joint = jt([0, 1, 2], [2, 2, 2])
+        joint = rows([0, 1, 2], [2, 2, 2])
         assert detect_first_conflict(joint, 2) is not None
         assert detect_first_conflict(joint, 1) is None
         assert detect_first_conflict(joint, 0) is None
@@ -61,11 +65,13 @@ class TestConflictDetection:
 
 class TestGoalTerminatedScans:
     def test_same_as_padded_to_hmax(self):
-        # Every trajectory ends at its agent's goal, goals are distinct, and
-        # some agents are cut off at H_max instead.  Scanning the joint padded
-        # only to its own makespan, clamped there, finds what scanning the
-        # same joint padded to H_max finds.  A handful of vertices makes
-        # collisions common.
+        # Every path ends at its agent's goal, goals are distinct, and some
+        # agents are cut off at H_max instead.  Scanning the paths padded
+        # only to their own makespan, clamped there, finds what scanning the
+        # same paths padded to H_max finds.  A handful of vertices makes
+        # collisions common.  is_conflict_free, given the unpadded paths of
+        # mixed lengths, agrees with the scan, and pad leaves an already
+        # padded set as it is.
         rng = random.Random(0)
         seen = {"conflict": 0, "free": 0, "cut": 0, "short": 0}
         for _ in range(2000):
@@ -73,29 +79,28 @@ class TestGoalTerminatedScans:
             n = rng.randint(1, 6)
             n_vertices = n + rng.randint(0, 3)
             goals = rng.sample(range(n_vertices), n)
-            trajs = []
+            paths = []
             for i in range(n):
                 cut = rng.random() < 0.2
                 length = h_max + 1 if cut else rng.randint(1, h_max + 1)
                 vertices = [rng.randrange(n_vertices) for _ in range(length)]
                 if not cut:
                     vertices[-1] = goals[i]
-                trajs.append(Trajectory(i, tuple(vertices)))
-            short = JointTrajectory(trajs)
-            padded = JointTrajectory(
-                [Trajectory(t.agent, t.vertices + (t.vertices[-1],) * (h_max + 1 - len(t)))
-                 for t in trajs]
-            )
-            assert padded.makespan == h_max
+                paths.append(tuple(vertices))
+            short = JointTrajectory([Trajectory(i, p) for i, p in enumerate(paths)])
+            padded = tuple(p + (p[-1],) * (h_max + 1 - len(p)) for p in paths)
+            assert makespan(padded) == h_max
+            assert pad(padded) == padded and pad(short.rows) == short.rows
             # No event precedes the first conflict, so a count may start there.
-            first = detect_first_conflict(short, short.makespan)
+            first = detect_first_conflict(short.rows, short.makespan)
+            assert is_conflict_free(paths) == (first is None), paths
             for h in range(h_max + 1):
-                got = detect_first_conflict(short, min(h, short.makespan))
-                assert got == detect_first_conflict(padded, h), (trajs, h)
-                count = count_conflicts(short, h)
-                assert count == count_conflicts(padded, h), (trajs, h)
+                got = detect_first_conflict(short.rows, min(h, short.makespan))
+                assert got == detect_first_conflict(padded, h), (paths, h)
+                count = count_conflicts(short.rows, h)
+                assert count == count_conflicts(padded, h), (paths, h)
                 if first is not None:
-                    assert count_conflicts(short, h, first.time) == count, (trajs, h)
+                    assert count_conflicts(short.rows, h, first.time) == count, (paths, h)
             seen["conflict" if got is not None else "free"] += 1
             seen["cut" if short.makespan == h_max else "short"] += 1
         assert min(seen.values()) > 300, seen
@@ -109,15 +114,15 @@ class TestGoalTerminatedScans:
         for _ in range(2000):
             n = rng.randint(2, 6)
             n_vertices = n + rng.randint(0, 4)
-            makespan = rng.randint(1, 8)
-            joint = jt(*([rng.randrange(n_vertices) for _ in range(makespan + 1)]
-                         for _ in range(n)))
-            for h in range(makespan + 1):
+            length = rng.randint(1, 8) + 1
+            joint = rows(*([rng.randrange(n_vertices) for _ in range(length)]
+                           for _ in range(n)))
+            for h in range(length):
                 full = detect_first_conflict(joint, h)
                 for s in range(h + 2):
                     if full is not None and full.time < s:
                         break
-                    assert detect_first_conflict(joint, h, s) == full, (joint.rows, h, s)
+                    assert detect_first_conflict(joint, h, s) == full, (joint, h, s)
                     if full is None:
                         seen["none"] += 1
                     elif full.time > s:
@@ -131,7 +136,7 @@ class TestPadding:
     def test_padded_to_common_makespan(self):
         joint = jt([0, 1, 2], [5])
         assert joint.makespan == 2
-        assert joint[1].vertices == (5, 5, 5)
+        assert joint.rows[1] == (5, 5, 5)
 
     def test_positions_at(self):
         joint = jt([0, 1], [3])
@@ -141,27 +146,27 @@ class TestPadding:
 class TestCosts:
     def test_prefix_cost_chain(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        assert prefix_cost(Trajectory(0, (0, 1)), 1, gamma) == 4  # 1 + gamma(1)=3
+        assert prefix_cost((0, 1), 1, gamma) == 4  # 1 + gamma(1)=3
 
     def test_prefix_cost_at_goal(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        assert prefix_cost(Trajectory(0, (4,)), 0, gamma) == 0
+        assert prefix_cost((4,), 0, gamma) == 0
 
     def test_prefix_cost_wait(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        assert prefix_cost(Trajectory(0, (0, 0)), 1, gamma) == 5  # 1 + gamma(0)=4
+        assert prefix_cost((0, 0), 1, gamma) == 5  # 1 + gamma(0)=4
 
     def test_prefix_cost_unreachable_saturates(self):
         from daccbs import Graph
 
         g = Graph(((0,), (1,)))
         gamma = goal_distance_field(g, 0)
-        assert prefix_cost(Trajectory(0, (1,)), 0, gamma) == INF
+        assert prefix_cost((1,), 0, gamma) == INF
 
     def test_goal_absorbing(self, chain5):
         gamma = goal_distance_field(chain5, 4)
-        assert prefix_cost(Trajectory(0, (4, 4)), 1, gamma) == 0
-        assert prefix_cost(Trajectory(1, (0, 1)), 1, gamma) == 4
+        assert prefix_cost((4, 4), 1, gamma) == 0
+        assert prefix_cost((0, 1), 1, gamma) == 4
 
     def test_soc_chain(self):
         assert soc(jt([0, 1, 2, 3, 4]), [4]) == 4
@@ -182,7 +187,7 @@ class TestCosts:
         gamma = goal_distance_field(chain5, 4)
         joint = jt([0, 1, 2, 3, 4], [2, 3, 4, 4, 4])
         assert soc(joint, [4, 4]) == sum(
-            prefix_cost(traj, joint.makespan, gamma) for traj in joint.trajectories
+            prefix_cost(row, joint.makespan, gamma) for row in joint.rows
         )
 
     def test_path_cost(self):
@@ -198,5 +203,4 @@ class TestTrajectory:
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_singleton_joint_never_conflicts(vertices):
-    joint = JointTrajectory([Trajectory(0, tuple(vertices))])
-    assert is_conflict_free(joint)
+    assert is_conflict_free([tuple(vertices)])
