@@ -5,14 +5,17 @@ running horizon: nodes store goal-terminated paths (each ends where its
 agent reaches its goal for good, or at H_max when cut off there),
 conflicts are resolved only inside the active prefix, and whenever the
 dequeued node's prefix is conflict-free the horizon jumps to that node's
-first conflict (or to H_max), found by one scan.  Because paths are
-gamma-greedy past their last constrained step, node costs are invariant
-under horizon extension and the tree is reused across increments.
+first conflict (or to H_max).  Because paths are gamma-greedy past their
+last constrained step, node costs are invariant under horizon extension and
+the tree is reused across increments.
 
-A node costs one low-level plan at most and one scan from where it changed.
-A search plans each (agent, own constraints) pair once (Replanner), and a
-child's scan starts at the first step where its replanned row leaves its
-parent's, since no conflict can lie before it.
+A node costs one low-level plan at most and one scan of the row it
+replanned.  A search plans each (agent, own constraints) pair once
+(Replanner).  A counted node carries its conflict events (ConflictIndex): a
+child keeps its parent's events that do not involve its replanned row, and
+looks that row up in an occupancy table of the root's rows from the first
+step where it leaves its parent's, since no conflict can lie before it.
+No node reads its rows further than its first conflict and its count need.
 
 run_classic_cbs drives the same machinery to a horizon long enough to cover
 an optimal solution, which makes it plain full-horizon CBS.
@@ -31,15 +34,25 @@ from .grid import INF, InfeasibleInstanceError, MapfInstance, sat_add
 from .lowlevel import ConstraintSet, Reach, greedy_path, plan_constrained
 from .trajectory import (
     Conflict,
+    Event,
     JointTrajectory,
+    OccupancyTable,
     Trajectory,
     count_conflicts,
+    count_events,
     detect_first_conflict,
-    makespan,
-    pad,
     path_cost,
     strip_goal_waits,
 )
+
+__all__ = [
+    "ConflictIndex", "ConstraintTreeNode", "ExpansionCapExceeded", "NodeConflicts",
+    "Replanner", "SearchOutcome", "expand", "make_root", "run_adaptive",
+    "run_classic_cbs",
+    # The full-row scans.  The search no longer calls them, but the
+    # benchmark's layer trace (perfbench/layers.py) wraps them by these names.
+    "detect_first_conflict", "count_conflicts",
+]
 
 
 class ExpansionCapExceeded(RuntimeError):
@@ -63,6 +76,8 @@ class ConstraintTreeNode:
     # a root, and in a child the first step at which its replanned row
     # differs from its parent's (at the latest the parent's conflict time).
     scan_from: int = 0
+    # Member index of the row replanned from the parent; -1 at a root.
+    replanned: int = -1
 
 
 @dataclass
@@ -192,22 +207,84 @@ def expand(
         paths[agent] = path
         children.append(ConstraintTreeNode(
             constraints, paths, node.cost - old_cost + cost,
-            _first_change(old, path, conflict.time),
+            _first_change(old, path, conflict.time), conflict.agents[k],
         ))
     return children
 
 
-def _first_conflict_and_count(
-    node: ConstraintTreeNode, agents: tuple[int, ...], h_max: int, horizon: int
-) -> tuple[int, Conflict | None]:
-    """(conflict events in 0..horizon, first conflict within H_max) from the
-    members' padded rows.  The scan starts at the node's scan_from and the
-    count at the first conflict, since none precedes either."""
-    rows = pad(node.paths[a] for a in agents)
-    conflict = detect_first_conflict(rows, min(h_max, makespan(rows)), node.scan_from)
-    if conflict is None or conflict.time > horizon:
-        return 0, conflict
-    return count_conflicts(rows, horizon, conflict.time), conflict
+class NodeConflicts:
+    """A counted node's conflict events: every one at timesteps 0..known,
+    sorted, and the first of them (None when there is none to H_max)."""
+
+    __slots__ = ("events", "known", "first")
+
+    def __init__(self, events: list[Event], known: int, first: Conflict | None) -> None:
+        self.events = events
+        self.known = known
+        self.first = first
+
+
+class ConflictIndex:
+    """One search's conflict bookkeeping: an occupancy table of the root's
+    rows, from which each node's events are found.
+
+    A child keeps its parent's events that do not involve its replanned
+    row, up to the parent's `known` step, and adds that row's events
+    against the others from its scan_from up to there; a root starts with
+    none.  Past that, a node reads every row, through its count horizon and
+    then step by step only until its first conflict.  A row still the
+    root's is found through the table, and a replanned one is compared
+    directly.
+    """
+
+    def __init__(self, root: ConstraintTreeNode, agents: tuple[int, ...], h_max: int) -> None:
+        self.agents = agents
+        self.h_max = h_max
+        self.table = OccupancyTable(root.paths[a] for a in agents)
+
+    def count(
+        self,
+        node: ConstraintTreeNode,
+        inherited: NodeConflicts | None,
+        horizon: int,
+    ) -> tuple[int, NodeConflicts]:
+        """(conflict events in 0..horizon, the node's events) of a root
+        (`inherited` None) or of a child, from its parent's events.  The
+        count is count_conflicts' on the node's padded rows: 0 when the
+        first conflict lies past `horizon`."""
+        table = self.table
+        rows = [node.paths[a] for a in self.agents]
+        live = [row is own for row, own in zip(rows, table.paths)]
+        end = min(self.h_max, max(map(len, rows)) - 1)
+        if inherited is None:
+            events: list[Event] = []
+            known = -1
+        else:
+            m = node.replanned
+            live[m] = False  # its row is new, whatever object it is
+            known = min(inherited.known, end)
+            events = [
+                e for e in inherited.events
+                if e[0] <= known and e[2] != m and e[3] != m
+            ]
+            events += table.row_events(rows, m, node.scan_from, known, live)
+            events.sort()
+        # The steps through the count horizon are read either way: they hold
+        # the events to count, or show that the first conflict lies past it.
+        stop = min(horizon, end)
+        if known < stop:
+            events += table.events(rows, known + 1, stop, live)
+            known = stop
+        if not events and known < end:
+            events = table.events(rows, known + 1, end, live, first_only=True)
+            known = events[0][0] if events else end
+        if not events:
+            return 0, NodeConflicts(events, known, None)
+        t, kind, i, j, location = events[0]
+        conflict = Conflict("edge" if kind else "vertex", (i, j), t, location)
+        if t > horizon:
+            return 0, NodeConflicts(events, known, conflict)
+        return count_events(events, horizon), NodeConflicts(events, known, conflict)
 
 
 def run_adaptive(
@@ -220,9 +297,9 @@ def run_adaptive(
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
 
-    A node's paths are scanned once, for the first conflict in
-    0..min(H_max, makespan).  Past the group's makespan every agent waits at
-    its own goal, and goals are distinct, so no conflict can appear there.
+    A node's first conflict is looked for in 0..min(H_max, makespan).  Past
+    the group's makespan every agent waits at its own goal, and goals are
+    distinct, so no conflict can appear there.
     When a dequeued node's first conflict lies outside the active prefix
     0..h_r, the prefix is conflict-free and h_r jumps to that conflict's
     time (H_max when there is none); the node is then expanded on that
@@ -237,18 +314,19 @@ def run_adaptive(
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
     is reached: it is pushed with the count -1, which sorts it ahead of
-    every counted node of its cost, and when it reaches the top its rows
-    are padded once and scanned for its first conflict.  No event precedes
-    that conflict, so the count is 0 when it lies past the push-time h_r
-    and otherwise starts at its time.  The entry goes back with the count
-    and the conflict, and the dequeue reads the conflict from it.  The root
-    is pushed the same way.  The order is the one eager counting gives, but
-    children that are never dequeued are never counted, and no node is
-    scanned twice.  Each replanned
-    agent's Reach is kept for the whole search, and so is each (agent, own
-    constraints) pair's plan, so no pair is planned twice.  A child's scan
-    starts at its scan_from, the first step where its replanned row leaves
-    its parent's, since no conflict precedes it.
+    every counted node of its cost, and with its parent's conflict events.
+    When it reaches the top, ConflictIndex.count derives its events from
+    its parent's (see ConflictIndex).  Its first conflict is the smallest
+    event; no event precedes it, so the count is 0 when it lies past the
+    push-time h_r, and otherwise the events from it to h_r, counted as
+    count_conflicts counts a scan of the padded rows.  The entry goes back
+    with the count and the node's events; the dequeue reads the first
+    conflict from them, and the node's children are pushed with them.  The
+    root is pushed the same way, with no events to inherit.  The order is
+    the one eager counting gives, but children that are never dequeued are
+    never counted, and no node is counted twice.  Each replanned agent's
+    Reach is kept for the whole search, and so is each (agent, own
+    constraints) pair's plan, so no pair is planned twice.
     """
     if agents is None:
         agents = tuple(range(instance.n_agents))
@@ -259,11 +337,13 @@ def run_adaptive(
     seq = 0
     h_r = 1
     # (cost, conflicts at the push-time h_r or -1 until counted, seq, node,
-    # push-time h_r, first conflict once counted)
-    heap: list[tuple[int, int, int, ConstraintTreeNode, int, Conflict | None]] = [
+    # push-time h_r, the node's events once counted and its parent's until
+    # then)
+    heap: list[tuple[int, int, int, ConstraintTreeNode, int, NodeConflicts | None]] = [
         (root.cost, -1, seq, root, h_r, None)
     ]
     replanner = Replanner(instance, state, h_max)
+    index = ConflictIndex(root, agents, h_max)
     best_node: ConstraintTreeNode | None = None
     best_h = 0
     expansions = 0
@@ -273,13 +353,14 @@ def run_adaptive(
         if clock is not None and clock.expired(expansions):
             reason = clock.reason
             break
-        cost, conflicts, node_seq, node, pushed_h, conflict = heap[0]
+        cost, conflicts, node_seq, node, pushed_h, events = heap[0]
         if conflicts < 0:
-            conflicts, conflict = _first_conflict_and_count(node, agents, h_max, pushed_h)
-            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h, conflict))
+            conflicts, events = index.count(node, events, pushed_h)
+            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h, events))
             continue
         heapq.heappop(heap)
         dequeues += 1
+        conflict = events.first
         if conflict is None or conflict.time > h_r:
             if on_prefix_found is not None:
                 on_prefix_found(node, h_r)
@@ -294,7 +375,7 @@ def run_adaptive(
                 best_node, best_h = node, h_r - 1
         for child in expand(node, conflict, instance, state, h_max, agents, replanner):
             seq += 1
-            heapq.heappush(heap, (child.cost, -1, seq, child, h_r, None))
+            heapq.heappush(heap, (child.cost, -1, seq, child, h_r, events))
         expansions += 1
     if best_node is None and reason in ("exhausted", "deadline"):
         reason = "no-prefix"

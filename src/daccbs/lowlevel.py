@@ -69,12 +69,6 @@ class ConstraintSet:
             frozenset(c for c in self.edge_constraints if c[0] == agent),
         )
 
-    def for_agent(self, agent: int) -> tuple[set[tuple[int, int]], set[tuple[int, int, int]]]:
-        """(forbidden (t, v) pairs, forbidden (t, u, w) departures) for one agent."""
-        vtx = {(t, v) for a, t, v in self.vertex_constraints if a == agent}
-        edg = {(t, u, w) for a, t, (u, w) in self.edge_constraints if a == agent}
-        return vtx, edg
-
 
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
     """Gamma-greedy walk of at most `length` steps: descend gamma via the
@@ -160,22 +154,24 @@ def plan_constrained(
         reach = Reach(graph, start)
     elif reach.start != start:
         raise ValueError(f"reach from {reach.start} given for a plan from {start}")
-    forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
-    if (0, start) in forbidden_vtx:
+    # The agent's own constraints, read in one pass: blocked[t] holds the
+    # vertices forbidden at t, cut[t] the edges forbidden from t to t + 1.
+    blocked: dict[int, set[int]] = {}
+    for a, t, v in constraints.vertex_constraints:
+        if a == agent:
+            blocked.setdefault(t, set()).add(v)
+    cut: dict[int, set[tuple[int, int]]] = {}
+    for a, t, edge in constraints.edge_constraints:
+        if a == agent:
+            cut.setdefault(t, set()).add(edge)
+    if start in blocked.get(0, ()):
         raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
-    for t, _ in forbidden_vtx:
+    for t in blocked:
         if t > h_max:
             raise ConstraintError(f"vertex constraint time {t} beyond horizon {h_max}")
-    for t, _, _ in forbidden_edg:
+    for t in cut:
         if t > h_max - 1:
             raise ConstraintError(f"edge constraint time {t} beyond horizon {h_max - 1}")
-
-    blocked: dict[int, set[int]] = {}
-    for t, v in forbidden_vtx:
-        blocked.setdefault(t, set()).add(v)
-    cut: dict[int, set[tuple[int, int]]] = {}
-    for t, u, w in forbidden_edg:
-        cut.setdefault(t, set()).add((u, w))
     # The last constrained step: a cut edge departing at t constrains t + 1.
     t_c = max([*blocked, *(t + 1 for t in cut)], default=0)
 

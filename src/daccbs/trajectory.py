@@ -16,9 +16,14 @@ cost-to-go at the prefix terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable
 
 Rows = tuple[tuple[int, ...], ...]
+# A conflict event: (t, 0 for vertex or 1 for edge, i, j, location) with i < j
+# member indices; sorted, the first is the first conflict in
+# detect_first_conflict's tie order.
+Event = tuple[int, int, int, int, object]
 
 
 @dataclass(frozen=True)
@@ -48,15 +53,17 @@ class Conflict:
     location: int | tuple[int, int]
 
 
+def _waiting(path: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The path extended with waits at its last vertex to `length` entries."""
+    return path + (path[-1],) * (length - len(path)) if len(path) < length else path
+
+
 def pad(paths: Iterable[tuple[int, ...]]) -> Rows:
     """The paths as rows of one length, the longest's: each is extended with
     waits at its last vertex.  A path already that long is its own row."""
     paths = tuple(paths)
     length = max(map(len, paths), default=0)
-    return tuple(
-        path if len(path) == length else path + (path[-1],) * (length - len(path))
-        for path in paths
-    )
+    return tuple(_waiting(path, length) for path in paths)
 
 
 def makespan(rows: Rows) -> int:
@@ -139,6 +146,172 @@ def count_conflicts(rows: Rows, horizon: int, start: int = 0) -> int:
                     total += 1
                 moves.add((u, w))
     return total
+
+
+def count_events(events: list[Event], horizon: int) -> int:
+    """count_conflicts' count of sorted conflict events at or before
+    `horizon`: each vertex pair once, and each row that meets an earlier
+    row's reverse move once at a step, however many rows made that move."""
+    count = 0
+    reversing: set[tuple[int, int]] = set()
+    for t, kind, _, j, _ in events:
+        if t > horizon:
+            break
+        if kind:
+            reversing.add((t, j))
+        else:
+            count += 1
+    return count + len(reversing)
+
+
+class OccupancyTable:
+    """Where a fixed set of paths is at each step, and which edges they move
+    along: a space-time index in the manner of a conflict avoidance table.
+
+    Each path is read as waiting at its last vertex past its end.  The
+    table is grown one timestep at a time, only as far as it is read, and
+    each timestep also keeps the conflict events among its own paths.  A
+    set of rows in which some paths have been replaced is scanned against
+    it: a row still identical (`is`) to the table's path is live, and is
+    found through the table; a replaced row is compared directly.
+    """
+
+    def __init__(self, paths) -> None:
+        self.paths = tuple(paths)
+        self.end = max(map(len, self.paths)) - 1  # past it, no path moves
+        # Per timestep: vertex -> the members there, and edge (u, w) -> the
+        # members that move u -> w into the step.
+        self._at: list[dict[int, list[int]]] = []
+        self._moves: list[dict[tuple[int, int], list[int]]] = []
+        self._events: list[list[Event]] = []
+
+    def __len__(self) -> int:
+        """Timesteps built so far."""
+        return len(self._at)
+
+    def _grow(self, t: int) -> None:
+        """Build the timesteps through t (at most through the end)."""
+        for s in range(len(self._at), min(t, self.end) + 1):
+            at: dict[int, list[int]] = {}
+            moves: dict[tuple[int, int], list[int]] = {}
+            events: list[Event] = []
+            for j, path in enumerate(self.paths):
+                v = path[s] if s < len(path) else path[-1]
+                here = at.get(v)
+                if here is None:
+                    at[v] = [j]
+                else:
+                    events.extend((s, 0, i, j, v) for i in here)
+                    here.append(j)
+                if 0 < s < len(path) and path[s - 1] != v:
+                    u = path[s - 1]
+                    events.extend((s, 1, i, j, (v, u)) for i in moves.get((v, u), ()))
+                    moves.setdefault((u, v), []).append(j)
+            events.sort()
+            self._at.append(at)
+            self._moves.append(moves)
+            self._events.append(events)
+
+    def events(self, rows, lo: int, hi: int, live, first_only: bool = False) -> list[Event]:
+        """Every conflict event of `rows` at timesteps lo..hi, sorted; with
+        `first_only`, those of the first of these steps that has any.
+
+        rows[k] replaces the table's path k wherever live[k] is false.  The
+        scan goes step by step, and the table grows only through the last
+        step scanned.
+        """
+        end, own, at, moves = self.end, self._events, self._at, self._moves
+        replaced = [(r, _waiting(rows[r], hi + 1)) for r, same in enumerate(live) if not same]
+        events: list[Event] = []
+        for t in range(lo, hi + 1):
+            if t <= end:
+                if t >= len(at):
+                    self._grow(t)
+                if own[t]:
+                    events += [e for e in own[t] if live[e[2]] and live[e[3]]]
+                at_t, moves_t = at[t], moves[t]
+            else:
+                # Past the end every path waits where it is: only the vertex
+                # pairs of the last step remain.
+                self._grow(end)
+                events += [
+                    (t, 0, i, j, v) for _, kind, i, j, v in own[end]
+                    if not kind and live[i] and live[j]
+                ]
+                at_t, moves_t = at[end], {}
+            # The replaced rows against the live ones through the table, and
+            # against each other as a scan of this step does.
+            here: dict[int, list[int]] = {}
+            moved: dict[tuple[int, int], list[int]] = {}
+            for r, row in replaced:
+                v = row[t]
+                for k in at_t.get(v, ()):
+                    if live[k]:
+                        events.append((t, 0, k, r, v) if k < r else (t, 0, r, k, v))
+                others = here.get(v)
+                if others is None:
+                    here[v] = [r]
+                else:
+                    events.extend((t, 0, k, r, v) for k in others)
+                    others.append(r)
+                if t:
+                    u = row[t - 1]
+                    if u != v:
+                        for k in moves_t.get((v, u), ()):
+                            if live[k]:
+                                events.append(
+                                    (t, 1, k, r, (v, u)) if k < r else (t, 1, r, k, (u, v))
+                                )
+                        others = moved.get((v, u))
+                        if others:
+                            events.extend((t, 1, k, r, (v, u)) for k in others)
+                        moved.setdefault((u, v), []).append(r)
+            if first_only and events:
+                break
+        events.sort()
+        return events
+
+    def row_events(self, rows, r: int, lo: int, hi: int, live) -> list[Event]:
+        """Conflict events at timesteps lo..hi between rows[r] and each other
+        row: the live ones found through the table, the replaced ones
+        compared directly.  Unsorted."""
+        events: list[Event] = []
+        if lo > hi:
+            return events
+        others = [k for k, same in enumerate(live) if not same and k != r]
+        self._grow(hi)
+        end, at, moves = self.end, self._at, self._moves
+        row = _waiting(rows[r], hi + 1)
+        for t in range(lo, hi + 1):
+            v = row[t]
+            for k in at[t if t < end else end].get(v, ()):
+                if live[k]:
+                    events.append((t, 0, k, r, v) if k < r else (t, 0, r, k, v))
+            if 0 < t <= end:
+                u = row[t - 1]
+                if u != v:
+                    for k in moves[t].get((v, u), ()):
+                        if live[k]:
+                            events.append(
+                                (t, 1, k, r, (v, u)) if k < r else (t, 1, r, k, (u, v))
+                            )
+        first = max(lo, 1)
+        for k in others:
+            other = _waiting(rows[k], hi + 1)
+            i, j = (k, r) if k < r else (r, k)
+            if any(map(eq, row[lo:hi + 1], other[lo:hi + 1])):
+                events.extend(
+                    (t, 0, i, j, row[t]) for t in range(lo, hi + 1) if row[t] == other[t]
+                )
+            # An edge event at t: row r moves u -> v while the other moves v -> u.
+            if any(map(eq, row[first - 1:hi], other[first:hi + 1])):
+                low = row if i == r else other
+                events.extend(
+                    (t, 1, i, j, (low[t - 1], low[t]))
+                    for t in range(first, hi + 1)
+                    if row[t - 1] == other[t] and row[t] == other[t - 1] != row[t - 1]
+                )
+        return events
 
 
 def strip_goal_waits(vertices: tuple[int, ...]) -> tuple[int, ...]:

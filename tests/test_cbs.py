@@ -20,11 +20,12 @@ from daccbs import (
     run_classic_cbs,
     soc,
 )
-from daccbs.cbs import ConstraintTreeNode, expand, make_root
+from daccbs.cbs import ConflictIndex, ConstraintTreeNode, _first_change, expand, make_root
 from daccbs.lowlevel import ConstraintSet, plan_constrained
 from daccbs.trajectory import (
     Conflict,
     count_conflicts,
+    count_events,
     detect_first_conflict,
     is_conflict_free,
     makespan,
@@ -388,16 +389,16 @@ class TestLazyConflictCount:
     def test_counts_fewer_nodes_than_it_pushes(self, monkeypatch):
         counts, pushed = [], []
 
-        def counted(rows, horizon, start=0):
-            counts.append((start, horizon))
-            return count_conflicts(rows, horizon, start)
+        def counted(events, horizon):
+            counts.append((events[0][0], horizon))
+            return count_events(events, horizon)
 
         def expanded(*args):
             children = expand(*args)
             pushed.append(len(children))
             return children
 
-        monkeypatch.setattr(daccbs.cbs, "count_conflicts", counted)
+        monkeypatch.setattr(daccbs.cbs, "count_events", counted)
         monkeypatch.setattr(daccbs.cbs, "expand", expanded)
         inst = random_instance(random.Random(1), *WORKLOAD_SHAPES[1])
         outcome = run_adaptive(inst, inst.starts, 128, WorkClock(300))
@@ -415,16 +416,16 @@ class TestScanStart:
         # scan from t = 0 finds.
         starts = []
 
-        def checked(node, agents, h_max, horizon):
-            joint = joint_rows(node, agents)
-            full = detect_first_conflict(joint, min(h_max, makespan(joint)))
-            count, conflict = first_conflict_and_count(node, agents, h_max, horizon)
-            assert conflict == full, (node.scan_from, conflict, full)
+        def checked(index, node, inherited, horizon):
+            joint = joint_rows(node, index.agents)
+            full = detect_first_conflict(joint, min(index.h_max, makespan(joint)))
+            count, events = first_conflict_and_count(index, node, inherited, horizon)
+            assert events.first == full, (node.scan_from, events.first, full)
             starts.append((node.scan_from, full))
-            return count, conflict
+            return count, events
 
-        first_conflict_and_count = daccbs.cbs._first_conflict_and_count
-        monkeypatch.setattr(daccbs.cbs, "_first_conflict_and_count", checked)
+        first_conflict_and_count = daccbs.cbs.ConflictIndex.count
+        monkeypatch.setattr(daccbs.cbs.ConflictIndex, "count", checked)
         for shape, seed in EAGER_CASES:
             inst = random_instance(random.Random(seed), *shape)
             for cap in (5, 60, 300):
@@ -433,6 +434,143 @@ class TestScanStart:
         # they start from.
         assert sum(s > 1 for s, _ in starts) > len(starts) // 2, len(starts)
         assert any(c is not None and c.time == s for s, c in starts)
+
+
+def full_scan(paths, agents, h_max, horizon):
+    """(count, first conflict) from the node's padded rows, as a scan of all
+    rows finds them: the reference for ConflictIndex.count."""
+    rows = pad(paths[a] for a in agents)
+    conflict = detect_first_conflict(rows, min(h_max, makespan(rows)))
+    if conflict is None or conflict.time > horizon:
+        return 0, conflict
+    return count_conflicts(rows, horizon, conflict.time), conflict
+
+
+def random_walk(rng, graph, path, length):
+    """The path continued by random moves (waits included) to `length`."""
+    path = list(path)
+    while len(path) < length:
+        path.append(rng.choice(graph.adjacency[path[-1]]))
+    return tuple(path)
+
+
+class TestCarriedConflicts:
+    def test_three_agents_on_one_vertex(self):
+        # Three rows meet at vertex 1 at t = 1: three pairs, one event each.
+        paths = {7: (0, 1), 3: (2, 1), 5: (4, 1)}
+        root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+        agents = (7, 3, 5)
+        count, events = ConflictIndex(root, agents, 4).count(root, None, 1)
+        assert (count, events.first) == full_scan(paths, agents, 4, 1) == (
+            3, Conflict("vertex", (0, 1), 1, 1)
+        )
+
+    def test_two_rows_reversed_by_one_count_once(self):
+        # Rows 0 and 1 both move 2 -> 1 at t = 2 while row 2 moves 1 -> 2:
+        # rows 0 and 1 share vertex 2 at t = 1 and vertex 1 at t = 2, and row 2
+        # meets a reverse move once, however many rows made it.  So the count
+        # to t = 2 is 3 of the 4 events.  The child whose replanned row makes
+        # the same case counts the same.
+        paths = {0: (5, 2, 1), 1: (6, 2, 1), 2: (0, 1, 2)}
+        agents = (0, 1, 2)
+        root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+        count, events = ConflictIndex(root, agents, 3).count(root, None, 2)
+        assert (count, events.first) == full_scan(paths, agents, 3, 2) == (
+            3, Conflict("vertex", (0, 1), 1, 2)
+        )
+        assert len(events.events) == 4
+        paths = {0: (5, 2, 1), 1: (6, 6, 6), 2: (0, 1, 2)}
+        root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+        index = ConflictIndex(root, agents, 3)
+        _, parent = index.count(root, None, 2)
+        assert parent.first == Conflict("edge", (0, 2), 2, (2, 1))
+        child = ConstraintTreeNode(ConstraintSet(), {**paths, 1: (6, 2, 1)}, 0, 1, 1)
+        count, events = index.count(child, parent, 2)
+        assert (count, events.first) == full_scan(child.paths, agents, 3, 2)
+        assert count == 3
+
+    def test_matches_a_full_scan_of_the_same_rows(self):
+        # Random constraint trees on a small grid, where rows meet often: each
+        # child replaces one row with one that keeps a prefix of the old and
+        # then walks at random, to any length up to h_max + 1, or now and
+        # then with the root's own path object again.  Every node's carried
+        # first conflict and count equal a full scan's at a random horizon.
+        rng = random.Random(21)
+        graph = make_grid(3, 4)
+        seen = Counter()
+        nodes = 0
+        while nodes < 2000:
+            n = rng.randint(2, 7)
+            h_max = rng.randint(1, 9)
+            agents = tuple(rng.sample(range(20), n))
+            paths = {
+                a: random_walk(rng, graph, [rng.randrange(12)], rng.randint(1, h_max + 1))
+                for a in agents
+            }
+            root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+            index = ConflictIndex(root, agents, h_max)
+            root_end = max(map(len, paths.values())) - 1
+            horizon = rng.randint(1, h_max)
+            count, events = index.count(root, None, horizon)
+            assert (count, events.first) == full_scan(paths, agents, h_max, horizon)
+            counted = [(root, events)]
+            for _ in range(rng.randint(1, 30)):
+                node, parent = rng.choice(counted)
+                m = rng.randrange(n)
+                old = node.paths[agents[m]]
+                if rng.random() < 0.1 and old is not paths[agents[m]]:
+                    new = paths[agents[m]]  # back to the root's own path
+                else:
+                    new = random_walk(
+                        rng, graph, old[:rng.randint(1, len(old))], rng.randint(1, h_max + 1)
+                    )
+                # The child can have no conflict before its parent's first
+                # one, nor before its new row leaves the old.
+                first = parent.first.time if parent.first else h_max + 1
+                child = ConstraintTreeNode(
+                    ConstraintSet(), {**node.paths, agents[m]: new}, 0,
+                    _first_change(old, new, first), m,
+                )
+                horizon = rng.randint(1, h_max)
+                count, events = index.count(child, parent, horizon)
+                expected = full_scan(child.paths, agents, h_max, horizon)
+                assert (count, events.first) == expected, (child, parent.known, horizon)
+                counted.append((child, events))
+                rows = pad(child.paths[a] for a in agents)
+                seen["counted"] += count > 0
+                seen["edge first"] += events.first is not None and events.first.kind == "edge"
+                seen["conflict-free"] += events.first is None
+                seen["cut at h_max"] += len(new) == h_max + 1
+                seen["longer than root"] += len(new) - 1 > root_end
+                seen["shorter than root"] += len(new) - 1 < root_end
+                for t in range(makespan(rows) + 1):
+                    column = [row[t] for row in rows]
+                    seen["three on a vertex"] += any(column.count(v) > 2 for v in column)
+                    moves = Counter(zip([row[t - 1] for row in rows], column)) if t else {}
+                    seen["shared reversed edge"] += any(
+                        k > 1 and u != w and (w, u) in moves for (u, w), k in moves.items()
+                    )
+            nodes += len(counted)
+        assert min(seen.values()) > 10, seen
+
+    def test_root_count_reads_the_table_only_as_far_as_it_must(self, monkeypatch):
+        # A starved-shape root: its first conflict is at t = 1 and its
+        # makespan is 47.  Counting it at h_r = 1 grows the search's
+        # occupancy table through t = 1, not through the makespan.
+        inst = random_instance(random.Random(0), *WORKLOAD_SHAPES[0])
+        reads = []
+
+        def counted(index, node, inherited, horizon):
+            count, events = conflict_count(index, node, inherited, horizon)
+            reads.append((events.first.time, horizon, len(index.table), index.table.end))
+            return count, events
+
+        conflict_count = daccbs.cbs.ConflictIndex.count
+        monkeypatch.setattr(daccbs.cbs.ConflictIndex, "count", counted)
+        run_adaptive(inst, inst.starts, 64, WorkClock(1))
+        (first, horizon, built, end), = reads
+        assert (first, horizon, end) == (1, 1, 47)
+        assert built <= max(first, horizon) + 1
 
 
 class TestPlanMemo:
@@ -446,7 +584,7 @@ class TestPlanMemo:
 
         def recorded(graph, agent, start, constraints, h_max, gamma, reach=None):
             plan = plan_constrained(graph, agent, start, constraints, h_max, gamma, reach=reach)
-            planned.append(((agent, *map(frozenset, constraints.for_agent(agent))), plan is None))
+            planned.append(((agent, constraints.only(agent)), plan is None))
             return plan
 
         monkeypatch.setattr(daccbs.cbs, "plan_constrained", recorded)

@@ -44,7 +44,8 @@ def dense_plan_constrained(graph, agent, start, constraints, h_max, gamma):
     plan_constrained replaced, with the same checks and tie-break.  Its
     greedy suffix ends at the goal, so the cost is read at the path's last
     step."""
-    forbidden_vtx, forbidden_edg = constraints.for_agent(agent)
+    forbidden_vtx = {(t, v) for a, t, v in constraints.vertex_constraints if a == agent}
+    forbidden_edg = {(t, u, w) for a, t, (u, w) in constraints.edge_constraints if a == agent}
     if (0, start) in forbidden_vtx:
         raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
     t_c = min(last_constrained_step(constraints, agent), h_max)
