@@ -44,7 +44,6 @@ from .lowlevel import ConstraintError, ConstraintSet, plan_constrained
 from .oracle import OracleLimitError, exhaustive_exclusion_check, optimal_soc
 from .simulate import EpisodeResult, MovementDefect, run_episode, soc_increment
 from .trajectory import (
-    Conflict,
     JointTrajectory,
     Trajectory,
     detect_first_conflict,
@@ -60,7 +59,6 @@ __all__ = [
     "BudgetInvariantError",
     "Certificate",
     "CertificateError",
-    "Conflict",
     "ConstraintError",
     "ConstraintSet",
     "ConstraintTreeNode",

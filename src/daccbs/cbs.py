@@ -9,9 +9,11 @@ first conflict (or to H_max).  Because paths are gamma-greedy past their
 last constrained step, node costs are invariant under horizon extension and
 the tree is reused across increments.
 
-A node costs one low-level plan at most and one scan of the row it
-replanned.  A search plans each (agent, own constraints) pair once
-(Replanner).  A counted node carries its conflict events (ConflictIndex): a
+A node holds one constraint set per constrained member, and costs one
+low-level plan at most and one scan of the row it replanned.  A search
+plans each (agent, constraint set) pair once (Replanner), and a node's
+paths are those plans, so a child reads the cost of the path it replaces
+from them.  A counted node carries its conflict events (ConflictIndex): a
 child keeps its parent's events that do not involve its replanned row, and
 looks that row up in an occupancy table of the root's rows from the first
 step where it leaves its parent's, since no conflict can lie before it.
@@ -33,7 +35,6 @@ from .clock import WallClock, WorkClock
 from .grid import INF, InfeasibleInstanceError, MapfInstance, sat_add
 from .lowlevel import ConstraintSet, Reach, greedy_path, plan_constrained
 from .trajectory import (
-    Conflict,
     Event,
     JointTrajectory,
     OccupancyTable,
@@ -41,7 +42,6 @@ from .trajectory import (
     count_conflicts,
     count_events,
     detect_first_conflict,
-    path_cost,
     strip_goal_waits,
 )
 
@@ -61,15 +61,17 @@ class ExpansionCapExceeded(RuntimeError):
 
 @dataclass
 class ConstraintTreeNode:
-    """Constraint set, per-agent goal-terminated paths, and prefix cost.
+    """Per-agent constraint sets, goal-terminated paths, and prefix cost.
 
-    A path ends at its agent's goal, or at H_max when cut off there; read
-    past its end, the agent waits at its last vertex.  Its cost is the
-    running cost before its last vertex plus gamma there, and `cost` sums
-    those over the members.
+    A constrained member's path is its plan under its constraint set, and
+    an unconstrained member's is its gamma-greedy walk.  A path ends at its
+    agent's goal, or at H_max when cut off there; read past its end, the
+    agent waits at its last vertex.  Its cost is the running cost before
+    its last vertex plus gamma there, and `cost` sums those over the
+    members.
     """
 
-    constraints: ConstraintSet
+    constraints: dict[int, ConstraintSet]  # agent id -> its constraints, if any
     paths: dict[int, tuple[int, ...]]  # agent id -> goal-terminated path
     cost: int
     # No conflict lies before this step, so the node's scan starts here: 0 at
@@ -115,17 +117,17 @@ def make_root(
             raise InfeasibleInstanceError(f"agent {a} cannot reach its goal from {start}")
         paths[a] = tuple(greedy_path(instance.graph, start, gamma, h_max))
         total = sat_add(total, gamma[start])
-    return ConstraintTreeNode(ConstraintSet(), paths, total)
+    return ConstraintTreeNode({}, paths, total)
 
 
 class Replanner:
     """One search's low-level plans from `state`.
 
-    A plan reads only its agent's own constraints: the agent's start, h_max,
-    gamma and Reach are fixed for the whole search.  So each (agent, own
-    constraints) pair is planned once and its result kept, an infeasible
-    None included, and each agent's Reach is grown once.  Paths are tuples,
-    so the children that share a plan share one object.
+    The agent's start, h_max, gamma and Reach are fixed for the whole
+    search, so each (agent, constraint set) pair is planned once and its
+    result kept, an infeasible None included, and each agent's Reach is
+    grown once.  Paths are tuples, so the children that share a plan share
+    one object.
     """
 
     def __init__(self, instance: MapfInstance, state, h_max: int) -> None:
@@ -138,15 +140,14 @@ class Replanner:
     def plan(
         self, agent: int, constraints: ConstraintSet
     ) -> tuple[tuple[int, ...], int] | None:
-        own = constraints.only(agent)
-        key = (agent, own)
+        key = (agent, constraints)
         if key in self._plans:
             return self._plans[key]
         reach = self._reaches.get(agent)
         if reach is None:
             reach = self._reaches[agent] = Reach(self._instance.graph, self._state[agent])
         plan = self._plans[key] = plan_constrained(
-            self._instance.graph, agent, self._state[agent], own, self._h_max,
+            self._instance.graph, self._state[agent], constraints, self._h_max,
             self._instance.gammas[agent], reach=reach,
         )
         return plan
@@ -165,19 +166,21 @@ def _first_change(old: tuple[int, ...], new: tuple[int, ...], end: int) -> int:
 
 def expand(
     node: ConstraintTreeNode,
-    conflict: Conflict,
+    conflict: Event,
     instance: MapfInstance,
     state,
     h_max: int,
     agents: tuple[int, ...],
-    replanner: Replanner | None = None,
+    replanner: Replanner,
 ) -> list[ConstraintTreeNode]:
     """Children resolving the conflict, one added constraint each.
 
-    Only the newly constrained agent is replanned; children whose replan is
-    infeasible are omitted.  Edge conflicts reported at arrival time t become
-    departure-time constraints at t - 1.  `replanner` is the search's
-    (without one, a fresh one serves this call alone).
+    Only the newly constrained agent is replanned, by the search's
+    `replanner`; children whose replan is infeasible are omitted.  Edge
+    conflicts reported at arrival time t become departure-time constraints
+    at t - 1.  The replaced path costs gamma at the agent's start when the
+    agent had no constraints (it is the root's gamma-greedy walk), and
+    otherwise what the replanner's plan under them costs.
 
     A child's rows equal its parent's before the first step at which the
     replanned row changes, and the parent had no conflict before its own
@@ -185,43 +188,42 @@ def expand(
     child has no conflict before the earlier of the two, and its scan_from
     is that step.
     """
-    if replanner is None:
-        replanner = Replanner(instance, state, h_max)
     children: list[ConstraintTreeNode] = []
-    i, j = conflict.agents
-    members = (agents[i], agents[j])
-    for k, agent in enumerate(members):
-        if conflict.kind == "vertex":
-            constraints = node.constraints.with_vertex(agent, conflict.time, conflict.location)
+    t, kind, i, j, location = conflict
+    for m in (i, j):
+        agent = agents[m]
+        before = node.constraints.get(agent)
+        own = ConstraintSet() if before is None else before
+        if kind:
+            u, w = location
+            constraints = own.with_edge(t - 1, (u, w) if m == i else (w, u))
         else:
-            u, w = conflict.location
-            edge = (u, w) if k == 0 else (w, u)
-            constraints = node.constraints.with_edge(agent, conflict.time - 1, edge)
+            constraints = own.with_vertex(t, location)
         plan = replanner.plan(agent, constraints)
         if plan is None:
             continue
         path, cost = plan
-        old = node.paths[agent]
-        old_cost = path_cost(old[:-1], instance.goals[agent]) + instance.gammas[agent][old[-1]]
-        paths = dict(node.paths)
-        paths[agent] = path
+        if before is None:
+            old_cost = instance.gammas[agent][state[agent]]
+        else:
+            old_cost = replanner.plan(agent, before)[1]
         children.append(ConstraintTreeNode(
-            constraints, paths, node.cost - old_cost + cost,
-            _first_change(old, path, conflict.time), conflict.agents[k],
+            {**node.constraints, agent: constraints}, {**node.paths, agent: path},
+            node.cost - old_cost + cost, _first_change(node.paths[agent], path, t), m,
         ))
     return children
 
 
 class NodeConflicts:
     """A counted node's conflict events: every one at timesteps 0..known,
-    sorted, and the first of them (None when there is none to H_max)."""
+    sorted, so the first is its first conflict (none when there is none to
+    H_max)."""
 
-    __slots__ = ("events", "known", "first")
+    __slots__ = ("events", "known")
 
-    def __init__(self, events: list[Event], known: int, first: Conflict | None) -> None:
+    def __init__(self, events: list[Event], known: int) -> None:
         self.events = events
         self.known = known
-        self.first = first
 
 
 class ConflictIndex:
@@ -278,13 +280,10 @@ class ConflictIndex:
         if not events and known < end:
             events = table.events(rows, known + 1, end, live, first_only=True)
             known = events[0][0] if events else end
-        if not events:
-            return 0, NodeConflicts(events, known, None)
-        t, kind, i, j, location = events[0]
-        conflict = Conflict("edge" if kind else "vertex", (i, j), t, location)
-        if t > horizon:
-            return 0, NodeConflicts(events, known, conflict)
-        return count_events(events, horizon), NodeConflicts(events, known, conflict)
+        carried = NodeConflicts(events, known)
+        if not events or events[0][0] > horizon:
+            return 0, carried
+        return count_events(events, horizon), carried
 
 
 def run_adaptive(
@@ -325,13 +324,13 @@ def run_adaptive(
     root is pushed the same way, with no events to inherit.  The order is
     the one eager counting gives, but children that are never dequeued are
     never counted, and no node is counted twice.  Each replanned agent's
-    Reach is kept for the whole search, and so is each (agent, own
-    constraints) pair's plan, so no pair is planned twice.
+    Reach is kept for the whole search, and so is each (agent, constraint
+    set) pair's plan, so no pair is planned twice.
     """
     if agents is None:
         agents = tuple(range(instance.n_agents))
     if not agents:
-        root = ConstraintTreeNode(ConstraintSet(), {}, 0)
+        root = ConstraintTreeNode({}, {}, 0)
         return SearchOutcome(root, h_max, "horizon")
     root = make_root(instance, state, h_max, agents)
     seq = 0
@@ -353,15 +352,15 @@ def run_adaptive(
         if clock is not None and clock.expired(expansions):
             reason = clock.reason
             break
-        cost, conflicts, node_seq, node, pushed_h, events = heap[0]
+        cost, conflicts, node_seq, node, pushed_h, carried = heap[0]
         if conflicts < 0:
-            conflicts, events = index.count(node, events, pushed_h)
-            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h, events))
+            conflicts, carried = index.count(node, carried, pushed_h)
+            heapq.heapreplace(heap, (cost, conflicts, node_seq, node, pushed_h, carried))
             continue
         heapq.heappop(heap)
         dequeues += 1
-        conflict = events.first
-        if conflict is None or conflict.time > h_r:
+        conflict = carried.events[0] if carried.events else None
+        if conflict is None or conflict[0] > h_r:
             if on_prefix_found is not None:
                 on_prefix_found(node, h_r)
             if conflict is None:  # conflict-free up to h_max
@@ -370,12 +369,12 @@ def run_adaptive(
                     on_prefix_found(node, h_max)
                 reason = "horizon"
                 break
-            h_r = conflict.time
+            h_r = conflict[0]
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
         for child in expand(node, conflict, instance, state, h_max, agents, replanner):
             seq += 1
-            heapq.heappush(heap, (child.cost, -1, seq, child, h_r, events))
+            heapq.heappush(heap, (child.cost, -1, seq, child, h_r, carried))
         expansions += 1
     if best_node is None and reason in ("exhausted", "deadline"):
         reason = "no-prefix"

@@ -55,10 +55,10 @@ class ControllerConfig:
 
 @dataclass
 class GroupState:
-    """An agent group with its certificate and last-factorization slack."""
+    """An agent group (its certificate's agents) with its certificate and
+    last-factorization slack."""
 
     group_id: int
-    agents: tuple[int, ...]
     certificate: Certificate
     slack_last: int
 
@@ -125,7 +125,7 @@ class FleetController:
             "groups": [
                 {
                     "id": g.group_id,
-                    "size": len(g.agents),
+                    "size": len(g.certificate.agents),
                     "budget": g.certificate.budget,
                     "slack": g.slack_last,
                 }
@@ -141,7 +141,7 @@ class FleetController:
         agents = tuple(range(self.instance.n_agents))
         if agents:
             cert = init_certificate(self.backup, self.instance, state, agents)
-            self.groups = [GroupState(self._take_group_id(), agents, cert, INF)]
+            self.groups = [GroupState(self._take_group_id(), cert, INF)]
             self.initial_budget = cert.budget
         else:
             self.groups = []
@@ -159,6 +159,7 @@ class FleetController:
         a factorization trace entry if a split was attempted."""
         instance = self.instance
         cert = group.certificate
+        agents = cert.agents
         if self.t > 0:
             cert = advance(cert, state)
 
@@ -177,8 +178,8 @@ class FleetController:
                 return
             # A head shorter than h_r + 1 has reached its goal; build_candidate
             # joins the heads to the backup tail at one time.
-            prefix = {a: node.paths[a][: h_r + 1] for a in group.agents}
-            candidate = build_candidate(prefix, self.backup, instance, group.agents, cert.budget)
+            prefix = {a: node.paths[a][: h_r + 1] for a in agents}
+            candidate = build_candidate(prefix, self.backup, instance, agents, cert.budget)
             if candidate is None:
                 return
             candidates += 1
@@ -189,7 +190,7 @@ class FleetController:
 
         # A candidate costs at least the gamma sum, so a group whose budget
         # already equals it (slack 0) can never be improved: skip its search.
-        slack = slackness(group.agents, cert.budget, state, instance.gammas)
+        slack = slackness(agents, cert.budget, state, instance.gammas)
         # Why the search stopped: a SearchOutcome.reason, "skipped" when the
         # group's slack is 0, or None when a zero share runs no search.
         search, expansions, dequeues = None, 0, 0
@@ -203,21 +204,21 @@ class FleetController:
                     self.config.h_max,
                     WallClock(share),
                     on_prefix_found=on_prefix,
-                    agents=group.agents,
+                    agents=agents,
                 )
                 search, expansions, dequeues = (
                     outcome.reason, outcome.expansions, outcome.dequeues
                 )
                 if improved:
-                    slack = slackness(group.agents, cert.budget, state, instance.gammas)
+                    slack = slackness(agents, cert.budget, state, instance.gammas)
         trace = None
         if should_refactor(group.slack_last, slack, self.config.slack_threshold):
-            parts = partition(instance.graph, group.agents, state, slack, instance.gammas)
+            parts = partition(instance.graph, agents, state, slack, instance.gammas)
             groups = []
             for part in parts:
                 sub_cert = cert.restricted(part)
                 sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
-                groups.append(GroupState(self._take_group_id(), part, sub_cert, sub_slack))
+                groups.append(GroupState(self._take_group_id(), sub_cert, sub_slack))
             trace = {
                 "t": self.t,
                 "group": group.group_id,
@@ -226,7 +227,7 @@ class FleetController:
                 "sizes": [len(p) for p in parts],
             }
         else:
-            groups = [GroupState(group.group_id, group.agents, cert, group.slack_last)]
+            groups = [GroupState(group.group_id, cert, group.slack_last)]
         record = {
             "group": group.group_id,
             "h_r": h_reached,
@@ -269,9 +270,10 @@ class FleetController:
         regions: dict[int, frozenset[int]] = {}
         owner: dict[int, int] = {}
         for g in self.groups:
-            g.certificate.validate(self.instance, state)
-            slack = slackness(g.agents, g.certificate.budget, state, self.instance.gammas)
-            for a in g.agents:
+            cert = g.certificate
+            cert.validate(self.instance, state)
+            slack = slackness(cert.agents, cert.budget, state, self.instance.gammas)
+            for a in cert.agents:
                 region = reachable_region(
                     self.instance.graph, a, state, slack, self.instance.gammas[a]
                 )

@@ -15,12 +15,12 @@ so a constraint that raises the cost of a far-off cone costs nothing.
 Those arrival times come from a Reach, a BFS from the start grown one
 level at a time and only as far as a replan reads it; a constraint-tree
 search keeps one per replanned agent, so reach is found once per agent per
-search rather than once per replan.  A plan reads only its agent's own
-constraints (ConstraintSet.only), so the search also plans each (agent, own
-constraints) pair once.
+search rather than once per replan.  A ConstraintSet holds one agent's
+constraints, the only ones its plan reads, so the search also plans each
+(agent, constraint set) pair once.
 
-Constraint time conventions: a vertex constraint (a, t, v) forbids occupying
-v at time t; an edge constraint (a, t, (u, w)) forbids traversing u -> w from
+Constraint time conventions: a vertex constraint (t, v) forbids occupying
+v at time t; an edge constraint (t, (u, w)) forbids traversing u -> w from
 time t to t+1 (departure-time convention).
 """
 
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 from .grid import INF, DistanceField, Graph, sat_add
 
-VertexConstraint = tuple[int, int, int]  # (agent, time, vertex)
-EdgeConstraint = tuple[int, int, tuple[int, int]]  # (agent, time, (u, w))
+VertexConstraint = tuple[int, int]  # (time, vertex)
+EdgeConstraint = tuple[int, tuple[int, int]]  # (time, (u, w))
 
 
 class ConstraintError(ValueError):
@@ -40,34 +40,20 @@ class ConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Immutable set of vertex and edge constraints across agents."""
+    """Immutable set of one agent's vertex and edge constraints."""
 
     vertex_constraints: frozenset[VertexConstraint] = field(default_factory=frozenset)
     edge_constraints: frozenset[EdgeConstraint] = field(default_factory=frozenset)
 
-    def with_vertex(self, agent: int, time: int, vertex: int) -> "ConstraintSet":
+    def with_vertex(self, time: int, vertex: int) -> "ConstraintSet":
         if time < 0:
             raise ConstraintError(f"negative constraint time {time}")
-        return ConstraintSet(
-            self.vertex_constraints | {(agent, time, vertex)}, self.edge_constraints
-        )
+        return ConstraintSet(self.vertex_constraints | {(time, vertex)}, self.edge_constraints)
 
-    def with_edge(self, agent: int, time: int, edge: tuple[int, int]) -> "ConstraintSet":
+    def with_edge(self, time: int, edge: tuple[int, int]) -> "ConstraintSet":
         if time < 0:
             raise ConstraintError(f"negative constraint time {time}")
-        return ConstraintSet(
-            self.vertex_constraints, self.edge_constraints | {(agent, time, edge)}
-        )
-
-    def only(self, agent: int) -> "ConstraintSet":
-        """The agent's own constraints, in one pass over the set.
-
-        A plan for the agent reads only these, so planning under them gives
-        the plan under the whole set, and they key a search's plans."""
-        return ConstraintSet(
-            frozenset(c for c in self.vertex_constraints if c[0] == agent),
-            frozenset(c for c in self.edge_constraints if c[0] == agent),
-        )
+        return ConstraintSet(self.vertex_constraints, self.edge_constraints | {(time, edge)})
 
 
 def greedy_path(graph: Graph, start: int, gamma: DistanceField, length: int) -> list[int]:
@@ -122,14 +108,13 @@ class Reach:
 
 def plan_constrained(
     graph: Graph,
-    agent: int,
     start: int,
     constraints: ConstraintSet,
     h_max: int,
     gamma: DistanceField,
     reach: Reach | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
-    """Optimal constrained path for one agent, with its cost.
+    """Optimal path for one agent under its constraints, with its cost.
 
     The path runs through the last constrained step and then follows gamma
     to the goal, where it ends; read past its end, the agent waits at its
@@ -154,18 +139,16 @@ def plan_constrained(
         reach = Reach(graph, start)
     elif reach.start != start:
         raise ValueError(f"reach from {reach.start} given for a plan from {start}")
-    # The agent's own constraints, read in one pass: blocked[t] holds the
-    # vertices forbidden at t, cut[t] the edges forbidden from t to t + 1.
+    # blocked[t] holds the vertices forbidden at t, cut[t] the edges
+    # forbidden from t to t + 1.
     blocked: dict[int, set[int]] = {}
-    for a, t, v in constraints.vertex_constraints:
-        if a == agent:
-            blocked.setdefault(t, set()).add(v)
+    for t, v in constraints.vertex_constraints:
+        blocked.setdefault(t, set()).add(v)
     cut: dict[int, set[tuple[int, int]]] = {}
-    for a, t, edge in constraints.edge_constraints:
-        if a == agent:
-            cut.setdefault(t, set()).add(edge)
+    for t, edge in constraints.edge_constraints:
+        cut.setdefault(t, set()).add(edge)
     if start in blocked.get(0, ()):
-        raise ConstraintError(f"agent {agent}: vertex constraint at the known state (0, {start})")
+        raise ConstraintError(f"vertex constraint at the known state (0, {start})")
     for t in blocked:
         if t > h_max:
             raise ConstraintError(f"vertex constraint time {t} beyond horizon {h_max}")

@@ -20,9 +20,11 @@ from operator import eq
 from typing import Iterable
 
 Rows = tuple[tuple[int, ...], ...]
-# A conflict event: (t, 0 for vertex or 1 for edge, i, j, location) with i < j
-# member indices; sorted, the first is the first conflict in
-# detect_first_conflict's tie order.
+# A conflict event, the one conflict record: (t, 0 for vertex or 1 for edge,
+# i, j, location) with i < j member indices.  A vertex event's location is
+# the vertex both rows occupy at t; an edge event's is the edge (u, w) that
+# row i moves along from t - 1 to t while row j moves (w, u).  Sorted, the
+# first is the first conflict in detect_first_conflict's tie order.
 Event = tuple[int, int, int, int, object]
 
 
@@ -36,21 +38,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.vertices:
             raise ValueError("trajectory must be non-empty")
-
-
-@dataclass(frozen=True)
-class Conflict:
-    """First-collision record between two paths.
-
-    For kind "vertex", location is the shared vertex occupied at `time`.
-    For kind "edge", location is the ordered edge (u, w) traversed by the
-    first agent between time-1 and time while the second traverses (w, u).
-    """
-
-    kind: str
-    agents: tuple[int, int]
-    time: int
-    location: int | tuple[int, int]
 
 
 def _waiting(path: tuple[int, ...], length: int) -> tuple[int, ...]:
@@ -80,8 +67,9 @@ class JointTrajectory:
         self.makespan = makespan(self.rows)
 
 
-def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Conflict | None:
-    """Earliest conflict of padded rows within timesteps start..horizon, or None.
+def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Event | None:
+    """Earliest conflict event of padded rows within timesteps
+    start..horizon, or None.
 
     A caller that knows no conflict precedes `start` passes it: the scan
     then finds the whole prefix's first conflict.  An edge conflict at t
@@ -101,8 +89,7 @@ def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Conflict 
             else:
                 occupied[v] = i
         if vertex_hits:
-            i, j, v = min(vertex_hits)
-            return Conflict("vertex", (i, j), t, v)
+            return (t, 0, *min(vertex_hits))
         if t == 0:
             continue
         moves: dict[tuple[int, int], int] = {}
@@ -116,8 +103,7 @@ def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Conflict 
                 edge_hits.append((other, j, (w, u)))
             moves[(u, w)] = j
         if edge_hits:
-            i, j, edge = min(edge_hits)
-            return Conflict("edge", (i, j), t, edge)
+            return (t, 1, *min(edge_hits))
     return None
 
 

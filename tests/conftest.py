@@ -140,14 +140,14 @@ def positions_at(joint: JointTrajectory, t: int) -> tuple[int, ...]:
     return tuple(row[t] for row in joint.rows)
 
 
-def satisfies(agent: int, path: tuple[int, ...], constraints: ConstraintSet) -> bool:
-    """True iff the agent's path obeys every constraint addressed to it."""
+def satisfies(path: tuple[int, ...], constraints: ConstraintSet) -> bool:
+    """True iff the path obeys every constraint of its agent's set."""
     n = len(path)
-    for a, t, v in constraints.vertex_constraints:
-        if a == agent and t < n and path[t] == v:
+    for t, v in constraints.vertex_constraints:
+        if t < n and path[t] == v:
             return False
-    for a, t, (u, w) in constraints.edge_constraints:
-        if a == agent and t + 1 < n and path[t] == u and path[t + 1] == w:
+    for t, (u, w) in constraints.edge_constraints:
+        if t + 1 < n and path[t] == u and path[t + 1] == w:
             return False
     return True
 
@@ -168,17 +168,19 @@ def count_configurations(monkeypatch) -> list[int]:
     return counter
 
 
+def cap_searches(monkeypatch: pytest.MonkeyPatch, expansion_cap: int) -> None:
+    """Hand every controller search a WorkClock of `expansion_cap`
+    expansions instead of its WallClock, so an episode does the same work,
+    and gives the same outputs, on any machine."""
+    monkeypatch.setattr(daccbs.controller, "WallClock",
+                        lambda seconds: WorkClock(expansion_cap))
+
+
 @pytest.fixture
 def fixed_work(monkeypatch):
-    """Call with an expansion cap to hand every controller search a
-    WorkClock of that many expansions instead of its WallClock, so an episode
-    does the same work, and gives the same outputs, on any machine."""
-
-    def cap_searches(expansion_cap: int) -> None:
-        monkeypatch.setattr(daccbs.controller, "WallClock",
-                            lambda seconds: WorkClock(expansion_cap))
-
-    return cap_searches
+    """Call with an expansion cap to cap every controller search of the
+    test (cap_searches)."""
+    return lambda expansion_cap: cap_searches(monkeypatch, expansion_cap)
 
 
 @pytest.fixture

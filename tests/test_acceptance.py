@@ -24,7 +24,19 @@ from daccbs import (
 )
 from daccbs.oracle import default_makespan_cap
 
-from conftest import make_grid, random_instance
+from conftest import cap_searches, make_grid, random_instance
+
+# Expansions per search at each (mode, t_max in ms) of the starved episodes
+# below: the median over the searches that stopped on that deadline under
+# the wall clock (Intel Xeon, Python 3.11).  The episodes run under these
+# caps instead, so they do the same work on any machine.
+SEARCH_CAPS = {
+    ("daccbs", 1.0): 3,
+    ("daccbs", 5.0): 7,
+    ("accbs", 5.0): 43,
+    ("daccbs", 25.0): 105,
+    ("accbs", 25.0): 266,
+}
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -67,40 +79,46 @@ def idealized_runs(small_suite):
 
 @pytest.fixture(scope="session")
 def starvation_runs():
-    """50 closed-loop 16×16 N=30 episodes at a 1 ms deadline, debug checks on."""
+    """50 closed-loop 16×16 N=30 episodes at a 1 ms deadline's work, debug
+    checks on."""
     runs = []
-    for seed in range(50):
-        rng = random.Random(seed)
-        inst = random_instance(rng, 16, 16, 30, block_prob=0.0)
-        ctrl = FleetController(
-            inst, ControllerConfig(t_max_ms=1.0, seed=seed, debug_checks=True)
-        )
-        failure = None
-        result = None
-        try:
-            result = run_episode(inst, ctrl)
-        except Exception as exc:  # debug assertion or movement defect
-            failure = f"seed {seed}: {exc!r}"
-        runs.append((inst, result, ctrl.initial_budget, failure))
+    with pytest.MonkeyPatch.context() as mp:
+        cap_searches(mp, SEARCH_CAPS[("daccbs", 1.0)])
+        for seed in range(50):
+            rng = random.Random(seed)
+            inst = random_instance(rng, 16, 16, 30, block_prob=0.0)
+            ctrl = FleetController(
+                inst, ControllerConfig(t_max_ms=1.0, seed=seed, debug_checks=True)
+            )
+            failure = None
+            result = None
+            try:
+                result = run_episode(inst, ctrl)
+            except Exception as exc:  # debug assertion or movement defect
+                failure = f"seed {seed}: {exc!r}"
+            runs.append((inst, result, ctrl.initial_budget, failure))
     return runs
 
 
 @pytest.fixture(scope="session")
 def sweep_runs():
-    """32×32 maps with 10% random blocks, N=50: daccbs vs accbs t_max sweep."""
+    """32×32 maps with 10% random blocks, N=50: daccbs vs accbs t_max sweep,
+    each search capped at its t_max's work."""
     t_maxes = (5.0, 25.0)
     episodes = {}  # (mode, t_max) -> list of (result, initial_budget)
     for t_max in t_maxes:
         for mode in ("daccbs", "accbs"):
             runs = []
-            for seed in range(10):
-                rng = random.Random(1000 + seed)
-                inst = random_instance(rng, 32, 32, 50, block_prob=0.10)
-                ctrl = FleetController(
-                    inst, ControllerConfig(mode=mode, t_max_ms=t_max, seed=seed)
-                )
-                result = run_episode(inst, ctrl, step_cap=400)
-                runs.append((result, ctrl.initial_budget))
+            with pytest.MonkeyPatch.context() as mp:
+                cap_searches(mp, SEARCH_CAPS[(mode, t_max)])
+                for seed in range(10):
+                    rng = random.Random(1000 + seed)
+                    inst = random_instance(rng, 32, 32, 50, block_prob=0.10)
+                    ctrl = FleetController(
+                        inst, ControllerConfig(mode=mode, t_max_ms=t_max, seed=seed)
+                    )
+                    result = run_episode(inst, ctrl, step_cap=400)
+                    runs.append((result, ctrl.initial_budget))
             episodes[(mode, t_max)] = runs
     return t_maxes, episodes
 

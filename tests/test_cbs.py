@@ -20,10 +20,16 @@ from daccbs import (
     run_classic_cbs,
     soc,
 )
-from daccbs.cbs import ConflictIndex, ConstraintTreeNode, _first_change, expand, make_root
-from daccbs.lowlevel import ConstraintSet, plan_constrained
+from daccbs.cbs import (
+    ConflictIndex,
+    ConstraintTreeNode,
+    Replanner,
+    _first_change,
+    expand,
+    make_root,
+)
+from daccbs.lowlevel import ConstraintSet, greedy_path, plan_constrained
 from daccbs.trajectory import (
-    Conflict,
     count_conflicts,
     count_events,
     detect_first_conflict,
@@ -46,6 +52,16 @@ from conftest import (
 def joint_rows(node, agents):
     """The members' paths padded to the group's own makespan."""
     return pad(node.paths[a] for a in agents)
+
+
+def first_conflict(carried):
+    """A counted node's first conflict: the first of its events, if any."""
+    return carried.events[0] if carried.events else None
+
+
+def own_constraints(node, agent):
+    """The agent's constraint set in the node (empty when it has none)."""
+    return node.constraints.get(agent, ConstraintSet())
 
 
 def disjoint_chains_instance():
@@ -87,21 +103,26 @@ class TestExpand:
     def test_vertex_conflict_children(self):
         inst = cross_instance()
         root = make_root(inst, inst.starts, 8)
-        conflict = Conflict("vertex", (0, 1), 1, 4)
-        children = expand(root, conflict, inst, inst.starts, 8, (0, 1))
+        conflict = (1, 0, 0, 1, 4)  # rows 0 and 1 meet at vertex 4 at t = 1
+        replanner = Replanner(inst, inst.starts, 8)
+        children = expand(root, conflict, inst, inst.starts, 8, (0, 1), replanner)
         assert len(children) == 2
-        assert (0, 1, 4) in children[0].constraints.vertex_constraints
-        assert (1, 1, 4) in children[1].constraints.vertex_constraints
+        assert children[0].constraints == {0: ConstraintSet().with_vertex(1, 4)}
+        assert children[1].constraints == {1: ConstraintSet().with_vertex(1, 4)}
 
     def test_edge_conflict_opposite_directions(self):
         g = chain_graph(4)
         inst = MapfInstance(g, (0, 3), (3, 0))
         root = make_root(inst, inst.starts, 8)
-        conflict = Conflict("edge", (0, 1), 2, (1, 2))
-        children = expand(root, conflict, inst, inst.starts, 8, (0, 1))
-        edges = [next(iter(c.constraints.edge_constraints)) for c in children]
-        assert (0, 1, (1, 2)) in edges
-        assert (1, 1, (2, 1)) in edges
+        conflict = (2, 1, 0, 1, (1, 2))  # row 0 moves 1 -> 2 as row 1 moves 2 -> 1
+        replanner = Replanner(inst, inst.starts, 8)
+        children = expand(root, conflict, inst, inst.starts, 8, (0, 1), replanner)
+        edges = [
+            (a, next(iter(cs.edge_constraints)))
+            for c in children for a, cs in c.constraints.items()
+        ]
+        assert (0, (1, (1, 2))) in edges
+        assert (1, (1, (2, 1))) in edges
 
     def test_children_satisfy_constraints(self):
         inst = cross_instance()
@@ -109,9 +130,10 @@ class TestExpand:
         joint = joint_rows(root, (0, 1))
         conflict = detect_first_conflict(joint, 2)
         assert conflict is not None
-        for child in expand(root, conflict, inst, inst.starts, 8, (0, 1)):
+        replanner = Replanner(inst, inst.starts, 8)
+        for child in expand(root, conflict, inst, inst.starts, 8, (0, 1), replanner):
             for a, path in child.paths.items():
-                assert satisfies(a, path, child.constraints)
+                assert satisfies(path, own_constraints(child, a))
             assert child.cost >= root.cost
 
     def test_child_scan_starts_where_its_row_changes(self):
@@ -121,12 +143,16 @@ class TestExpand:
         # as waiting at its last vertex.
         inst = MapfInstance(chain_graph(6), (2, 5), (2, 0))
         root = make_root(inst, inst.starts, 8)
-        node = ConstraintTreeNode(
-            ConstraintSet(frozenset({(0, 3, 1), (0, 3, 3)})), root.paths, root.cost
-        )
+        # Agent 0 at its goal costs 0 either way; its plan waits there
+        # through its last constrained step.
+        replanner = Replanner(inst, inst.starts, 8)
+        kept_off = ConstraintSet(frozenset({(3, 1), (3, 3)}))
+        path, cost = replanner.plan(0, kept_off)
+        assert (path, cost) == ((2, 2, 2, 2), 0)
+        node = ConstraintTreeNode({0: kept_off}, {**root.paths, 0: path}, root.cost + cost)
         conflict = detect_first_conflict(joint_rows(node, (0, 1)), 5)
-        assert conflict == Conflict("vertex", (0, 1), 3, 2)
-        dodged, waited = expand(node, conflict, inst, inst.starts, 8, (0, 1))
+        assert conflict == (3, 0, 0, 1, 2)
+        dodged, waited = expand(node, conflict, inst, inst.starts, 8, (0, 1), replanner)
         assert dodged.paths[0] == (2, 2, 1, 0, 1, 2)
         assert dodged.scan_from == 2
         # Agent 1 waits one step; its rows first differ at the conflict.
@@ -140,11 +166,12 @@ class TestExpand:
         root = make_root(inst, inst.starts, 2)
         conflict = detect_first_conflict(joint_rows(root, (0, 1)), 1)
         assert conflict is not None
-        children = expand(root, conflict, inst, inst.starts, 2, (0, 1))
+        replanner = Replanner(inst, inst.starts, 2)
+        children = expand(root, conflict, inst, inst.starts, 2, (0, 1), replanner)
         # with h_max=2 neither agent can both dodge and still exist... at
         # least one side is pruned
         assert len(children) <= 1 or all(
-            satisfies(a, c.paths[a], c.constraints)
+            satisfies(c.paths[a], own_constraints(c, a))
             for c in children
             for a in (0, 1)
         )
@@ -216,12 +243,24 @@ class TestRunAdaptive:
             assert runs[0] == runs[1]
             assert runs[0][0]
             # A node's cost sums, over its paths, the running cost before
-            # the last vertex plus gamma there.
+            # the last vertex plus gamma there.  A constrained agent's path
+            # and its cost are its plan under its own constraint set, and an
+            # unconstrained agent's path is its gamma-greedy walk: expand
+            # reads the cost of the path it replaces from them.
             for node in nodes:
-                assert node.cost == sum(
-                    path_cost(p[:-1], inst.goals[a]) + inst.gammas[a][p[-1]]
+                costs = {
+                    a: path_cost(p[:-1], inst.goals[a]) + inst.gammas[a][p[-1]]
                     for a, p in node.paths.items()
-                )
+                }
+                assert node.cost == sum(costs.values())
+                for a, p in node.paths.items():
+                    start, gamma = inst.starts[a], inst.gammas[a]
+                    if a in node.constraints:
+                        assert (p, costs[a]) == plan_constrained(
+                            inst.graph, start, node.constraints[a], h_max, gamma
+                        )
+                    else:
+                        assert p == tuple(greedy_path(inst.graph, start, gamma, h_max))
             cut_off += sum(
                 p[-1] != inst.goals[a]
                 for node in nodes
@@ -264,7 +303,8 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
                 break
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        for child in expand(node, conflict, inst, inst.starts, h_max, agents):
+        replanner = Replanner(inst, inst.starts, h_max)  # one per expansion: no plan is kept
+        for child in expand(node, conflict, inst, inst.starts, h_max, agents, replanner):
             seq += 1
             heapq.heappush(
                 heap, (child.cost, count_conflicts(joint_rows(child, agents), h_r), seq, child)
@@ -320,7 +360,7 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
         dequeues += 1
         joint = joint_rows(node, agents)
         conflict = detect_first_conflict(joint, min(h_max, makespan(joint)))
-        if conflict is None or conflict.time > h_r:
+        if conflict is None or conflict[0] > h_r:
             on_prefix_found(node, h_r)
             if h_r > best_h:
                 best_node, best_h = node, h_r
@@ -329,10 +369,11 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
                 on_prefix_found(node, h_max)
                 reason = "horizon"
                 break
-            h_r = conflict.time
+            h_r = conflict[0]
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        for child in expand(node, conflict, inst, inst.starts, h_max, agents):
+        replanner = Replanner(inst, inst.starts, h_max)  # one per expansion: no plan is kept
+        for child in expand(node, conflict, inst, inst.starts, h_max, agents, replanner):
             seq += 1
             heapq.heappush(
                 heap, (child.cost, count_conflicts(joint_rows(child, agents), h_r), seq, child)
@@ -420,7 +461,7 @@ class TestScanStart:
             joint = joint_rows(node, index.agents)
             full = detect_first_conflict(joint, min(index.h_max, makespan(joint)))
             count, events = first_conflict_and_count(index, node, inherited, horizon)
-            assert events.first == full, (node.scan_from, events.first, full)
+            assert first_conflict(events) == full, (node.scan_from, events.events, full)
             starts.append((node.scan_from, full))
             return count, events
 
@@ -433,7 +474,7 @@ class TestScanStart:
         # Scans start late, and some find their conflict at the very step
         # they start from.
         assert sum(s > 1 for s, _ in starts) > len(starts) // 2, len(starts)
-        assert any(c is not None and c.time == s for s, c in starts)
+        assert any(c is not None and c[0] == s for s, c in starts)
 
 
 def full_scan(paths, agents, h_max, horizon):
@@ -441,9 +482,9 @@ def full_scan(paths, agents, h_max, horizon):
     rows finds them: the reference for ConflictIndex.count."""
     rows = pad(paths[a] for a in agents)
     conflict = detect_first_conflict(rows, min(h_max, makespan(rows)))
-    if conflict is None or conflict.time > horizon:
+    if conflict is None or conflict[0] > horizon:
         return 0, conflict
-    return count_conflicts(rows, horizon, conflict.time), conflict
+    return count_conflicts(rows, horizon, conflict[0]), conflict
 
 
 def random_walk(rng, graph, path, length):
@@ -458,11 +499,11 @@ class TestCarriedConflicts:
     def test_three_agents_on_one_vertex(self):
         # Three rows meet at vertex 1 at t = 1: three pairs, one event each.
         paths = {7: (0, 1), 3: (2, 1), 5: (4, 1)}
-        root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+        root = ConstraintTreeNode({}, paths, 0)
         agents = (7, 3, 5)
         count, events = ConflictIndex(root, agents, 4).count(root, None, 1)
-        assert (count, events.first) == full_scan(paths, agents, 4, 1) == (
-            3, Conflict("vertex", (0, 1), 1, 1)
+        assert (count, first_conflict(events)) == full_scan(paths, agents, 4, 1) == (
+            3, (1, 0, 0, 1, 1)
         )
 
     def test_two_rows_reversed_by_one_count_once(self):
@@ -473,20 +514,20 @@ class TestCarriedConflicts:
         # the same case counts the same.
         paths = {0: (5, 2, 1), 1: (6, 2, 1), 2: (0, 1, 2)}
         agents = (0, 1, 2)
-        root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+        root = ConstraintTreeNode({}, paths, 0)
         count, events = ConflictIndex(root, agents, 3).count(root, None, 2)
-        assert (count, events.first) == full_scan(paths, agents, 3, 2) == (
-            3, Conflict("vertex", (0, 1), 1, 2)
+        assert (count, first_conflict(events)) == full_scan(paths, agents, 3, 2) == (
+            3, (1, 0, 0, 1, 2)
         )
         assert len(events.events) == 4
         paths = {0: (5, 2, 1), 1: (6, 6, 6), 2: (0, 1, 2)}
-        root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+        root = ConstraintTreeNode({}, paths, 0)
         index = ConflictIndex(root, agents, 3)
         _, parent = index.count(root, None, 2)
-        assert parent.first == Conflict("edge", (0, 2), 2, (2, 1))
-        child = ConstraintTreeNode(ConstraintSet(), {**paths, 1: (6, 2, 1)}, 0, 1, 1)
+        assert first_conflict(parent) == (2, 1, 0, 2, (2, 1))
+        child = ConstraintTreeNode({}, {**paths, 1: (6, 2, 1)}, 0, 1, 1)
         count, events = index.count(child, parent, 2)
-        assert (count, events.first) == full_scan(child.paths, agents, 3, 2)
+        assert (count, first_conflict(events)) == full_scan(child.paths, agents, 3, 2)
         assert count == 3
 
     def test_matches_a_full_scan_of_the_same_rows(self):
@@ -507,12 +548,12 @@ class TestCarriedConflicts:
                 a: random_walk(rng, graph, [rng.randrange(12)], rng.randint(1, h_max + 1))
                 for a in agents
             }
-            root = ConstraintTreeNode(ConstraintSet(), paths, 0)
+            root = ConstraintTreeNode({}, paths, 0)
             index = ConflictIndex(root, agents, h_max)
             root_end = max(map(len, paths.values())) - 1
             horizon = rng.randint(1, h_max)
             count, events = index.count(root, None, horizon)
-            assert (count, events.first) == full_scan(paths, agents, h_max, horizon)
+            assert (count, first_conflict(events)) == full_scan(paths, agents, h_max, horizon)
             counted = [(root, events)]
             for _ in range(rng.randint(1, 30)):
                 node, parent = rng.choice(counted)
@@ -526,20 +567,20 @@ class TestCarriedConflicts:
                     )
                 # The child can have no conflict before its parent's first
                 # one, nor before its new row leaves the old.
-                first = parent.first.time if parent.first else h_max + 1
+                first = parent.events[0][0] if parent.events else h_max + 1
                 child = ConstraintTreeNode(
-                    ConstraintSet(), {**node.paths, agents[m]: new}, 0,
+                    {}, {**node.paths, agents[m]: new}, 0,
                     _first_change(old, new, first), m,
                 )
                 horizon = rng.randint(1, h_max)
                 count, events = index.count(child, parent, horizon)
                 expected = full_scan(child.paths, agents, h_max, horizon)
-                assert (count, events.first) == expected, (child, parent.known, horizon)
+                assert (count, first_conflict(events)) == expected, (child, parent.known, horizon)
                 counted.append((child, events))
                 rows = pad(child.paths[a] for a in agents)
                 seen["counted"] += count > 0
-                seen["edge first"] += events.first is not None and events.first.kind == "edge"
-                seen["conflict-free"] += events.first is None
+                seen["edge first"] += bool(events.events) and events.events[0][1] == 1
+                seen["conflict-free"] += not events.events
                 seen["cut at h_max"] += len(new) == h_max + 1
                 seen["longer than root"] += len(new) - 1 > root_end
                 seen["shorter than root"] += len(new) - 1 < root_end
@@ -562,7 +603,7 @@ class TestCarriedConflicts:
 
         def counted(index, node, inherited, horizon):
             count, events = conflict_count(index, node, inherited, horizon)
-            reads.append((events.first.time, horizon, len(index.table), index.table.end))
+            reads.append((events.events[0][0], horizon, len(index.table), index.table.end))
             return count, events
 
         conflict_count = daccbs.cbs.ConflictIndex.count
@@ -575,16 +616,16 @@ class TestCarriedConflicts:
 
 class TestPlanMemo:
     def test_plans_each_constraint_set_once(self, monkeypatch):
-        # A plan reads only its agent's own constraints, so a search plans
-        # each (agent, own constraints) pair once and keeps the result, None
-        # included.  eager_run_adaptive calls expand without the search's
-        # Replanner, so it replans every pair it meets; both searches must
-        # meet the same pairs and end the same way.
+        # A search plans each (agent, constraint set) pair once and keeps the
+        # result, None included.  eager_run_adaptive gives each expansion a
+        # Replanner of its own, so it replans every pair it meets; both
+        # searches must meet the same pairs and end the same way.  Starts
+        # are distinct, so a start names its agent.
         planned = []
 
-        def recorded(graph, agent, start, constraints, h_max, gamma, reach=None):
-            plan = plan_constrained(graph, agent, start, constraints, h_max, gamma, reach=reach)
-            planned.append(((agent, constraints.only(agent)), plan is None))
+        def recorded(graph, start, constraints, h_max, gamma, reach=None):
+            plan = plan_constrained(graph, start, constraints, h_max, gamma, reach=reach)
+            planned.append(((start, constraints), plan is None))
             return plan
 
         monkeypatch.setattr(daccbs.cbs, "plan_constrained", recorded)

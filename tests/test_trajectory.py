@@ -30,27 +30,25 @@ def rows(*vertex_lists):
 
 class TestConflictDetection:
     def test_vertex_conflict(self):
-        c = detect_first_conflict(rows([0, 1], [2, 1]), 1)
-        assert c is not None
-        assert (c.kind, c.agents, c.time, c.location) == ("vertex", (0, 1), 1, 1)
+        # (t, 0 for vertex, i, j, the shared vertex)
+        assert detect_first_conflict(rows([0, 1], [2, 1]), 1) == (1, 0, 0, 1, 1)
 
     def test_edge_conflict(self):
-        c = detect_first_conflict(rows([1, 2], [2, 1]), 1)
-        assert c is not None
-        assert (c.kind, c.agents, c.time, c.location) == ("edge", (0, 1), 1, (1, 2))
+        # (t, 1 for edge, i, j, row i's move)
+        assert detect_first_conflict(rows([1, 2], [2, 1]), 1) == (1, 1, 0, 1, (1, 2))
 
     def test_no_conflict(self):
         assert detect_first_conflict(rows([0, 1], [3, 3]), 1) is None
 
     def test_vertex_before_edge_at_equal_time(self):
         # At t=1: agents 0/1 swap (edge conflict) and agents 2/3 collide on 9.
-        c = detect_first_conflict(rows([1, 2], [2, 1], [8, 9], [9, 9]), 1)
-        assert c.kind == "vertex"
-        assert c.agents == (2, 3)
+        t, kind, i, j, _ = detect_first_conflict(rows([1, 2], [2, 1], [8, 9], [9, 9]), 1)
+        assert kind == 0
+        assert (i, j) == (2, 3)
 
     def test_lowest_pair_wins(self):
-        c = detect_first_conflict(rows([0, 5], [1, 5], [2, 6], [3, 6]), 1)
-        assert c.agents == (0, 1)
+        _, _, i, j, _ = detect_first_conflict(rows([0, 5], [1, 5], [2, 6], [3, 6]), 1)
+        assert (i, j) == (0, 1)
 
     def test_horizon_beyond_makespan_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +98,7 @@ class TestGoalTerminatedScans:
                 count = count_conflicts(short.rows, h)
                 assert count == count_conflicts(padded, h), (paths, h)
                 if first is not None:
-                    assert count_conflicts(short.rows, h, first.time) == count, (paths, h)
+                    assert count_conflicts(short.rows, h, first[0]) == count, (paths, h)
             seen["conflict" if got is not None else "free"] += 1
             seen["cut" if short.makespan == h_max else "short"] += 1
         assert min(seen.values()) > 300, seen
@@ -120,15 +118,15 @@ class TestGoalTerminatedScans:
             for h in range(length):
                 full = detect_first_conflict(joint, h)
                 for s in range(h + 2):
-                    if full is not None and full.time < s:
+                    if full is not None and full[0] < s:
                         break
                     assert detect_first_conflict(joint, h, s) == full, (joint, h, s)
                     if full is None:
                         seen["none"] += 1
-                    elif full.time > s:
+                    elif full[0] > s:
                         seen["later"] += 1
                     else:
-                        seen[f"{full.kind} at start"] += 1
+                        seen[f"{('vertex', 'edge')[full[1]]} at start"] += 1
         assert min(seen.values()) > 100, seen
 
 
