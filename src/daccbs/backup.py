@@ -11,6 +11,13 @@ generator (priority inheritance resolves pushes), with per-agent forced-move
 constraints enumerated lazily to retain completeness.  It requires a
 symmetric graph.
 
+A PIBT step plans its members in one pass over the priority order.  Each
+member planned draws a shuffle of its moves from the rollout's generator and
+tries them nearest-to-goal first.  A member that holds its goal, while no
+one has claimed that goal, would keep it whatever the shuffle: it makes the
+shuffle's draws and nothing else, so every draw, and so every plan, is what
+shuffling and sorting would give.
+
 A rollout may be given a `cost_limit`.  Each configuration then carries
 g, the off-goal agent-steps along its parent chain, and h, the sum of its
 members' goal distances.  f = g + h never decreases along a chain (an
@@ -225,23 +232,39 @@ def _pibt_step(
     moves = graph.moves
     getrandbits = rng.getrandbits
 
-    def candidates(i: int):
-        cands = list(moves[config[i]])
+    def shuffle(m: int, cands: list[int] | None) -> None:
+        # rng.shuffle(cands) of m items, inlined with the same getrandbits
+        # draws so rollouts stay identical (tests/test_backup.py pins the
+        # draws).  With no list, only the draws are made.
         try:
-            steps = _SHUFFLE_STEPS[len(cands)]
+            steps = _SHUFFLE_STEPS[m]
         except IndexError:
-            steps = _shuffle_steps(len(cands))
-        # rng.shuffle(cands), inlined with the same getrandbits draws so
-        # rollouts stay identical (tests/test_backup.py pins the draws).
+            steps = _shuffle_steps(m)
         for k, n_k, bits in steps:
             j = getrandbits(bits)
             while j >= n_k:
                 j = getrandbits(bits)
-            cands[k], cands[j] = cands[j], cands[k]
+            if cands is not None:
+                cands[k], cands[j] = cands[j], cands[k]
+
+    def candidates(i: int):
+        cands = list(moves[config[i]])
+        shuffle(len(cands), cands)
         cands.sort(key=dists[i].__getitem__)
         return iter(cands)
 
-    def pibt(root: int) -> None:
+    for root in order:
+        if nxt[root] is not None:
+            continue
+        here = config[root]
+        if dists[root][here] == 0 and here not in occupied_next:
+            # The goal is the member's one candidate at distance 0, so it
+            # sorts first, and nobody has claimed it: the member takes it.
+            # Only the shuffle's draws are made, so later draws are unchanged.
+            shuffle(len(moves[here]), None)
+            nxt[root] = here
+            occupied_next[here] = root
+            continue
         # Priority inheritance: taking the vertex of an unplanned agent pushes
         # that agent, which plans next; a pushed agent with no vertex left
         # stays put and its pusher tries its next candidate.  One success ends
@@ -260,16 +283,13 @@ def _pibt_step(
                 occupied_next[w] = i
                 if j is not None and j != i and nxt[j] is None:
                     stack.append((j, candidates(j)))
-                    break
-                return
+                else:
+                    stack.clear()
+                break
             else:
                 nxt[i] = config[i]
                 occupied_next[config[i]] = i
                 stack.pop()
-
-    for member in order:
-        if nxt[member] is None:
-            pibt(member)
 
     result = tuple(nxt)  # type: ignore[arg-type]
     for member, target in forced.items():

@@ -128,25 +128,6 @@ class TestLacamProperties:
 
 
 class TestCostLimit:
-    def probe(self, monkeypatch, inst, start, seed, cost_limit):
-        """The rollout's paths (or its BackupError), the state of the
-        rng it drew from, and the number of configurations it created."""
-        rngs = []
-
-        def recorded(seed):
-            rngs.append(random.Random(seed))
-            return rngs[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(daccbs.backup, "random", types.SimpleNamespace(Random=recorded))
-            created = count_configurations(m)
-            agents = tuple(range(inst.n_agents))
-            try:
-                result = LacamBackup(seed).rollout(inst, agents, start, cost_limit=cost_limit)
-            except BackupError as exc:
-                result = exc
-        return result, rngs[0].getstate(), created[0]
-
     def test_cut_off_is_exact(self, monkeypatch):
         # Limits around each unlimited rollout's cost: a limited rollout
         # returns exactly the unlimited result below its cost and stops at
@@ -156,11 +137,11 @@ class TestCostLimit:
         for seed in range(60):
             inst = random_instance(rng, 6, 6, rng.randint(2, 12))
             start = tuple(rng.sample(range(inst.graph.vertex_count), inst.n_agents))
-            full, full_state, created = self.probe(monkeypatch, inst, start, seed, None)
+            full, full_state, created = probe(monkeypatch, inst, start, seed, None)
             cost = soc(joint(full), inst.goals)
             revisited = created > joint(full).makespan + 1
             for limit in range(max(cost - 3, 0), cost + 4):
-                result, state, _ = self.probe(monkeypatch, inst, start, seed, limit)
+                result, state, _ = probe(monkeypatch, inst, start, seed, limit)
                 if isinstance(result, BackupError):
                     outcomes["cut"] += 1
                     assert cost >= limit or revisited, (seed, limit, cost)
@@ -214,14 +195,16 @@ class TestPibtStep:
     def test_candidate_shuffle_matches_random_shuffle(self):
         # The candidate list is shuffled by an inlined copy of
         # random.Random.shuffle; it must draw the same bits.  A lone agent sits
-        # at the centre of a star whose vertices are all at distance 0, and
-        # the distance sequence records the order in which the candidates
-        # are sorted, which is the shuffled order.  A candidate list always
-        # holds the agent's own vertex, so lengths start at 1.
+        # at the centre of a star whose vertices are all at distance 1, so it
+        # sorts its candidates, and the distance sequence records the order
+        # in which they are sorted, which is the shuffled order, after the
+        # one read at the agent's own vertex that finds it off its goal.  A
+        # candidate list always holds the agent's own vertex, so lengths
+        # start at 1.
         class Recorder(list):
             def __getitem__(self, v):
                 self.order.append(v)
-                return 0
+                return 1
 
         for length in range(1, 13):
             star = Graph((tuple(range(length)),) + tuple((0, v) for v in range(1, length)))
@@ -233,6 +216,187 @@ class TestPibtStep:
                 reference = random.Random(seed)
                 expected = list(range(length))
                 reference.shuffle(expected)
-                assert dists.order == expected, (length, seed)
+                assert dists.order == [0] + expected, (length, seed)
                 assert rng.getstate() == reference.getstate(), (length, seed)
 
+    def test_goal_holder_draws_match_random_shuffle(self):
+        # An agent at the centre of a star, which is its goal, keeps it
+        # without sorting, but draws exactly what shuffling its candidates
+        # would draw.
+        for length in range(1, 13):
+            star = Graph((tuple(range(length)),) + tuple((0, v) for v in range(1, length)))
+            dists = [0] + [1] * (length - 1)
+            for seed in range(2000):
+                rng = random.Random(seed)
+                assert _pibt_step(star, (0,), (0,), [dists], {}, rng) == (0,)
+                reference = random.Random(seed)
+                reference.shuffle(list(range(length)))
+                assert rng.getstate() == reference.getstate(), (length, seed)
+
+
+def pibt_step_reference(graph, config, order, dists, forced, rng):
+    """_pibt_step without its draw-only path for goal holders: every member
+    planned shuffles and sorts its candidates.  It shuffles with
+    rng.shuffle, whose draws _pibt_step's inlined shuffle makes (pinned by
+    TestPibtStep)."""
+    n = len(config)
+    occupant_now = dict(zip(config, range(n)))
+    nxt = [None] * n
+    occupied_next = {}
+    for member, target in forced.items():
+        if target not in graph.neighbors(config[member]):
+            return None
+        if target in occupied_next:
+            return None
+        nxt[member] = target
+        occupied_next[target] = member
+
+    def candidates(i):
+        cands = list(graph.moves[config[i]])
+        rng.shuffle(cands)
+        cands.sort(key=dists[i].__getitem__)
+        return iter(cands)
+
+    def pibt(root):
+        stack = [(root, candidates(root))]
+        while stack:
+            i, cands = stack[-1]
+            for w in cands:
+                if w in occupied_next:
+                    continue
+                j = occupant_now.get(w)
+                if j is not None and j != i and nxt[j] == config[i]:
+                    continue  # swap
+                nxt[i] = w
+                occupied_next[w] = i
+                if j is not None and j != i and nxt[j] is None:
+                    stack.append((j, candidates(j)))
+                    break
+                return
+            else:
+                nxt[i] = config[i]
+                occupied_next[config[i]] = i
+                stack.pop()
+
+    for member in order:
+        if nxt[member] is None:
+            pibt(member)
+    result = tuple(nxt)
+    for member, target in forced.items():
+        if result[member] != target:
+            return None
+    if len(set(result)) != n:
+        return None
+    for i in range(n):
+        j = occupant_now.get(result[i])
+        if j is not None and j != i and result[j] == config[i] and result[i] != config[i]:
+            return None  # swap
+    return result
+
+
+def pibt_case(rng):
+    """(graph, config, order, dists, forced) of one random step: a crowded
+    grid where about half the members hold their goals, in random priority
+    order, with no pins, random pins, or a pin onto a goal holder's goal."""
+    height, width = rng.randint(2, 6), rng.randint(2, 6)
+    inst = random_instance(rng, height, width, rng.randint(2, min(10, height * width // 3 + 1)),
+                           rng.choice((0.0, 0.2)))
+    graph, n = inst.graph, inst.n_agents
+    holders = [a for a in range(n) if rng.random() < 0.5]
+    free = sorted(set(range(graph.vertex_count)) - {inst.goals[a] for a in holders})
+    placed = iter(rng.sample(free, n - len(holders)))
+    config = tuple(inst.goals[a] if a in holders else next(placed) for a in range(n))
+    order = tuple(rng.sample(range(n), n))
+    dists = [gamma.values for gamma in inst.gammas]
+    forced = {}
+    pins = rng.choice(("none", "random", "onto-goal"))
+    if pins == "random":
+        for member in rng.sample(range(n), rng.randint(1, min(n, 3))):
+            forced[member] = rng.choice(graph.moves[config[member]])
+    elif pins == "onto-goal":
+        for holder in holders:
+            pushers = [a for a in range(n) if a != holder
+                       and config[holder] in graph.neighbors(config[a])]
+            if pushers:
+                forced[rng.choice(pushers)] = config[holder]
+                break
+    return graph, config, order, dists, forced
+
+
+def probe(monkeypatch, inst, start, seed, cost_limit, pibt_step=None):
+    """The rollout's paths (or its BackupError), the state of the rng it
+    drew from, and the number of configurations it created.  With a
+    `pibt_step`, the rollout takes its successors from it."""
+    rngs = []
+
+    def recorded(seed):
+        rngs.append(random.Random(seed))
+        return rngs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(daccbs.backup, "random", types.SimpleNamespace(Random=recorded))
+        if pibt_step is not None:
+            m.setattr(daccbs.backup, "_pibt_step", pibt_step)
+        created = count_configurations(m)
+        agents = tuple(range(inst.n_agents))
+        try:
+            result = LacamBackup(seed).rollout(inst, agents, start, cost_limit=cost_limit)
+        except BackupError as exc:
+            result = exc
+    return result, rngs[0].getstate(), created[0]
+
+
+class TestPibtStepMatchesReference:
+    def test_random_steps(self):
+        seen = {"none": 0, "pinned-goal": 0, "pushed-holder": 0, "chain": 0, "rejected": 0}
+        for seed in range(2500):
+            graph, config, order, dists, forced = pibt_case(random.Random(seed))
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            expected = pibt_step_reference(graph, config, order, dists, forced, reference_rng)
+            assert _pibt_step(graph, config, order, dists, forced, rng) == expected, seed
+            assert rng.getstate() == reference_rng.getstate(), seed
+            # What the case exercised, read from the result.
+            holders = [i for i, v in enumerate(config) if dists[i][v] == 0 and i not in forced]
+            pinned = set(forced.values())
+            seen["none"] += not forced
+            seen["pinned-goal"] += any(config[h] in pinned for h in holders)
+            if expected is None:
+                seen["rejected"] += 1
+                continue
+            # An unpinned holder whose goal no pin claims keeps it unless a
+            # member planned before it took it, pushing it.
+            seen["pushed-holder"] += any(
+                expected[h] != config[h] and config[h] not in pinned for h in holders
+            )
+            # Three members in a line, each moving into the vertex the next
+            # one leaves: a push chain, or a member that follows one.
+            follows = {i: config.index(v) for i, v in enumerate(expected)
+                       if v != config[i] and v in config}
+            seen["chain"] += any(j in follows for j in follows.values())
+        assert all(count >= 50 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("height, width, agents, block_prob", [
+        (32, 32, 50, 0.1),  # the starved benchmark workload's size
+        (16, 16, 30, 0.0),  # the contested one's
+    ])
+    def test_rollouts(self, monkeypatch, height, width, agents, block_prob):
+        # Whole rollouts, unlimited and with cost limits around their cost:
+        # same paths or the same BackupError, and the same rng state.
+        def key(result):
+            return (type(result), str(result)) if isinstance(result, BackupError) else result
+
+        for seed in range(2):
+            inst = random_instance(random.Random(seed), height, width, agents, block_prob)
+            start = inst.starts
+            for _ in range(2):
+                full, _, _ = probe(monkeypatch, inst, start, seed, None)
+                cost = soc(joint(full), inst.goals)
+                for limit in (None, cost - 2, cost - 1, cost, cost + 1, cost + 2):
+                    result, state, _ = probe(monkeypatch, inst, start, seed, limit)
+                    expected, reference_state, _ = probe(
+                        monkeypatch, inst, start, seed, limit, pibt_step_reference
+                    )
+                    assert key(result) == key(expected), (seed, start, limit)
+                    assert state == reference_state, (seed, start, limit)
+                # Half-way along, where many agents hold their goals.
+                start = positions_at(joint(full), joint(full).makespan // 2)

@@ -1,4 +1,4 @@
-"""Episode outputs pinned at a fixed work budget.
+"""Episode and backup rollout outputs pinned at a fixed work budget.
 
 Every search runs under a WorkClock of a fixed number of expansions instead
 of its WallClock (the `fixed_work` fixture), so an episode's outputs depend
@@ -7,13 +7,14 @@ outputs identical keeps these values; one that changes them on purpose says
 so and records them again.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from daccbs import ControllerConfig, FleetController, run_episode
+from daccbs import BackupError, ControllerConfig, FleetController, LacamBackup, run_episode, soc
 
-from conftest import random_instance
+from conftest import joint, positions_at, random_instance
 
 
 def outputs(instance, mode, fixed_work):
@@ -61,3 +62,45 @@ def test_contested_size_episode(fixed_work):
     budgets = [302, 265, 236, 209, 182, 158, 136, 115, 98, 71, 53, 41, 32, 23, 17, 14, 12,
                10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
     assert outputs(instance, "daccbs", fixed_work) == (285, 318, "all-at-goals", budgets, 10)
+
+
+
+def rollout_outcome(instance, start, cost_limit=None):
+    """(cost, digest of the paths) of a seed-0 rollout of every agent, or
+    "cut" when it stops at its cost limit."""
+    try:
+        paths = LacamBackup(seed=0).rollout(
+            instance, tuple(range(instance.n_agents)), start, cost_limit=cost_limit
+        )
+    except BackupError:
+        return "cut"
+    return soc(joint(paths), instance.goals), hashlib.sha256(repr(paths).encode()).hexdigest()[:16]
+
+
+# Keyed by the start (the instance's, or half-way along the initial
+# rollout, where many agents hold their goals) and the cost limit.
+PINNED_ROLLOUTS = {
+    ("initial", None): (1209, "f0a9c14083685aaf"),
+    ("initial", 1189): "cut",
+    ("initial", 1209): "cut",
+    ("initial", 1210): (1209, "f0a9c14083685aaf"),
+    ("half-way", None): (244, "07a0f57b7c055f6a"),
+    ("half-way", 239): "cut",
+    ("half-way", 244): "cut",
+    ("half-way", 245): (244, "07a0f57b7c055f6a"),
+}
+
+
+def test_starved_size_rollouts():
+    # The size of the starved benchmark workload: 32x32, 10% blocked, 50 agents.
+    instance = random_instance(random.Random(0), 32, 32, 50, 0.1)
+    initial = joint(LacamBackup(seed=0).rollout(instance, tuple(range(50)), instance.starts))
+    starts = {
+        "initial": instance.starts,
+        "half-way": positions_at(initial, initial.makespan // 2),
+    }
+    outcomes = {
+        (start, limit): rollout_outcome(instance, starts[start], limit)
+        for start, limit in PINNED_ROLLOUTS
+    }
+    assert outcomes == PINNED_ROLLOUTS
