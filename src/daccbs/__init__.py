@@ -15,6 +15,7 @@ from .certificate import (
     advance,
     build_candidate,
     init_certificate,
+    repair,
     try_improve,
 )
 from .clock import WallClock, WorkClock
@@ -96,6 +97,7 @@ __all__ = [
     "partition",
     "plan_constrained",
     "reachable_region",
+    "repair",
     "run_adaptive",
     "run_classic_cbs",
     "run_episode",

@@ -89,6 +89,9 @@ class SearchOutcome:
     best_node / best_h describe the longest conflict-free prefix found
     (best_node is None when not even an h_r = 1 prefix was certified).
     reason is one of: "horizon", "deadline", "exhausted", "no-prefix", "cap".
+    A daccbs group's step record reports it as its `search`; a group that
+    runs no search reports "skipped" (slack 0), "repair" (certificate repair
+    spent its share) or None (no share) there instead.
     """
 
     best_node: ConstraintTreeNode | None
@@ -217,13 +220,19 @@ def expand(
 class NodeConflicts:
     """A counted node's conflict events: every one at timesteps 0..known,
     sorted, so the first is its first conflict (none when there is none to
-    H_max)."""
+    H_max).  It also keeps the node's member rows and which of them are
+    still the root's (`live`), so a child copies them and changes only its
+    replanned row."""
 
-    __slots__ = ("events", "known")
+    __slots__ = ("events", "known", "rows", "live")
 
-    def __init__(self, events: list[Event], known: int) -> None:
+    def __init__(
+        self, events: list[Event], known: int, rows: list[tuple[int, ...]], live: list[bool]
+    ) -> None:
         self.events = events
         self.known = known
+        self.rows = rows
+        self.live = live
 
 
 class ConflictIndex:
@@ -255,15 +264,19 @@ class ConflictIndex:
         count is count_conflicts' on the node's padded rows: 0 when the
         first conflict lies past `horizon`."""
         table = self.table
-        rows = [node.paths[a] for a in self.agents]
-        live = [row is own for row, own in zip(rows, table.paths)]
-        end = min(self.h_max, max(map(len, rows)) - 1)
         if inherited is None:
+            rows = list(table.paths)
+            live = [True] * len(rows)
+            end = min(self.h_max, table.end)
             events: list[Event] = []
             known = -1
         else:
             m = node.replanned
+            rows = inherited.rows.copy()
+            rows[m] = node.paths[self.agents[m]]
+            live = inherited.live.copy()
             live[m] = False  # its row is new, whatever object it is
+            end = min(self.h_max, max(map(len, rows)) - 1)
             known = min(inherited.known, end)
             events = [
                 e for e in inherited.events
@@ -280,7 +293,7 @@ class ConflictIndex:
         if not events and known < end:
             events = table.events(rows, known + 1, end, live, first_only=True)
             known = events[0][0] if events else end
-        carried = NodeConflicts(events, known)
+        carried = NodeConflicts(events, known, rows, live)
         if not events or events[0][0] > horizon:
             return 0, carried
         return count_events(events, horizon), carried
@@ -306,9 +319,10 @@ def run_adaptive(
 
     on_prefix_found is invoked with (node, h_r) whenever a dequeued node's
     active prefix is conflict-free, and once more at h_r = H_max before the
-    final break.  The clock (None = no limit) is asked before every dequeue
-    and every conflict count; once it has expired the search stops with the
-    clock's reason.
+    final break; a node conflict-free to H_max whose paths all end at their
+    goals is offered only at H_max.  The clock (None = no limit) is asked
+    before every dequeue and every conflict count; once it has expired the
+    search stops with the clock's reason.
 
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
@@ -343,6 +357,7 @@ def run_adaptive(
     ]
     replanner = Replanner(instance, state, h_max)
     index = ConflictIndex(root, agents, h_max)
+    goals = instance.goals
     best_node: ConstraintTreeNode | None = None
     best_h = 0
     expansions = 0
@@ -361,7 +376,12 @@ def run_adaptive(
         dequeues += 1
         conflict = carried.events[0] if carried.events else None
         if conflict is None or conflict[0] > h_r:
-            if on_prefix_found is not None:
+            # With every path at its goal, the offer at H_max costs node.cost,
+            # a lower bound on every completion of the h_r prefix: an offer
+            # at h_r could not undercut it.
+            if on_prefix_found is not None and not (
+                conflict is None and all(node.paths[a][-1] == goals[a] for a in agents)
+            ):
                 on_prefix_found(node, h_r)
             if conflict is None:  # conflict-free up to h_max
                 best_node, best_h = node, h_max

@@ -5,15 +5,20 @@ current positions to its goals, together with its cost (the fleet budget).
 Across timesteps it is inherited by dropping the executed first step, which
 decreases the budget by exactly the number of off-goal agents; within a
 timestep it is replaced only by a strictly cheaper conflict-free candidate.
+Candidates come from a constraint-tree prefix joined to a backup tail
+(build_candidate), or from one member replanned against the others' paths
+(repair).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .backup import BackupError, LacamBackup
-from .grid import InfeasibleInstanceError, MapfInstance
-from .trajectory import is_conflict_free, path_cost, strip_goal_waits
+from .clock import WallClock, WorkClock
+from .grid import DistanceField, Graph, InfeasibleInstanceError, MapfInstance
+from .trajectory import Occupancy, is_conflict_free, path_cost, strip_goal_waits
 
 
 class CertificateError(RuntimeError):
@@ -86,6 +91,10 @@ def advance(cert: Certificate, executed_state) -> Certificate:
     executed_state must equal the certificate's second configuration; the
     budget decreases by exactly the number of off-goal agents.
     """
+    if cert.budget == 0 and all(
+        len(cert.paths[a]) == 1 and executed_state[a] == cert.paths[a][0] for a in cert.agents
+    ):
+        return cert  # every member holds its goal, and advancing changes nothing
     paths: dict[int, tuple[int, ...]] = {}
     spent = 0
     for a in cert.agents:
@@ -160,6 +169,149 @@ def build_candidate(
     except BackupError:
         return None
     return {a: heads[a] + tail[a] for a in group}
+
+
+def repair(
+    cert: Certificate,
+    instance: MapfInstance,
+    state,
+    clock: WallClock | WorkClock,
+    settled: frozenset[int] = frozenset(),
+) -> tuple[Certificate, int, int, frozenset[int]]:
+    """Replan single members against the others' paths, held fixed.
+
+    Returns the certificate after it, the numbers of members planned and
+    accepted, and the members settled against it: those that found no
+    cheaper path.
+
+    A pass takes the members whose path costs more than gamma at the state,
+    in order of that excess (largest first, ties in member order), and plans
+    each by `_replan`, pruned at its current path cost.  The cheaper path,
+    the others' kept, is offered to try_improve, so every acceptance
+    strictly lowers the budget; passes repeat while one of them improves.
+    A plan depends only on the certificate, so a settled member is not
+    planned again until the certificate changes.  Members in `settled` are
+    settled already: a member settled against a certificate stays settled
+    once it advances, since a cheaper path from the next state, after the
+    executed step, would have been a cheaper path from this one.  The other
+    members are read through one Occupancy of the certificate's paths, made
+    when the first member is planned against it and grown only as far as
+    the plans read it.
+
+    The clock is asked before each member and every 32 pops of a plan, with
+    no expansions: repair makes none, so a WorkClock never stops it, and it
+    runs until every member with excess is settled.
+    """
+    goals, gammas = instance.goals, instance.gammas
+    planned = accepted = 0
+    # member -> the certificate it found nothing cheaper against
+    failed: dict[int, Certificate] = dict.fromkeys(settled, cert)
+    improved = True
+    while improved:
+        improved = False
+        cost = {a: path_cost(cert.paths[a], goals[a]) for a in cert.agents}
+        excess = {a: cost[a] - gammas[a][state[a]] for a in cert.agents}
+        order = sorted((a for a in cert.agents if excess[a] > 0), key=lambda a: -excess[a])
+        table = None
+        for a in order:
+            if failed.get(a) is cert:
+                continue
+            if clock.expired(0):
+                improved = False
+                break
+            planned += 1
+            if table is None:
+                table = Occupancy(cert.paths[m] for m in cert.agents)
+            path = _replan(
+                instance.graph, gammas[a], table, cert.agents.index(a), cost[a], clock
+            )
+            if path is None:
+                if clock.expired(0):  # the plan may have stopped short
+                    improved = False
+                    break
+            else:
+                cert, ok = try_improve(cert, {**cert.paths, a: path}, instance, state)
+                if ok:
+                    accepted += 1
+                    improved = True
+                    table = None
+                    continue
+            failed[a] = cert
+    return cert, planned, accepted, frozenset(a for a, c in failed.items() if c is cert)
+
+
+def _replan(
+    graph: Graph,
+    gamma: DistanceField,
+    table: Occupancy,
+    member: int,
+    limit: int,
+    clock: WallClock | WorkClock,
+) -> tuple[int, ...] | None:
+    """Member `member` of `table`'s cheapest path from where its path starts
+    to its goal that costs less than `limit` and meets no other path of the
+    table; None when there is none, or when the clock expires first.
+
+    A space-time A*: a state's g counts the off-goal vertices before it and
+    its h is gamma, so f bounds the cost of every completion from below and
+    the search drops any state whose f reaches `limit`.  The table's other
+    paths wait at their last vertex past their ends.  The member may stop
+    at its goal, and wait there for good, only after the last visit there by
+    another path.  Past the table's end no path moves, so every later time
+    is one state.  Ties go to the state nearer the goal, then the earlier.
+    """
+    goal = gamma.anchor
+    cost_to_go = gamma.values
+    adjacency = graph.adjacency
+    start = table.paths[member][0]
+    last = -1  # the last visit to the goal by another path
+    for k, other in enumerate(table.paths):
+        if k != member and goal in other:
+            last = max(last, len(other) - 1 - other[::-1].index(goal))
+    horizon = table.end + 1
+    h = cost_to_go[start]
+    if h >= limit:
+        return None
+    # (f, h, time, vertex); g is f - h.  seen: state -> (g, predecessor).
+    heap = [(h, h, 0, start)]
+    seen: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {(start, 0): (0, None)}
+    pops = 0
+    while heap:
+        f, h, t, u = heapq.heappop(heap)
+        g = f - h
+        if seen[(u, t)][0] < g:
+            continue
+        if u == goal and t > last:
+            path = [u]
+            prev = seen[(u, t)][1]
+            while prev is not None:
+                path.append(prev[0])
+                prev = seen[prev][1]
+            return tuple(reversed(path))
+        pops += 1
+        if pops % 32 == 0 and clock.expired(0):
+            return None
+        nt = min(t + 1, horizon)
+        at, after = table.at(t), table.at(nt)
+        ng = g + (u != goal)
+        for w in adjacency[u]:
+            hw = cost_to_go[w]
+            if ng + hw >= limit:
+                continue
+            k = after.get(w)
+            if k is not None and k != member:
+                continue
+            # Another path moving w -> u meets this move on the edge.
+            k = at.get(w)
+            if w != u and k is not None and k != member and after.get(u) == k:
+                continue
+            key = (w, nt)
+            known = seen.get(key)
+            if known is not None and known[0] <= ng:
+                continue
+            seen[key] = (ng, (u, t))
+            heapq.heappush(heap, (ng + hw, hw, nt, w))
+    return None
 
 
 def first_movement(paths: dict[int, tuple[int, ...]]) -> Movement:

@@ -1,11 +1,21 @@
-"""Per-timestep orchestration: certificate inheritance, adaptive search with
-certificate improvement, slackness-triggered factorization, and movement
-extraction.
+"""Per-timestep orchestration: certificate inheritance, certificate repair
+and adaptive search with certificate improvement, slackness-triggered
+factorization, and movement extraction.
 
 Two modes are provided:
-  * "daccbs" - certificates + adaptive search + factorization;
+  * "daccbs" - certificates + repair + adaptive search + factorization;
   * "accbs"  - certificate-free adaptive search (ablation baseline).
-At t_max 0 a daccbs group runs no search and follows its certificate.
+
+A daccbs group with slack above 0 gets one clock of its share of t_max.
+Repair runs first under it: single members replanned against the others'
+certificate paths.  The search gets what is left of the same clock, and
+none starts once repair has spent it.  Each group's step record says which
+happened: its `search` is the search's SearchOutcome.reason, "skipped" when
+the slack is 0 (before or after repair), "repair" when repair spent the
+share, or None when t_max is 0.  Its `repairs` counts the members repair
+planned and `repaired` those it accepted; `prefixes`, `candidates` and
+`accepted` count the search's offers, candidates built and acceptances.
+At t_max 0 a daccbs group runs neither and follows its certificate.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .certificate import (
     build_candidate,
     first_movement,
     init_certificate,
+    repair,
     try_improve,
 )
 from .clock import WallClock
@@ -55,12 +66,14 @@ class ControllerConfig:
 
 @dataclass
 class GroupState:
-    """An agent group (its certificate's agents) with its certificate and
-    last-factorization slack."""
+    """An agent group (its certificate's agents) with its certificate,
+    last-factorization slack, and the members that certificate repair found
+    settled against the certificate (see `repair`)."""
 
     group_id: int
     certificate: Certificate
     slack_last: int
+    settled: frozenset[int] = frozenset()
 
 
 class FleetController:
@@ -162,16 +175,75 @@ class FleetController:
         agents = cert.agents
         if self.t > 0:
             cert = advance(cert, state)
+        # `search` says why the search stopped: a SearchOutcome.reason,
+        # "skipped" when the group's slack is 0 (before or after repair),
+        # "repair" when repair spent the share before a search began, or None
+        # when a zero share runs neither.
+        record = {
+            "group": group.group_id, "h_r": 0, "improved": False, "search": None,
+            "expansions": 0, "dequeues": 0, "prefixes": 0, "candidates": 0, "accepted": 0,
+            "repairs": 0, "repaired": 0,
+        }
+        # A candidate costs at least the gamma sum, so a group whose budget
+        # already equals it (slack 0) can never be improved: skip its repair
+        # and search.
+        slack = slackness(agents, cert.budget, state, instance.gammas)
+        # Members repair found settled: against the certificate only advanced
+        # since, they still are.
+        settled = group.settled
+        if share > 0:
+            if slack > 0:
+                clock = WallClock(share)
+                cert, repairs, repaired, settled = repair(cert, instance, state, clock, settled)
+                record["repairs"], record["repaired"] = repairs, repaired
+                if repaired:
+                    record["improved"] = True
+                    slack = slackness(agents, cert.budget, state, instance.gammas)
+            if slack == 0:
+                record["search"] = "skipped"
+            elif clock.expired(0):
+                record["search"] = "repair"
+            else:
+                searched = self._search(cert, state, clock, record)
+                if searched is not cert:
+                    cert = searched
+                    slack = slackness(agents, cert.budget, state, instance.gammas)
+                    settled = frozenset()
+        trace = None
+        if should_refactor(group.slack_last, slack, self.config.slack_threshold):
+            parts = partition(instance.graph, agents, state, slack, instance.gammas)
+            groups = []
+            for part in parts:
+                sub_cert = cert.restricted(part)
+                sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
+                # A cheaper path lies in its member's region, and the other
+                # parts' paths lie in theirs, disjoint from it: settled
+                # members stay settled in their part.
+                groups.append(GroupState(self._take_group_id(), sub_cert, sub_slack, settled))
+            trace = {
+                "t": self.t,
+                "group": group.group_id,
+                "slack": slack,
+                "k": len(parts),
+                "sizes": [len(p) for p in parts],
+            }
+        else:
+            groups = [GroupState(group.group_id, cert, group.slack_last, settled)]
+        record["factorized"] = trace is not None
+        return groups, record, trace
 
-        improved = False
-        h_reached = 0
-        # on_prefix calls, candidates built (not None), and candidates accepted.
-        prefixes = candidates = accepted = 0
+    def _search(self, cert: Certificate, state, clock: WallClock, record: dict) -> Certificate:
+        """Run the group's adaptive search under what is left of `clock`,
+        offering each conflict-free prefix to the certificate; return the
+        certificate after it.  The search's fields of the group's step
+        record count what it did."""
+        instance = self.instance
+        agents = cert.agents
 
         def on_prefix(node, h_r: int) -> None:
-            nonlocal cert, improved, h_reached, prefixes, candidates, accepted
-            prefixes += 1
-            h_reached = max(h_reached, h_r)
+            nonlocal cert
+            record["prefixes"] += 1
+            record["h_r"] = max(record["h_r"], h_r)
             # Node cost equals prefix running cost plus the gamma sum at the
             # prefix terminal, a lower bound on any completion's cost.
             if node.cost >= cert.budget:
@@ -182,65 +254,19 @@ class FleetController:
             candidate = build_candidate(prefix, self.backup, instance, agents, cert.budget)
             if candidate is None:
                 return
-            candidates += 1
+            record["candidates"] += 1
             cert2, ok = try_improve(cert, candidate, instance, state)
             if ok:
-                cert, improved = cert2, True
-                accepted += 1
+                cert = cert2
+                record["improved"] = True
+                record["accepted"] += 1
 
-        # A candidate costs at least the gamma sum, so a group whose budget
-        # already equals it (slack 0) can never be improved: skip its search.
-        slack = slackness(agents, cert.budget, state, instance.gammas)
-        # Why the search stopped: a SearchOutcome.reason, "skipped" when the
-        # group's slack is 0, or None when a zero share runs no search.
-        search, expansions, dequeues = None, 0, 0
-        if share > 0:
-            if slack == 0:
-                search = "skipped"
-            else:
-                outcome = run_adaptive(
-                    instance,
-                    state,
-                    self.config.h_max,
-                    WallClock(share),
-                    on_prefix_found=on_prefix,
-                    agents=agents,
-                )
-                search, expansions, dequeues = (
-                    outcome.reason, outcome.expansions, outcome.dequeues
-                )
-                if improved:
-                    slack = slackness(agents, cert.budget, state, instance.gammas)
-        trace = None
-        if should_refactor(group.slack_last, slack, self.config.slack_threshold):
-            parts = partition(instance.graph, agents, state, slack, instance.gammas)
-            groups = []
-            for part in parts:
-                sub_cert = cert.restricted(part)
-                sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
-                groups.append(GroupState(self._take_group_id(), sub_cert, sub_slack))
-            trace = {
-                "t": self.t,
-                "group": group.group_id,
-                "slack": slack,
-                "k": len(parts),
-                "sizes": [len(p) for p in parts],
-            }
-        else:
-            groups = [GroupState(group.group_id, cert, group.slack_last)]
-        record = {
-            "group": group.group_id,
-            "h_r": h_reached,
-            "improved": improved,
-            "search": search,
-            "expansions": expansions,
-            "dequeues": dequeues,
-            "prefixes": prefixes,
-            "candidates": candidates,
-            "accepted": accepted,
-            "factorized": trace is not None,
-        }
-        return groups, record, trace
+        outcome = run_adaptive(
+            instance, state, self.config.h_max, clock, on_prefix_found=on_prefix, agents=agents
+        )
+        record["search"] = outcome.reason
+        record["expansions"], record["dequeues"] = outcome.expansions, outcome.dequeues
+        return cert
 
     # -- accbs ----------------------------------------------------------------
 

@@ -36,7 +36,7 @@ class BudgetInvariantError(RuntimeError):
 
 def slackness(group: tuple[int, ...], budget: int, state, gammas) -> int:
     """budget minus the sum of gamma(x(a)) over the group; never negative."""
-    lower = sum(gammas[a][state[a]] for a in group)
+    lower = sum(gammas[a].values[state[a]] for a in group)
     slack = budget - lower
     if slack < 0:
         raise BudgetInvariantError(f"budget {budget} below shortest-path bound {lower}")

@@ -300,6 +300,33 @@ class OccupancyTable:
         return events
 
 
+class Occupancy:
+    """Which path occupies each vertex at each step, for paths that never
+    share a vertex at a step (a certificate's): the other members as a
+    certificate repair reads them.
+
+    Each path is read as waiting at its last vertex past its end, so past
+    the last path's end every step is that end's.  The paths are padded to
+    that end when it is made; the per-step index is built one step at a
+    time, only as far as it is read.
+    """
+
+    def __init__(self, paths) -> None:
+        self.paths = tuple(paths)
+        self.end = max(map(len, self.paths)) - 1  # past it, no path moves
+        self._columns = zip(*(_waiting(path, self.end + 1) for path in self.paths))
+        self._members = range(len(self.paths))
+        self._at: list[dict[int, int]] = []
+
+    def at(self, t: int) -> dict[int, int]:
+        """vertex -> the index of the path there at timestep t."""
+        t = min(t, self.end)
+        at = self._at
+        while len(at) <= t:
+            at.append(dict(zip(next(self._columns), self._members)))
+        return at[t]
+
+
 def strip_goal_waits(vertices: tuple[int, ...]) -> tuple[int, ...]:
     """The path without the waits at its last vertex (its goal, in a plan):
     it ends when its agent arrives there for good."""
@@ -311,7 +338,7 @@ def strip_goal_waits(vertices: tuple[int, ...]) -> tuple[int, ...]:
 
 def path_cost(vertices: tuple[int, ...] | list[int], goal: int) -> int:
     """Running cost of a full vertex sequence (its terminal assumed at goal)."""
-    return sum(1 for v in vertices if v != goal)
+    return len(vertices) - vertices.count(goal)
 
 
 def soc(joint: JointTrajectory, goals) -> int:

@@ -204,6 +204,17 @@ class TestRunAdaptive:
         assert seen
         assert seen[-1] == 6
 
+    def test_conflict_free_root_offered_once_at_goals(self):
+        # Paths that all end at their goals are offered at h_max only: the
+        # offer at h_r could not cost less.  Paths cut off at h_max are not
+        # at their goals, so the h_r prefix is offered too.
+        inst = disjoint_chains_instance()
+        for h_max, offers in ((8, [8]), (1, [1, 1])):
+            seen = []
+            run_adaptive(inst, inst.starts, h_max, None,
+                         on_prefix_found=lambda n, h: seen.append(h))
+            assert seen == offers
+
     def test_empty_group(self):
         inst = cross_instance()
         outcome = run_adaptive(inst, inst.starts, 6, None, agents=())
@@ -270,6 +281,12 @@ class TestRunAdaptive:
         assert cut_off
 
 
+def at_goals(inst, node):
+    """True iff every path of the node ends at its agent's goal: a node
+    conflict-free to h_max is then offered at h_max only."""
+    return all(path[-1] == inst.goals[a] for a, path in node.paths.items())
+
+
 def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
     """Reference search that extends the horizon one step at a time, each
     step rescanning the prefix from t=0 (no deadline).  Paths end at their
@@ -290,12 +307,18 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
         joint = joint_rows(node, agents)
         conflict = detect_first_conflict(joint, min(h_r, makespan(joint)))
         if conflict is None:
-            on_prefix_found(node, h_r)
+            prefix_h = h_r
             if h_r > best_h:
                 best_node, best_h = node, h_r
             while conflict is None and h_r < h_max:
                 h_r += 1
                 conflict = detect_first_conflict(joint, min(h_r, makespan(joint)))
+            if conflict is None and at_goals(inst, node):
+                best_node, best_h = node, h_r
+                on_prefix_found(node, h_r)
+                reason = "horizon"
+                break
+            on_prefix_found(node, prefix_h)
             if conflict is None:
                 best_node, best_h = node, h_r
                 on_prefix_found(node, h_r)
@@ -361,7 +384,8 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
         joint = joint_rows(node, agents)
         conflict = detect_first_conflict(joint, min(h_max, makespan(joint)))
         if conflict is None or conflict[0] > h_r:
-            on_prefix_found(node, h_r)
+            if not (conflict is None and at_goals(inst, node)):
+                on_prefix_found(node, h_r)
             if h_r > best_h:
                 best_node, best_h = node, h_r
             if conflict is None:

@@ -303,6 +303,7 @@ class TestDaccbsMode:
         for search in telem["searches"]:
             assert (search["search"], search["expansions"], search["dequeues"]) == (None, 0, 0)
             assert (search["prefixes"], search["candidates"], search["accepted"]) == (0, 0, 0)
+            assert (search["repairs"], search["repaired"]) == (0, 0)
 
     def test_empty_fleet(self):
         g = chain_graph(3)

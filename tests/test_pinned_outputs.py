@@ -1,10 +1,11 @@
 """Episode and backup rollout outputs pinned at a fixed work budget.
 
 Every search runs under a WorkClock of a fixed number of expansions instead
-of its WallClock (the `fixed_work` fixture), so an episode's outputs depend
-only on the code, not on the machine's speed or on hash randomization.  A change that must keep
-outputs identical keeps these values; one that changes them on purpose says
-so and records them again.
+of its WallClock (the `fixed_work` fixture), and certificate repair, which
+counts no expansions, runs until it improves nothing.  So an episode's
+outputs depend only on the code, not on the machine's speed or on hash
+randomization.  A change that must keep outputs identical keeps these
+values; one that changes them on purpose says so and records them again.
 """
 
 import hashlib
@@ -32,19 +33,19 @@ def outputs(instance, mode, fixed_work):
 PINNED = {
     (0, "daccbs"): (50, 54, "all-at-goals", [50, 40, 30, 21, 15, 11, 7, 4, 2, 1], 2),
     (0, "accbs"): (50, None, "all-at-goals", [], 0),
-    (1, "daccbs"): (63, 68, "all-at-goals", [68, 56, 47, 39, 31, 23, 15, 10, 7, 5, 3], 6),
+    (1, "daccbs"): (60, 68, "all-at-goals", [61, 52, 43, 35, 24, 16, 11, 8, 6, 4, 1], 6),
     (1, "accbs"): (59, None, "all-at-goals", [], 0),
-    (2, "daccbs"): (63, 77, "all-at-goals", [75, 55, 46, 39, 32, 25, 18, 11, 6, 3, 1], 6),
+    (2, "daccbs"): (63, 77, "all-at-goals", [67, 56, 46, 37, 31, 25, 19, 13, 8, 4, 1], 7),
     (2, "accbs"): (65, None, "all-at-goals", [], 0),
-    (3, "daccbs"): (56, 69, "all-at-goals", [59, 46, 36, 27, 20, 15, 10, 7, 5, 3, 1], 3),
+    (3, "daccbs"): (56, 69, "all-at-goals", [57, 46, 36, 27, 20, 15, 11, 8, 6, 4, 2, 1], 3),
     (3, "accbs"): (56, None, "all-at-goals", [], 0),
     (4, "daccbs"): (67, 89, "all-at-goals", [67, 57, 47, 37, 27, 18, 11, 6, 3, 1], 1),
     (4, "accbs"): (67, None, "all-at-goals", [], 0),
-    (5, "daccbs"): (61, 69, "all-at-goals", [68, 58, 48, 33, 26, 18, 14, 10, 5, 2], 7),
+    (5, "daccbs"): (61, 69, "all-at-goals", [65, 55, 43, 33, 23, 15, 9, 5, 1], 4),
     (5, "accbs"): (61, None, "all-at-goals", [], 0),
-    (6, "daccbs"): (45, 56, "all-at-goals", [52, 35, 28, 20, 15, 11, 6, 2], 5),
+    (6, "daccbs"): (46, 56, "all-at-goals", [49, 39, 28, 21, 16, 11, 7, 3], 6),
     (6, "accbs"): (45, None, "all-at-goals", [], 0),
-    (7, "daccbs"): (57, 71, "all-at-goals", [66, 56, 37, 28, 19, 13, 8, 5, 4, 3, 2, 1], 3),
+    (7, "daccbs"): (53, 71, "all-at-goals", [60, 43, 33, 24, 17, 11, 7, 5, 4, 3, 2, 1], 3),
     (7, "accbs"): (55, None, "all-at-goals", [], 0),
 }
 
@@ -59,9 +60,9 @@ def test_small_blocked_grids(seed, mode, fixed_work):
 def test_contested_size_episode(fixed_work):
     # The size of the contested benchmark workload: 16x16 open grid, 30 agents.
     instance = random_instance(random.Random(0), 16, 16, 30)
-    budgets = [302, 265, 236, 209, 182, 158, 136, 115, 98, 71, 53, 41, 32, 23, 17, 14, 12,
+    budgets = [288, 258, 229, 202, 175, 149, 125, 103, 86, 68, 51, 35, 27, 19, 15, 13, 11,
                10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
-    assert outputs(instance, "daccbs", fixed_work) == (285, 318, "all-at-goals", budgets, 10)
+    assert outputs(instance, "daccbs", fixed_work) == (280, 318, "all-at-goals", budgets, 8)
 
 
 

@@ -1,0 +1,231 @@
+"""Certificate repair: single members replanned against the others' paths."""
+
+import random
+
+import pytest
+
+import daccbs.certificate
+import daccbs.controller
+from daccbs import (
+    Certificate,
+    ControllerConfig,
+    FleetController,
+    Graph,
+    LacamBackup,
+    MapfInstance,
+    WorkClock,
+    advance,
+    init_certificate,
+    is_conflict_free,
+    reachable_region,
+    repair,
+    run_episode,
+    slackness,
+)
+from daccbs.trajectory import path_cost
+
+from conftest import random_instance
+
+# A repair never counts an expansion, so this clock never stops it.
+UNLIMITED = WorkClock(1)
+
+
+def corridor_instance() -> MapfInstance:
+    """The corridor 0 - 1 - ... - 6 with a pocket 7 off vertex 3.  Agent 0
+    goes 0 -> 3; agent 1 goes 6 -> 7 and passes vertex 3 at t = 3."""
+    edges = [(v, v + 1) for v in range(6)] + [(3, 7)]
+    neighbors = {v: {v} for v in range(8)}
+    for u, w in edges:
+        neighbors[u].add(w)
+        neighbors[w].add(u)
+    graph = Graph(tuple(tuple(sorted(neighbors[v])) for v in range(8)))
+    return MapfInstance(graph, (0, 6), (3, 7))
+
+
+class TestCorridor:
+    def test_cheaper_path_waits_for_the_goal_to_clear(self):
+        inst = corridor_instance()
+        # Agent 0 waits four steps before it goes; agent 1 takes its shortest
+        # path, through agent 0's goal at t = 3.
+        cert = Certificate((0, 1), {0: (0, 0, 0, 0, 1, 2, 3), 1: (6, 5, 4, 3, 7)}, 10)
+        cert.validate(inst, inst.starts)
+        # Its own shortest path would reach the goal at t = 3, as agent 1 does.
+        assert not is_conflict_free([(0, 1, 2, 3), cert.paths[1]])
+
+        repaired, planned, accepted, settled = repair(cert, inst, inst.starts, UNLIMITED)
+
+        path = repaired.paths[0]
+        # It cannot reach the goal before t = 3, so it arrives at t = 4, one
+        # wait dearer than its shortest path and two cheaper than before.
+        assert (path[0], path[-1], len(path)) == (0, 3, 5)
+        assert 3 not in path[:-1]
+        assert path_cost(path, 3) == 4
+        assert repaired.paths[1] == cert.paths[1]
+        assert repaired.budget == 8
+        repaired.validate(inst, inst.starts)
+        # Agent 1 is on a shortest path, so only agent 0 is planned: once to
+        # improve, and once more to find nothing cheaper.
+        assert (planned, accepted, settled) == (2, 1, {0})
+        # Settled, it is not planned again.
+        assert repair(repaired, inst, inst.starts, UNLIMITED, settled) == (repaired, 0, 0, {0})
+
+    def test_optimal_certificate_unchanged(self):
+        inst = corridor_instance()
+        cert = Certificate((0, 1), {0: (0, 1, 2, 2, 3), 1: (6, 5, 4, 3, 7)}, 8)
+        assert repair(cert, inst, inst.starts, UNLIMITED) == (cert, 1, 0, {0})
+
+    def test_expired_clock_plans_nothing(self):
+        inst = corridor_instance()
+        cert = Certificate((0, 1), {0: (0, 0, 0, 0, 1, 2, 3), 1: (6, 5, 4, 3, 7)}, 10)
+        assert repair(cert, inst, inst.starts, WorkClock(0)) == (cert, 0, 0, set())
+
+
+# (height, width, agents, block_prob) of the contested and starved workloads.
+SIZES = {"contested": (16, 16, 30, 0.0), "starved": (32, 32, 50, 0.1)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("size", sorted(SIZES))
+def test_offered_paths(size, seed, monkeypatch):
+    # A conflict-free certificate from a backup rollout, advanced part of the
+    # way along it so that some members have already reached their goals.
+    rng = random.Random(seed)
+    inst = random_instance(rng, *SIZES[size])
+    agents = tuple(range(inst.n_agents))
+    cert = init_certificate(LacamBackup(seed=seed), inst, inst.starts, agents)
+    for _ in range(rng.randrange(max(len(p) for p in cert.paths.values()) // 2)):
+        cert = advance(cert, tuple(cert.paths[a][1] if len(cert.paths[a]) > 1
+                                   else cert.paths[a][0] for a in agents))
+    state = tuple(cert.paths[a][0] for a in agents)
+
+    offers = []
+    try_improve = daccbs.certificate.try_improve
+
+    def offered(incumbent, candidate, instance, at):
+        (a,) = [a for a in agents if candidate[a] != incumbent.paths[a]]
+        improved, ok = try_improve(incumbent, candidate, instance, at)
+        offers.append((incumbent, a, candidate, improved, ok))
+        return improved, ok
+
+    monkeypatch.setattr(daccbs.certificate, "try_improve", offered)
+    repaired, planned, accepted, settled = repair(cert, inst, state, UNLIMITED)
+
+    assert offers and accepted == len(offers) <= planned
+    # Each acceptance goes through try_improve, and the next offer is made
+    # to the certificate it returned.
+    assert [offer[0] for offer in offers] == [cert] + [offer[3] for offer in offers[:-1]]
+    assert repaired is offers[-1][3]
+    for incumbent, a, candidate, _, ok in offers:
+        path, goal = candidate[a], inst.goals[a]
+        assert ok
+        assert (path[0], path[-1]) == (state[a], goal)
+        assert path_cost(path, goal) < path_cost(incumbent.paths[a], goal)
+        assert is_conflict_free(candidate.values())
+        slack = slackness(agents, incumbent.budget, state, inst.gammas)
+        assert set(path) <= reachable_region(inst.graph, a, state, slack, inst.gammas[a])
+    repaired.validate(inst, state)
+    # Repair stops only when every member with excess is settled.
+    excess = {a for a in agents
+              if path_cost(repaired.paths[a], inst.goals[a]) > inst.gammas[a][state[a]]}
+    assert settled == excess
+    # Settled members stay settled once the certificate advances: planned
+    # afresh from the next state, none finds a cheaper path.
+    moved = tuple(path[1] if len(path) > 1 else path[0] for path in
+                  (repaired.paths[a] for a in agents))
+    advanced = advance(repaired, moved)
+    assert repair(advanced, inst, moved, UNLIMITED)[2] == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_debug_checked_episodes(seed, fixed_work):
+    # The controller's debug checks validate every certificate and check that
+    # regions shrink and groups stay disjoint at every step.
+    fixed_work(20)
+    inst = random_instance(random.Random(seed), 8, 8, 10, 0.1)
+    controller = FleetController(inst, ControllerConfig(h_max=32, debug_checks=True))
+    result = run_episode(inst, controller, step_cap=100)
+    assert result.termination == "all-at-goals"
+    assert result.soc <= controller.initial_budget
+    budgets = [b for _, b, _ in result.budget_trace]
+    assert all(b2 < b1 for b1, b2 in zip(budgets, budgets[1:]))
+    searches = [s for step in result.telemetry for s in step["searches"]]
+    assert all(0 <= s["repaired"] <= s["repairs"] for s in searches)
+    assert sum(s["repaired"] for s in searches) > 0
+
+
+def test_settled_members_carried_across_steps(fixed_work, monkeypatch):
+    # Carrying the settled members from step to step only skips plans that
+    # would find nothing: at a fixed work budget each episode is the same as
+    # one that plans every member afresh at every step.
+    fixed_work(20)
+    instances = [random_instance(random.Random(seed), 8, 8, 10, 0.1) for seed in range(4)]
+
+    def episodes():
+        outputs, planned = [], 0
+        for inst in instances:
+            result = run_episode(inst, FleetController(inst, ControllerConfig(h_max=32)),
+                                 step_cap=100)
+            outputs.append((result.soc, result.budget_trace, result.factorization_trace))
+            planned += sum(s["repairs"] for step in result.telemetry for s in step["searches"])
+        return outputs, planned
+
+    carried, carried_planned = episodes()
+    monkeypatch.setattr(daccbs.controller, "repair",
+                        lambda cert, instance, state, clock, settled:
+                        repair(cert, instance, state, clock))
+    fresh, fresh_planned = episodes()
+    assert carried == fresh
+    assert carried_planned < fresh_planned
+
+
+class TestController:
+    def test_records_count_repairs(self, monkeypatch, fixed_work):
+        fixed_work(20)
+        returned = []
+
+        def recorded(*args):
+            out = repair(*args)
+            returned.append(out[1:3])
+            return out
+
+        monkeypatch.setattr(daccbs.controller, "repair", recorded)
+        inst = random_instance(random.Random(1), 8, 8, 10, 0.1)
+        result = run_episode(inst, FleetController(inst, ControllerConfig(h_max=32)))
+        counted = [(s["repairs"], s["repaired"])
+                   for step in result.telemetry for s in step["searches"] if s["repairs"]]
+        assert counted == [r for r in returned if r[0]]
+        assert any(repaired for _, repaired in counted)
+
+    def test_share_spent_by_repair_starts_no_search(self, monkeypatch):
+        class Spent:
+            """A clock that expires once repair has run."""
+            reason = "deadline"
+            expired_now = False
+
+            def expired(self, expansions):
+                return self.expired_now
+
+        clocks = []
+
+        def make_clock(seconds):
+            clocks.append(Spent())
+            return clocks[-1]
+
+        def spending(cert, instance, state, clock, settled):
+            out = repair(cert, instance, state, clock, settled)
+            clock.expired_now = True
+            return out
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search started after repair spent the share")
+
+        monkeypatch.setattr(daccbs.controller, "WallClock", make_clock)
+        monkeypatch.setattr(daccbs.controller, "repair", spending)
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", no_search)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(t_max_ms=5.0))
+        _, telem = controller.plan_step(inst.starts)
+        (search,) = telem["searches"]
+        assert search["search"] == "repair"
+        assert (search["expansions"], search["prefixes"]) == (0, 0)
+        assert search["repairs"] > 0
