@@ -43,6 +43,7 @@ from .trajectory import (
     count_events,
     detect_first_conflict,
     strip_goal_waits,
+    waiting,
 )
 
 __all__ = [
@@ -159,8 +160,7 @@ class Replanner:
 def _first_change(old: tuple[int, ...], new: tuple[int, ...], end: int) -> int:
     """First step before `end` at which two paths, each read as waiting at
     its last vertex past its end, differ; `end` when they agree up to it."""
-    old = old[:end] + old[-1:] * (end - len(old))
-    new = new[:end] + new[-1:] * (end - len(new))
+    old, new = waiting(old, end), waiting(new, end)
     for t in range(1, end):
         if old[t] != new[t]:
             return t
@@ -415,8 +415,6 @@ def run_classic_cbs(
     conflict-free plan leaves an agent short of its goal at h_max,
     InfeasibleInstanceError is raised.
     """
-    if instance.n_agents == 0:
-        return JointTrajectory([])
     agents = tuple(range(instance.n_agents))
     if h_max is None:
         try:

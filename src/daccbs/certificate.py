@@ -13,12 +13,13 @@ Candidates come from a constraint-tree prefix joined to a backup tail
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .backup import BackupError, LacamBackup
 from .clock import WallClock, WorkClock
 from .grid import DistanceField, Graph, InfeasibleInstanceError, MapfInstance
-from .trajectory import Occupancy, is_conflict_free, path_cost, strip_goal_waits
+from .trajectory import Occupancy, is_conflict_free, path_cost, strip_goal_waits, waiting
 
 
 class CertificateError(RuntimeError):
@@ -34,19 +35,31 @@ class Certificate:
 
     paths[a] is agent a's vertex sequence from its current position to its
     goal (a singleton once the agent sits at the goal).  budget equals the
-    total running cost of the paths.
+    total running cost of the paths.  settled holds the members that
+    `repair` found no cheaper path for against these paths; a certificate
+    made from new paths starts with none.
     """
 
     agents: tuple[int, ...]
     paths: dict[int, tuple[int, ...]]
     budget: int
+    settled: frozenset[int] = frozenset()
+
+    @cached_property
+    def occupancy(self) -> Occupancy:
+        """The paths in member order, as `repair` reads the others."""
+        return Occupancy(self.paths[a] for a in self.agents)
 
     def restricted(self, agents: tuple[int, ...]) -> "Certificate":
         """Sub-certificate for a subset of the group; budget is the cost of
-        the subset's own paths (budgets are additive per agent)."""
+        the subset's own paths (budgets are additive per agent).
+
+        The subset keeps its settled members.  That holds for a part of a
+        partition: a cheaper path lies in its member's region, and the other
+        parts' paths lie in theirs, disjoint from it."""
         paths = {a: self.paths[a] for a in agents}
         budget = sum(path_cost(paths[a], paths[a][-1]) for a in agents)
-        return Certificate(agents, paths, budget)
+        return Certificate(agents, paths, budget, self.settled.intersection(agents))
 
     def validate(self, instance: MapfInstance, state) -> None:
         """Re-check all certificate conditions; raises CertificateError on violation."""
@@ -89,7 +102,9 @@ def advance(cert: Certificate, executed_state) -> Certificate:
     """Across-timesteps inheritance: drop the executed first step.
 
     executed_state must equal the certificate's second configuration; the
-    budget decreases by exactly the number of off-goal agents.
+    budget decreases by exactly the number of off-goal agents.  Settled
+    members stay settled: a cheaper path from the next state, after the
+    executed step, would have been a cheaper path from this one.
     """
     if cert.budget == 0 and all(
         len(cert.paths[a]) == 1 and executed_state[a] == cert.paths[a][0] for a in cert.agents
@@ -108,7 +123,7 @@ def advance(cert: Certificate, executed_state) -> Certificate:
         if path[0] != path[-1]:
             spent += 1
         paths[a] = path[1:] if len(path) > 1 else path
-    return Certificate(cert.agents, paths, cert.budget - spent)
+    return Certificate(cert.agents, paths, cert.budget - spent, cert.settled)
 
 
 def try_improve(
@@ -158,7 +173,7 @@ def build_candidate(
     if all(terminal[a] == instance.goals[a] for a in group):
         return dict(prefix) if plan_cost(prefix, instance) < budget else None
     junction = max(len(prefix[a]) for a in group)
-    heads = {a: prefix[a][:-1] + (terminal[a],) * (junction - len(prefix[a])) for a in group}
+    heads = {a: waiting(prefix[a], junction)[:-1] for a in group}
     try:
         tail = backup.rollout(
             instance,
@@ -172,31 +187,23 @@ def build_candidate(
 
 
 def repair(
-    cert: Certificate,
-    instance: MapfInstance,
-    state,
-    clock: WallClock | WorkClock,
-    settled: frozenset[int] = frozenset(),
-) -> tuple[Certificate, int, int, frozenset[int]]:
+    cert: Certificate, instance: MapfInstance, state, clock: WallClock | WorkClock
+) -> tuple[Certificate, int, int]:
     """Replan single members against the others' paths, held fixed.
 
-    Returns the certificate after it, the numbers of members planned and
-    accepted, and the members settled against it: those that found no
-    cheaper path.
+    Returns the certificate after it, carrying the members settled against
+    it (those that found no cheaper path), and the numbers of members
+    planned and accepted.
 
     A pass takes the members whose path costs more than gamma at the state,
     in order of that excess (largest first, ties in member order), and plans
     each by `_replan`, pruned at its current path cost.  The cheaper path,
     the others' kept, is offered to try_improve, so every acceptance
     strictly lowers the budget; passes repeat while one of them improves.
-    A plan depends only on the certificate, so a settled member is not
-    planned again until the certificate changes.  Members in `settled` are
-    settled already: a member settled against a certificate stays settled
-    once it advances, since a cheaper path from the next state, after the
-    executed step, would have been a cheaper path from this one.  The other
-    members are read through one Occupancy of the certificate's paths, made
-    when the first member is planned against it and grown only as far as
-    the plans read it.
+    A plan depends only on the certificate, so a member in `cert.settled`
+    is not planned, and one settled is not planned again until the
+    certificate changes.  The other members are read through the
+    certificate's `occupancy`, grown only as far as the plans read it.
 
     The clock is asked before each member and every 32 pops of a plan, with
     no expansions: repair makes none, so a WorkClock never stops it, and it
@@ -204,26 +211,22 @@ def repair(
     """
     goals, gammas = instance.goals, instance.gammas
     planned = accepted = 0
-    # member -> the certificate it found nothing cheaper against
-    failed: dict[int, Certificate] = dict.fromkeys(settled, cert)
+    settled = set(cert.settled)
     improved = True
     while improved:
         improved = False
         cost = {a: path_cost(cert.paths[a], goals[a]) for a in cert.agents}
         excess = {a: cost[a] - gammas[a][state[a]] for a in cert.agents}
         order = sorted((a for a in cert.agents if excess[a] > 0), key=lambda a: -excess[a])
-        table = None
         for a in order:
-            if failed.get(a) is cert:
+            if a in settled:
                 continue
             if clock.expired(0):
                 improved = False
                 break
             planned += 1
-            if table is None:
-                table = Occupancy(cert.paths[m] for m in cert.agents)
             path = _replan(
-                instance.graph, gammas[a], table, cert.agents.index(a), cost[a], clock
+                instance.graph, gammas[a], cert.occupancy, cert.agents.index(a), cost[a], clock
             )
             if path is None:
                 if clock.expired(0):  # the plan may have stopped short
@@ -234,10 +237,12 @@ def repair(
                 if ok:
                     accepted += 1
                     improved = True
-                    table = None
+                    settled.clear()
                     continue
-            failed[a] = cert
-    return cert, planned, accepted, frozenset(a for a, c in failed.items() if c is cert)
+            settled.add(a)
+    if settled != cert.settled:
+        cert = replace(cert, settled=frozenset(settled))
+    return cert, planned, accepted
 
 
 def _replan(

@@ -8,14 +8,17 @@ Two modes are provided:
 
 A daccbs group with slack above 0 gets one clock of its share of t_max.
 Repair runs first under it: single members replanned against the others'
-certificate paths.  The search gets what is left of the same clock, and
-none starts once repair has spent it.  Each group's step record says which
-happened: its `search` is the search's SearchOutcome.reason, "skipped" when
-the slack is 0 (before or after repair), "repair" when repair spent the
-share, or None when t_max is 0.  Its `repairs` counts the members repair
-planned and `repaired` those it accepted; `prefixes`, `candidates` and
-`accepted` count the search's offers, candidates built and acceptances.
-At t_max 0 a daccbs group runs neither and follows its certificate.
+certificate paths.  What repair found settled travels on the certificate
+(`Certificate.settled`) through advance and factorization, so a group
+keeps only its certificate and slack.  The search gets what is left of
+the same clock, and none starts once repair has spent it.  Each group's
+step record says which happened: its `search` is the search's
+SearchOutcome.reason, "skipped" when the slack is 0 (before or after
+repair), "repair" when repair spent the share, or None when t_max is 0.
+Its `repairs` counts the members repair planned and `repaired` those it
+accepted; `prefixes`, `candidates` and `accepted` count the search's
+offers, candidates built and acceptances.  At t_max 0 a daccbs group
+runs neither and follows its certificate.
 """
 
 from __future__ import annotations
@@ -66,14 +69,12 @@ class ControllerConfig:
 
 @dataclass
 class GroupState:
-    """An agent group (its certificate's agents) with its certificate,
-    last-factorization slack, and the members that certificate repair found
-    settled against the certificate (see `repair`)."""
+    """An agent group (its certificate's agents) with its certificate and
+    last-factorization slack."""
 
     group_id: int
     certificate: Certificate
     slack_last: int
-    settled: frozenset[int] = frozenset()
 
 
 class FleetController:
@@ -188,13 +189,10 @@ class FleetController:
         # already equals it (slack 0) can never be improved: skip its repair
         # and search.
         slack = slackness(agents, cert.budget, state, instance.gammas)
-        # Members repair found settled: against the certificate only advanced
-        # since, they still are.
-        settled = group.settled
         if share > 0:
             if slack > 0:
                 clock = WallClock(share)
-                cert, repairs, repaired, settled = repair(cert, instance, state, clock, settled)
+                cert, repairs, repaired = repair(cert, instance, state, clock)
                 record["repairs"], record["repaired"] = repairs, repaired
                 if repaired:
                     record["improved"] = True
@@ -208,7 +206,6 @@ class FleetController:
                 if searched is not cert:
                     cert = searched
                     slack = slackness(agents, cert.budget, state, instance.gammas)
-                    settled = frozenset()
         trace = None
         if should_refactor(group.slack_last, slack, self.config.slack_threshold):
             parts = partition(instance.graph, agents, state, slack, instance.gammas)
@@ -216,10 +213,7 @@ class FleetController:
             for part in parts:
                 sub_cert = cert.restricted(part)
                 sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
-                # A cheaper path lies in its member's region, and the other
-                # parts' paths lie in theirs, disjoint from it: settled
-                # members stay settled in their part.
-                groups.append(GroupState(self._take_group_id(), sub_cert, sub_slack, settled))
+                groups.append(GroupState(self._take_group_id(), sub_cert, sub_slack))
             trace = {
                 "t": self.t,
                 "group": group.group_id,
@@ -228,7 +222,7 @@ class FleetController:
                 "sizes": [len(p) for p in parts],
             }
         else:
-            groups = [GroupState(group.group_id, cert, group.slack_last, settled)]
+            groups = [GroupState(group.group_id, cert, group.slack_last)]
         record["factorized"] = trace is not None
         return groups, record, trace
 

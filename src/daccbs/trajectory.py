@@ -40,8 +40,9 @@ class Trajectory:
             raise ValueError("trajectory must be non-empty")
 
 
-def _waiting(path: tuple[int, ...], length: int) -> tuple[int, ...]:
-    """The path extended with waits at its last vertex to `length` entries."""
+def waiting(path: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The path extended with waits at its last vertex to `length` entries;
+    a path at least that long is returned as it is."""
     return path + (path[-1],) * (length - len(path)) if len(path) < length else path
 
 
@@ -50,7 +51,7 @@ def pad(paths: Iterable[tuple[int, ...]]) -> Rows:
     waits at its last vertex.  A path already that long is its own row."""
     paths = tuple(paths)
     length = max(map(len, paths), default=0)
-    return tuple(_waiting(path, length) for path in paths)
+    return tuple(waiting(path, length) for path in paths)
 
 
 def makespan(rows: Rows) -> int:
@@ -207,7 +208,7 @@ class OccupancyTable:
         step scanned.
         """
         end, own, at, moves = self.end, self._events, self._at, self._moves
-        replaced = [(r, _waiting(rows[r], hi + 1)) for r, same in enumerate(live) if not same]
+        replaced = [(r, waiting(rows[r], hi + 1)) for r, same in enumerate(live) if not same]
         events: list[Event] = []
         for t in range(lo, hi + 1):
             if t <= end:
@@ -267,7 +268,7 @@ class OccupancyTable:
         others = [k for k, same in enumerate(live) if not same and k != r]
         self._grow(hi)
         end, at, moves = self.end, self._at, self._moves
-        row = _waiting(rows[r], hi + 1)
+        row = waiting(rows[r], hi + 1)
         for t in range(lo, hi + 1):
             v = row[t]
             for k in at[t if t < end else end].get(v, ()):
@@ -283,7 +284,7 @@ class OccupancyTable:
                             )
         first = max(lo, 1)
         for k in others:
-            other = _waiting(rows[k], hi + 1)
+            other = waiting(rows[k], hi + 1)
             i, j = (k, r) if k < r else (r, k)
             if any(map(eq, row[lo:hi + 1], other[lo:hi + 1])):
                 events.extend(
@@ -314,7 +315,7 @@ class Occupancy:
     def __init__(self, paths) -> None:
         self.paths = tuple(paths)
         self.end = max(map(len, self.paths)) - 1  # past it, no path moves
-        self._columns = zip(*(_waiting(path, self.end + 1) for path in self.paths))
+        self._columns = zip(*(waiting(path, self.end + 1) for path in self.paths))
         self._members = range(len(self.paths))
         self._at: list[dict[int, int]] = []
 

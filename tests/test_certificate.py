@@ -1,18 +1,22 @@
 """Certificate lifecycle: init via backup, inheritance, improvement, movement."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+import daccbs.certificate
 from daccbs import (
     INF,
     Certificate,
     CertificateError,
     LacamBackup,
     MapfInstance,
+    WorkClock,
     advance,
     build_candidate,
     init_certificate,
+    repair,
     try_improve,
 )
 from daccbs.certificate import first_movement, plan_cost
@@ -221,6 +225,53 @@ class TestBuildCandidate:
         inst = chain_instance()
         assert build_candidate({0: (0, 1, 2, 3, 4)}, BACKUP, inst, (0,), 5) == {0: (0, 1, 2, 3, 4)}
         assert build_candidate({0: (0, 1, 2, 3, 4)}, BACKUP, inst, (0,), 4) is None
+
+
+class TestSettled:
+    """A certificate carries the members repair found settled against its
+    paths while it is only advanced or restricted to a part; a certificate
+    of new paths starts with none."""
+
+    def test_advance_keeps_settled(self):
+        moving = Certificate((0, 1), {0: (0, 1, 2), 1: (4,)}, 2, frozenset({0, 1}))
+        assert advance(moving, (1, 4)).settled == {0, 1}
+        # Every member on its goal: advance returns the certificate as it is.
+        at_goals = Certificate((0, 1), {0: (2,), 1: (4,)}, 0, frozenset({1}))
+        assert advance(at_goals, (2, 4)).settled == {1}
+
+    def test_restricted_drops_members_outside_the_part(self):
+        cert = Certificate((0, 1), {0: (1, 4, 7), 1: (3, 3, 4, 5)}, 5, frozenset({1}))
+        assert cert.restricted((0,)).settled == frozenset()
+        assert cert.restricted((1,)).settled == {1}
+
+    def test_new_paths_start_unsettled(self):
+        inst = chain_instance()
+        assert init_certificate(BACKUP, inst, inst.starts, (0,)).settled == frozenset()
+        cert = Certificate((0,), {0: (0, 0, 1, 2, 3, 4)}, 5, frozenset({0}))
+        improved, ok = try_improve(cert, {0: (0, 1, 2, 3, 4)}, inst, (0,))
+        assert ok and improved.settled == frozenset()
+
+    def test_repair_skips_exactly_the_carried_members(self, monkeypatch):
+        # Repaired to convergence, every member with excess is settled; of
+        # those, repair plans exactly the ones its certificate does not carry.
+        inst = random_instance(random.Random(1), 8, 8, 10, 0.1)
+        agents = tuple(range(inst.n_agents))
+        start = init_certificate(BACKUP, inst, inst.starts, agents)
+        cert, _, _ = repair(start, inst, inst.starts, WorkClock(1))
+        assert len(cert.settled) >= 2
+        planned = []
+        replan = daccbs.certificate._replan
+
+        def recorded(graph, gamma, table, member, *rest):
+            planned.append(cert.agents[member])
+            return replan(graph, gamma, table, member, *rest)
+
+        monkeypatch.setattr(daccbs.certificate, "_replan", recorded)
+        carried = frozenset(sorted(cert.settled)[::2])
+        out = repair(replace(cert, settled=carried), inst, inst.starts, WorkClock(1))
+        assert out == (cert, len(cert.settled - carried), 0)
+        assert set(planned) == cert.settled - carried
+        assert len(planned) == len(set(planned))
 
 
 class TestFirstMovement:

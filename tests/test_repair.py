@@ -1,6 +1,7 @@
 """Certificate repair: single members replanned against the others' paths."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -52,7 +53,7 @@ class TestCorridor:
         # Its own shortest path would reach the goal at t = 3, as agent 1 does.
         assert not is_conflict_free([(0, 1, 2, 3), cert.paths[1]])
 
-        repaired, planned, accepted, settled = repair(cert, inst, inst.starts, UNLIMITED)
+        repaired, planned, accepted = repair(cert, inst, inst.starts, UNLIMITED)
 
         path = repaired.paths[0]
         # It cannot reach the goal before t = 3, so it arrives at t = 4, one
@@ -65,19 +66,19 @@ class TestCorridor:
         repaired.validate(inst, inst.starts)
         # Agent 1 is on a shortest path, so only agent 0 is planned: once to
         # improve, and once more to find nothing cheaper.
-        assert (planned, accepted, settled) == (2, 1, {0})
+        assert (planned, accepted, repaired.settled) == (2, 1, {0})
         # Settled, it is not planned again.
-        assert repair(repaired, inst, inst.starts, UNLIMITED, settled) == (repaired, 0, 0, {0})
+        assert repair(repaired, inst, inst.starts, UNLIMITED) == (repaired, 0, 0)
 
     def test_optimal_certificate_unchanged(self):
         inst = corridor_instance()
         cert = Certificate((0, 1), {0: (0, 1, 2, 2, 3), 1: (6, 5, 4, 3, 7)}, 8)
-        assert repair(cert, inst, inst.starts, UNLIMITED) == (cert, 1, 0, {0})
+        assert repair(cert, inst, inst.starts, UNLIMITED) == (replace(cert, settled={0}), 1, 0)
 
     def test_expired_clock_plans_nothing(self):
         inst = corridor_instance()
         cert = Certificate((0, 1), {0: (0, 0, 0, 0, 1, 2, 3), 1: (6, 5, 4, 3, 7)}, 10)
-        assert repair(cert, inst, inst.starts, WorkClock(0)) == (cert, 0, 0, set())
+        assert repair(cert, inst, inst.starts, WorkClock(0)) == (cert, 0, 0)
 
 
 # (height, width, agents, block_prob) of the contested and starved workloads.
@@ -108,13 +109,13 @@ def test_offered_paths(size, seed, monkeypatch):
         return improved, ok
 
     monkeypatch.setattr(daccbs.certificate, "try_improve", offered)
-    repaired, planned, accepted, settled = repair(cert, inst, state, UNLIMITED)
+    repaired, planned, accepted = repair(cert, inst, state, UNLIMITED)
 
     assert offers and accepted == len(offers) <= planned
     # Each acceptance goes through try_improve, and the next offer is made
     # to the certificate it returned.
     assert [offer[0] for offer in offers] == [cert] + [offer[3] for offer in offers[:-1]]
-    assert repaired is offers[-1][3]
+    assert repaired == replace(offers[-1][3], settled=repaired.settled)
     for incumbent, a, candidate, _, ok in offers:
         path, goal = candidate[a], inst.goals[a]
         assert ok
@@ -127,7 +128,7 @@ def test_offered_paths(size, seed, monkeypatch):
     # Repair stops only when every member with excess is settled.
     excess = {a for a in agents
               if path_cost(repaired.paths[a], inst.goals[a]) > inst.gammas[a][state[a]]}
-    assert settled == excess
+    assert repaired.settled == excess
     # Settled members stay settled once the certificate advances: planned
     # afresh from the next state, none finds a cheaper path.
     moved = tuple(path[1] if len(path) > 1 else path[0] for path in
@@ -171,8 +172,8 @@ def test_settled_members_carried_across_steps(fixed_work, monkeypatch):
 
     carried, carried_planned = episodes()
     monkeypatch.setattr(daccbs.controller, "repair",
-                        lambda cert, instance, state, clock, settled:
-                        repair(cert, instance, state, clock))
+                        lambda cert, instance, state, clock:
+                        repair(replace(cert, settled=frozenset()), instance, state, clock))
     fresh, fresh_planned = episodes()
     assert carried == fresh
     assert carried_planned < fresh_planned
@@ -211,8 +212,8 @@ class TestController:
             clocks.append(Spent())
             return clocks[-1]
 
-        def spending(cert, instance, state, clock, settled):
-            out = repair(cert, instance, state, clock, settled)
+        def spending(cert, instance, state, clock):
+            out = repair(cert, instance, state, clock)
             clock.expired_now = True
             return out
 
