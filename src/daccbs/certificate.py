@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .backup import BackupError, LacamBackup
 from .clock import WallClock, WorkClock
@@ -44,11 +43,6 @@ class Certificate:
     paths: dict[int, tuple[int, ...]]
     budget: int
     settled: frozenset[int] = frozenset()
-
-    @cached_property
-    def occupancy(self) -> Occupancy:
-        """The paths in member order, as `repair` reads the others."""
-        return Occupancy(self.paths[a] for a in self.agents)
 
     def restricted(self, agents: tuple[int, ...]) -> "Certificate":
         """Sub-certificate for a subset of the group; budget is the cost of
@@ -202,8 +196,9 @@ def repair(
     strictly lowers the budget; passes repeat while one of them improves.
     A plan depends only on the certificate, so a member in `cert.settled`
     is not planned, and one settled is not planned again until the
-    certificate changes.  The other members are read through the
-    certificate's `occupancy`, grown only as far as the plans read it.
+    certificate changes.  The other members are read through one Occupancy
+    of the certificate's paths, made when the first member is planned
+    against it and grown only as far as the plans read it.
 
     The clock is asked before each member and every 32 pops of a plan, with
     no expansions: repair makes none, so a WorkClock never stops it, and it
@@ -212,6 +207,7 @@ def repair(
     goals, gammas = instance.goals, instance.gammas
     planned = accepted = 0
     settled = set(cert.settled)
+    table = None
     improved = True
     while improved:
         improved = False
@@ -225,8 +221,10 @@ def repair(
                 improved = False
                 break
             planned += 1
+            if table is None:
+                table = Occupancy(cert.paths[m] for m in cert.agents)
             path = _replan(
-                instance.graph, gammas[a], cert.occupancy, cert.agents.index(a), cost[a], clock
+                instance.graph, gammas[a], table, cert.agents.index(a), cost[a], clock
             )
             if path is None:
                 if clock.expired(0):  # the plan may have stopped short
@@ -237,6 +235,7 @@ def repair(
                 if ok:
                     accepted += 1
                     improved = True
+                    table = None
                     settled.clear()
                     continue
             settled.add(a)

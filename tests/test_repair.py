@@ -134,7 +134,9 @@ def test_offered_paths(size, seed, monkeypatch):
     moved = tuple(path[1] if len(path) > 1 else path[0] for path in
                   (repaired.paths[a] for a in agents))
     advanced = advance(repaired, moved)
-    assert repair(advanced, inst, moved, UNLIMITED)[2] == 0
+    assert repair(replace(advanced, settled=frozenset()), inst, moved, UNLIMITED)[2] == 0
+    # Carried, the set spares them the plan.
+    assert repair(advanced, inst, moved, UNLIMITED)[1] == 0
 
 
 @pytest.mark.parametrize("seed", range(4))
