@@ -28,7 +28,7 @@ from .factorization import BudgetInvariantError
 from .grid import InfeasibleInstanceError, MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class UsageError(ValueError):
@@ -182,7 +182,8 @@ def report_factorization(suite: dict) -> list[dict]:
 
 
 def groups_at_step(episode: dict, step: int) -> list[int]:
-    """Group sizes in effect at `step`, read from the step telemetry."""
+    """Group sizes in effect at `step`, read from the step telemetry: the
+    active groups' sizes, then the parked groups'."""
     # Telemetry t increases within an episode, so the last entry at or before
     # the step is the exact-step entry whenever there is one.
     best = None
@@ -190,7 +191,7 @@ def groups_at_step(episode: dict, step: int) -> list[int]:
         if "groups" in telem and telem.get("t", 0) <= step:
             best = telem
     if best is not None:
-        return [g["size"] for g in best["groups"]]
+        return [g["size"] for g in best["groups"]] + best["parked"]
     return []
 
 

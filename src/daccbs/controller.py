@@ -19,6 +19,18 @@ Its `repairs` counts the members repair planned and `repaired` those it
 accepted; `prefixes`, `candidates` and `accepted` count the search's
 offers, candidates built and acceptances.  At t_max 0 a daccbs group
 runs neither and follows its certificate.
+
+A group parks once it can never change again: its budget is 0, so every
+member holds its goal with slack 0 from now on, and its slack at the last
+factorization is below slack_threshold, so that slack never drops far
+enough to partition it again.  Groups park after the step's partition, so
+a budget-0 group that still owes a split parks as its parts.  A parked
+group costs a step nothing: its members take the precomputed self-loop at
+their goals, and it gets no advance, slackness, search or step record of
+its own.  It still counts in the share, t_max over all groups in effect,
+parked ones included, so that the active groups get the time they got when
+every group was planned.  At slack_threshold 0 every group is partitioned
+again each step, and nothing parks.
 """
 
 from __future__ import annotations
@@ -91,6 +103,13 @@ class FleetController:
         self.factorization_trace: list[dict] = []
         self._next_group_id = 0
         self._prev_regions: dict[int, frozenset[int]] = {}
+        # Groups that can never change again (see the module docstring):
+        # their states, read only by the debug checks, their members'
+        # self-loops at their goals, and their sizes.  The sizes list is
+        # replaced, never appended to, since step records share it.
+        self.parked: list[GroupState] = []
+        self._parked_movement: Movement = {}
+        self._parked_sizes: list[int] = []
 
     # -- daccbs ---------------------------------------------------------------
 
@@ -107,18 +126,28 @@ class FleetController:
             self._initialize(state)
         groups = self.groups
         assert groups is not None
-        # Groups are planned one after another, so each gets an equal share.
-        share = self.config.t_max_ms / 1000.0 / max(len(groups), 1)
+        # Groups are planned one after another, so each gets an equal share;
+        # parked groups still count in it.
+        share = self.config.t_max_ms / 1000.0 / max(len(groups) + len(self._parked_sizes), 1)
 
         new_groups: list[GroupState] = []
+        parking: list[GroupState] = []
         searches = []
         for group in groups:
             parts, search, trace = self._plan_group(group, state, share)
-            new_groups.extend(parts)
+            for part in parts:
+                if part.certificate.budget == 0 and not should_refactor(
+                    part.slack_last, 0, self.config.slack_threshold
+                ):
+                    parking.append(part)
+                else:
+                    new_groups.append(part)
             searches.append(search)
             if trace is not None:
                 self.factorization_trace.append(trace)
         self.groups = new_groups
+        if parking:
+            self._park(parking)
         improved_any = any(search["improved"] for search in searches)
 
         if self.config.debug_checks:
@@ -127,13 +156,13 @@ class FleetController:
         total_budget = sum(g.certificate.budget for g in new_groups)
         self.budget_trace.append((self.t, total_budget, improved_any))
 
-        movement: Movement = {}
+        movement = self._parked_movement.copy()
         for g in new_groups:
             movement.update(first_movement(g.certificate.paths))
         telem = {
             "t": self.t,
             "mode": self.config.mode,
-            "k_groups": len(new_groups),
+            "k_groups": len(new_groups) + len(self._parked_sizes),
             "budget": total_budget,
             "improved": improved_any,
             "groups": [
@@ -146,6 +175,7 @@ class FleetController:
                 for g in new_groups
             ],
             "searches": searches,
+            "parked": self._parked_sizes,
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
         self.t += 1
@@ -160,6 +190,14 @@ class FleetController:
         else:
             self.groups = []
             self.initial_budget = 0
+
+    def _park(self, groups: list[GroupState]) -> None:
+        """Move groups that can never change again into the parked set."""
+        goals = self.instance.goals
+        self.parked.extend(groups)
+        self._parked_sizes = self._parked_sizes + [len(g.certificate.agents) for g in groups]
+        for g in groups:
+            self._parked_movement.update((a, (goals[a], goals[a])) for a in g.certificate.agents)
 
     def _take_group_id(self) -> int:
         gid = self._next_group_id
@@ -289,7 +327,7 @@ class FleetController:
         assert self.groups is not None
         regions: dict[int, frozenset[int]] = {}
         owner: dict[int, int] = {}
-        for g in self.groups:
+        for g in self.groups + self.parked:
             cert = g.certificate
             cert.validate(self.instance, state)
             slack = slackness(cert.agents, cert.budget, state, self.instance.gammas)

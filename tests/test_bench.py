@@ -49,7 +49,7 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
 class TestRunSuite:
     def test_episode_schema(self, files):
         suite = run_suite(base_spec(*files))
-        assert suite["schema_version"] == 4
+        assert suite["schema_version"] == 5
         assert len(suite["episodes"]) == 1
         ep = suite["episodes"][0]
         for key in ("mode", "seed", "t_max_ms", "soc", "soc_increment",
@@ -274,3 +274,26 @@ class TestFactorizationReport:
         assert json.loads(report.read_text()) == [
             {"seed": 0, "t_max_ms": 100.0, "excluded": "no steps"}
         ]
+
+    def test_parked_group_counted(self, tmp_path):
+        # Agents 0 and 1 share a group and hold their goals after one step,
+        # so the pair has parked by the half-makespan step (2) while agent 2
+        # still crosses row 4.  K and the largest group count the pair.
+        map_path = tmp_path / "rows.map"
+        scen_path = tmp_path / "rows.scen"
+        map_path.write_text("type octile\nheight 5\nwidth 5\nmap\n" + "\n".join(["....."] * 5) + "\n")
+        rows = ["version 1",
+                "0\trows.map\t5\t5\t0\t0\t1\t0\t1.0",
+                "0\trows.map\t5\t5\t1\t0\t2\t0\t1.0",
+                "0\trows.map\t5\t5\t4\t4\t0\t4\t4.0"]
+        scen_path.write_text("\n".join(rows) + "\n")
+        spec = RunSpec(
+            map_path=str(map_path), scen_path=str(scen_path), agents=3,
+            t_max_ms=[5.0], seeds=[0], out=str(tmp_path / "o.json"),
+        )
+        suite = run_suite(spec)
+        (ep,) = suite["episodes"]
+        half = ep["telemetry"][2]
+        assert ([g["size"] for g in half["groups"]], half["parked"]) == ([1], [2])
+        (row,) = report_factorization(suite)
+        assert (row["step"], row["k_groups"], row["max_group_ratio"]) == (2, 2, 2 / 3)

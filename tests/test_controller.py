@@ -12,6 +12,7 @@ from daccbs import (
     ControllerConfig,
     FleetController,
     MapfInstance,
+    WorkClock,
     optimal_soc,
     run_adaptive,
     run_episode,
@@ -312,6 +313,98 @@ class TestDaccbsMode:
         assert result.soc == 0
         assert controller.plan_step(())[0] == {}
         assert controller.initial_budget == 0
+
+
+class TestParking:
+    """Groups that can never change again park: they cost a step nothing
+    but still count in the share and in the step record."""
+
+    @staticmethod
+    def contested_size():
+        # The size of the contested benchmark workload: 16x16 open grid, 30
+        # agents.  On this instance some groups still search after others
+        # have parked.
+        inst = random_instance(random.Random(6), 16, 16, 30)
+        return inst, FleetController(inst, ControllerConfig(h_max=32, t_max_ms=25.0))
+
+    def test_parked_groups_cost_nothing(self, monkeypatch, fixed_work):
+        fixed_work(20)
+        inst, controller = self.contested_size()
+        seen = []  # (step, agents) of every advance, slackness and partition call
+
+        def recording(name, agents_of):
+            original = getattr(daccbs.controller, name)
+
+            def recorded(*args):
+                seen.append((controller.t, agents_of(*args)))
+                return original(*args)
+
+            monkeypatch.setattr(daccbs.controller, name, recorded)
+
+        recording("advance", lambda cert, state: cert.agents)
+        recording("slackness", lambda group, *rest: group)
+        recording("partition", lambda graph, agents, *rest: agents)
+        parked_at: dict[int, int] = {}  # agent -> step it parked at
+        records, parked = [], []
+        state = inst.starts
+        while state != inst.goals:
+            movement, telem = controller.plan_step(state)
+            records.append(telem)
+            parked.append(list(telem["parked"]))
+            assert telem["k_groups"] == len(telem["groups"]) + len(telem["parked"])
+            for g in controller.parked:
+                for a in g.certificate.agents:
+                    parked_at.setdefault(a, telem["t"])
+            for a in parked_at:
+                assert movement[a] == (inst.goals[a], inst.goals[a]), (telem["t"], a)
+            state = tuple(movement[a][1] for a in range(inst.n_agents))
+        assert len(parked_at) > inst.n_agents // 2
+        for t, agents in seen:
+            assert not [a for a in agents if parked_at.get(a, t) < t], t
+        # An earlier step's record never changes.
+        assert [telem["parked"] for telem in records] == parked
+
+    def test_share_counts_parked_groups(self, monkeypatch):
+        inst, controller = self.contested_size()
+        shares = []  # (step, seconds) of every clock the controller makes
+
+        def clock(seconds):
+            shares.append((controller.t, seconds))
+            return WorkClock(20)
+
+        monkeypatch.setattr(daccbs.controller, "WallClock", clock)
+        records = run_episode(inst, controller).telemetry
+        checked = 0
+        for t, seconds in shares:
+            if t > 0 and records[t - 1]["parked"]:
+                assert seconds == 25.0 / 1000 / records[t - 1]["k_groups"], t
+                checked += 1
+        assert checked > 0
+
+    def test_debug_checks_cover_parked_agents(self, fixed_work):
+        fixed_work(20)
+        inst, controller = self.contested_size()
+        controller.config.debug_checks = True
+        plan_step = controller.plan_step
+        regions = []
+
+        def checked(state):
+            step = plan_step(state)
+            regions.append(len(controller._prev_regions))
+            return step
+
+        controller.plan_step = checked
+        result = run_episode(inst, controller)
+        assert controller.parked
+        assert regions == [inst.n_agents] * result.makespan
+
+    def test_threshold_zero_never_parks(self, fixed_work):
+        fixed_work(20)
+        inst = random_instance(random.Random(8), 5, 5, 4)
+        result, controller = episode(inst, slack_threshold=0)
+        assert result.termination == "all-at-goals"
+        assert not controller.parked
+        assert all(step["parked"] == [] for step in result.telemetry)
 
 
 class TestAccbsMode:
