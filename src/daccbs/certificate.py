@@ -100,10 +100,6 @@ def advance(cert: Certificate, executed_state) -> Certificate:
     members stay settled: a cheaper path from the next state, after the
     executed step, would have been a cheaper path from this one.
     """
-    if cert.budget == 0 and all(
-        len(cert.paths[a]) == 1 and executed_state[a] == cert.paths[a][0] for a in cert.agents
-    ):
-        return cert  # every member holds its goal, and advancing changes nothing
     paths: dict[int, tuple[int, ...]] = {}
     spent = 0
     for a in cert.agents:

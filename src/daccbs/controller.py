@@ -20,17 +20,14 @@ accepted; `prefixes`, `candidates` and `accepted` count the search's
 offers, candidates built and acceptances.  At t_max 0 a daccbs group
 runs neither and follows its certificate.
 
-A group parks once it can never change again: its budget is 0, so every
-member holds its goal with slack 0 from now on, and its slack at the last
-factorization is below slack_threshold, so that slack never drops far
-enough to partition it again.  Groups park after the step's partition, so
-a budget-0 group that still owes a split parks as its parts.  A parked
-group costs a step nothing: its members take the precomputed self-loop at
-their goals, and it gets no advance, slackness, search or step record of
-its own.  It still counts in the share, t_max over all groups in effect,
-parked ones included, so that the active groups get the time they got when
-every group was planned.  At slack_threshold 0 every group is partitioned
-again each step, and nothing parks.
+A group whose budget is 0 parks after the step's partition, when
+slack_threshold is above 0: every member holds its goal with slack 0, so
+it can never change or be partitioned again.  A parked group costs a step
+nothing: its members take the precomputed self-loop at their goals, and it
+gets no advance, slackness, search or step record of its own.  It still
+counts in the share, t_max over all groups in effect, so that the active
+groups get the time they got when every group was planned.  At
+slack_threshold 0 every group is partitioned each step, and nothing parks.
 """
 
 from __future__ import annotations
@@ -136,9 +133,9 @@ class FleetController:
         for group in groups:
             parts, search, trace = self._plan_group(group, state, share)
             for part in parts:
-                if part.certificate.budget == 0 and not should_refactor(
-                    part.slack_last, 0, self.config.slack_threshold
-                ):
+                # A budget-0 part's slack_last is already below a positive
+                # threshold, so it is never partitioned again.
+                if part.certificate.budget == 0 and self.config.slack_threshold > 0:
                     parking.append(part)
                 else:
                     new_groups.append(part)

@@ -235,7 +235,7 @@ class TestSettled:
     def test_advance_keeps_settled(self):
         moving = Certificate((0, 1), {0: (0, 1, 2), 1: (4,)}, 2, frozenset({0, 1}))
         assert advance(moving, (1, 4)).settled == {0, 1}
-        # Every member on its goal: advance returns the certificate as it is.
+        # Every member on its goal: the settled members stay settled too.
         at_goals = Certificate((0, 1), {0: (2,), 1: (4,)}, 0, frozenset({1}))
         assert advance(at_goals, (2, 4)).settled == {1}
 
