@@ -17,6 +17,7 @@ from .certificate import (
     init_certificate,
     repair,
     try_improve,
+    try_improve_member,
 )
 from .clock import WallClock, WorkClock
 from .controller import MODES, ControllerConfig, FleetController
@@ -106,4 +107,5 @@ __all__ = [
     "soc",
     "soc_increment",
     "try_improve",
+    "try_improve_member",
 ]

@@ -28,7 +28,7 @@ from .factorization import BudgetInvariantError
 from .grid import InfeasibleInstanceError, MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 class UsageError(ValueError):
@@ -119,6 +119,13 @@ def run_suite(spec: RunSpec) -> dict:
                 if terminated
                 else None
             )
+            # Step 0 builds the initial certificate and is exempt from t_max.
+            overruns = [
+                step["overrun_ms"]
+                for ep in episodes
+                if ep["mode"] == mode and ep["t_max_ms"] == t_max
+                for step in ep["telemetry"][1:]
+            ]
             aggregates.append(
                 {
                     "mode": mode,
@@ -127,6 +134,10 @@ def run_suite(spec: RunSpec) -> dict:
                     "terminated": terminated,
                     "mean_soc_increment": mean,
                     "std_soc_increment": std,
+                    "deadline_miss_frac": (
+                        sum(x > 0 for x in overruns) / len(overruns) if overruns else None
+                    ),
+                    "max_overrun_ms": max(overruns, default=None),
                 }
             )
 

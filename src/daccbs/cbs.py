@@ -60,7 +60,7 @@ class ExpansionCapExceeded(RuntimeError):
     """run_classic_cbs hit the caller-imposed node expansion cap."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstraintTreeNode:
     """Per-agent constraint sets, goal-terminated paths, and prefix cost.
 
@@ -90,6 +90,8 @@ class SearchOutcome:
     best_node / best_h describe the longest conflict-free prefix found
     (best_node is None when not even an h_r = 1 prefix was certified).
     reason is one of: "horizon", "deadline", "exhausted", "no-prefix", "cap".
+    held is the number of nodes the search's queue held when it stopped,
+    all freed when it returns.
     A daccbs group's step record reports it as its `search`; a group that
     runs no search reports "skipped" (slack 0), "repair" (certificate repair
     spent its share) or None (no share) there instead.
@@ -100,6 +102,7 @@ class SearchOutcome:
     reason: str
     expansions: int = 0
     dequeues: int = 0
+    held: int = 0
 
 
 def make_root(
@@ -321,8 +324,9 @@ def run_adaptive(
     active prefix is conflict-free, and once more at h_r = H_max before the
     final break; a node conflict-free to H_max whose paths all end at their
     goals is offered only at H_max.  The clock (None = no limit) is asked
-    before every dequeue and every conflict count; once it has expired the
-    search stops with the clock's reason.
+    before every dequeue and every conflict count, with the expansions made
+    and the nodes queued; once it has expired the search stops with the
+    clock's reason.
 
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
@@ -364,7 +368,7 @@ def run_adaptive(
     dequeues = 0
     reason = "exhausted"
     while heap:
-        if clock is not None and clock.expired(expansions):
+        if clock is not None and clock.expired(expansions, len(heap)):
             reason = clock.reason
             break
         cost, conflicts, node_seq, node, pushed_h, carried = heap[0]
@@ -398,7 +402,7 @@ def run_adaptive(
         expansions += 1
     if best_node is None and reason in ("exhausted", "deadline"):
         reason = "no-prefix"
-    return SearchOutcome(best_node, best_h, reason, expansions, dequeues)
+    return SearchOutcome(best_node, best_h, reason, expansions, dequeues, len(heap))
 
 
 def run_classic_cbs(

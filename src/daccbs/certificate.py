@@ -122,9 +122,10 @@ def try_improve(
     """Within-timestep update: adopt the candidate iff, goal waits stripped,
     it costs strictly less than the incumbent budget and passes validate.
 
-    It is the one gate that prices and validates a candidate; a candidate
-    that `build_candidate` built under the same budget is priced the same
-    way, so only validation can reject it."""
+    It is the gate for a candidate of the whole group; a candidate that
+    `build_candidate` built under the same budget is priced the same way,
+    so only validation can reject it.  A candidate that changes one
+    member's path goes through `try_improve_member` instead."""
     if set(candidate) != set(cert.agents) or not all(candidate.values()):
         return cert, False
     paths = {a: strip_goal_waits(candidate[a]) for a in cert.agents}
@@ -137,6 +138,41 @@ def try_improve(
     except CertificateError:
         return cert, False
     return improved, True
+
+
+def try_improve_member(
+    cert: Certificate,
+    agent: int,
+    path: tuple[int, ...],
+    instance: MapfInstance,
+    state,
+    table: Occupancy,
+) -> tuple[Certificate, bool]:
+    """try_improve for the candidate that changes only `agent`'s path to
+    `path`, checking that one row: `table` holds the certificate's paths
+    in member order.
+
+    The path, goal waits stripped, must start at the agent's state, end at
+    its goal, follow graph edges, cost less than the agent's current path,
+    and meet no other path of the table (Occupancy.meets).  The others'
+    paths are the certificate's, valid and stripped, so these are the
+    checks validate makes of the changed row, and the candidate is adopted,
+    at the budget less the saving, exactly when try_improve would adopt it.
+    """
+    if not path:
+        return cert, False
+    path = strip_goal_waits(path)
+    goal = instance.goals[agent]
+    saving = path_cost(cert.paths[agent], goal) - path_cost(path, goal)
+    if (
+        saving <= 0
+        or path[0] != state[agent]
+        or path[-1] != goal
+        or not all(map(instance.graph.has_edge, path, path[1:]))
+        or table.meets(cert.agents.index(agent), path)
+    ):
+        return cert, False
+    return Certificate(cert.agents, {**cert.paths, agent: path}, cert.budget - saving), True
 
 
 def build_candidate(
@@ -188,13 +224,14 @@ def repair(
     A pass takes the members whose path costs more than gamma at the state,
     in order of that excess (largest first, ties in member order), and plans
     each by `_replan`, pruned at its current path cost.  The cheaper path,
-    the others' kept, is offered to try_improve, so every acceptance
+    the others' kept, is offered to try_improve_member, so every acceptance
     strictly lowers the budget; passes repeat while one of them improves.
     A plan depends only on the certificate, so a member in `cert.settled`
     is not planned, and one settled is not planned again until the
     certificate changes.  The other members are read through one Occupancy
-    of the certificate's paths, made when the first member is planned
-    against it and grown only as far as the plans read it.
+    of the certificate's paths, made when the first member is planned,
+    grown only as far as the plans and checks read it, and kept across
+    acceptances, each of which replaces its member's row.
 
     The clock is asked before each member and every 32 pops of a plan, with
     no expansions: repair makes none, so a WorkClock never stops it, and it
@@ -219,19 +256,18 @@ def repair(
             planned += 1
             if table is None:
                 table = Occupancy(cert.paths[m] for m in cert.agents)
-            path = _replan(
-                instance.graph, gammas[a], table, cert.agents.index(a), cost[a], clock
-            )
+            member = cert.agents.index(a)
+            path = _replan(instance.graph, gammas[a], table, member, cost[a], clock)
             if path is None:
                 if clock.expired(0):  # the plan may have stopped short
                     improved = False
                     break
             else:
-                cert, ok = try_improve(cert, {**cert.paths, a: path}, instance, state)
+                cert, ok = try_improve_member(cert, a, path, instance, state, table)
                 if ok:
                     accepted += 1
                     improved = True
-                    table = None
+                    table.replace(member, cert.paths[a])
                     settled.clear()
                     continue
             settled.add(a)

@@ -11,14 +11,24 @@ Repair runs first under it: single members replanned against the others'
 certificate paths.  What repair found settled travels on the certificate
 (`Certificate.settled`) through advance and factorization, so a group
 keeps only its certificate and slack.  The search gets what is left of
-the same clock, and none starts once repair has spent it.  Each group's
-step record says which happened: its `search` is the search's
-SearchOutcome.reason, "skipped" when the slack is 0 (before or after
-repair), "repair" when repair spent the share, or None when t_max is 0.
-Its `repairs` counts the members repair planned and `repaired` those it
-accepted; `prefixes`, `candidates` and `accepted` count the search's
-offers, candidates built and acceptances.  At t_max 0 a daccbs group
-runs neither and follows its certificate.
+the same clock, and none starts once repair has spent it.
+
+A step also has one deadline, t_max after plan_step is entered (at step
+0, after the initial certificate is built).  The search stops no later
+than it, less a reserve: the time to free the nodes the search holds,
+which a search pays when it returns, and the step's tail after its groups
+(movement and step record).  Both are running upper estimates learnt from
+the controller's earlier searches and steps (`_estimate`).  Repair keeps
+its share, and under a WorkClock the deadline changes nothing.  Every step
+record carries its `wall_ms` and `overrun_ms`, wall_ms less t_max.
+
+Each group's step record says how its repair and search went: its
+`search` is the search's SearchOutcome.reason, "skipped" when the slack
+is 0 (before or after repair), "repair" when repair spent the share, or
+None when t_max is 0.  Its `repairs` counts the members repair planned
+and `repaired` those it accepted; `prefixes`, `candidates` and `accepted`
+count the search's offers, candidates built and acceptances.  At t_max 0
+a daccbs group runs neither and follows its certificate.
 
 A group whose budget is 0 parks after the step's partition, when
 slack_threshold is above 0: every member holds its goal with slack 0, so
@@ -54,6 +64,10 @@ from .grid import INF, MapfInstance
 
 
 MODES = ("daccbs", "accbs")
+# A search keeps back this multiple of its estimated time to free the nodes
+# it holds.  The per-node time varies by about half from search to search
+# (0.63-0.92 us on the contested workload's instances).
+FREE_MARGIN = 1.5
 
 
 @dataclass
@@ -107,6 +121,11 @@ class FleetController:
         self.parked: list[GroupState] = []
         self._parked_movement: Movement = {}
         self._parked_sizes: list[int] = []
+        # The step deadline's reserve, learnt from earlier searches and steps
+        # (see the module docstring): the seconds to free one node a search
+        # held, and the step's tail after its groups.
+        self._free_s = 0.0
+        self._tail_s = 0.0
 
     # -- daccbs ---------------------------------------------------------------
 
@@ -115,12 +134,15 @@ class FleetController:
         t0 = time.perf_counter()
         if self.config.mode == "accbs":
             movement, telem = self._plan_step_accbs(state)
-            telem["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+            self._stamp(telem, t0, time.perf_counter())
             self.t += 1
             return movement, telem
 
+        start = t0
         if self.groups is None:
             self._initialize(state)
+            start = time.perf_counter()  # step 0's deadline runs from here
+        deadline = start + self.config.t_max_ms / 1000.0
         groups = self.groups
         assert groups is not None
         # Groups are planned one after another, so each gets an equal share;
@@ -131,7 +153,7 @@ class FleetController:
         parking: list[GroupState] = []
         searches = []
         for group in groups:
-            parts, search, trace = self._plan_group(group, state, share)
+            parts, search, trace = self._plan_group(group, state, share, deadline)
             for part in parts:
                 # A budget-0 part's slack_last is already below a positive
                 # threshold, so it is never partitioned again.
@@ -150,6 +172,7 @@ class FleetController:
         if self.config.debug_checks:
             self._debug_assertions(state)
 
+        tail_start = time.perf_counter()
         total_budget = sum(g.certificate.budget for g in new_groups)
         self.budget_trace.append((self.t, total_budget, improved_any))
 
@@ -173,10 +196,17 @@ class FleetController:
             ],
             "searches": searches,
             "parked": self._parked_sizes,
-            "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
+        end = time.perf_counter()
+        self._tail_s = _estimate(self._tail_s, end - tail_start)
+        self._stamp(telem, t0, end)
         self.t += 1
         return movement, telem
+
+    def _stamp(self, telem: dict, t0: float, end: float) -> None:
+        """Record the step's wall time, from `t0` to `end`, and its overrun."""
+        telem["wall_ms"] = (end - t0) * 1000.0
+        telem["overrun_ms"] = telem["wall_ms"] - self.config.t_max_ms
 
     def _initialize(self, state) -> None:
         agents = tuple(range(self.instance.n_agents))
@@ -202,7 +232,7 @@ class FleetController:
         return gid
 
     def _plan_group(
-        self, group: GroupState, state, share: float
+        self, group: GroupState, state, share: float, deadline: float
     ) -> tuple[list[GroupState], dict, dict | None]:
         """The group's parts after this step, one record of its search, and
         a factorization trace entry if a split was attempted."""
@@ -237,7 +267,8 @@ class FleetController:
             elif clock.expired(0):
                 record["search"] = "repair"
             else:
-                searched = self._search(cert, state, clock, record)
+                search_clock = clock.within(deadline - self._tail_s, FREE_MARGIN * self._free_s)
+                searched = self._search(cert, state, search_clock, record)
                 if searched is not cert:
                     cert = searched
                     slack = slackness(agents, cert.budget, state, instance.gammas)
@@ -293,6 +324,9 @@ class FleetController:
         outcome = run_adaptive(
             instance, state, self.config.h_max, clock, on_prefix_found=on_prefix, agents=agents
         )
+        if outcome.reason == "deadline" and outcome.held:
+            freed = time.perf_counter() - clock.expired_at
+            self._free_s = _estimate(self._free_s, freed / outcome.held)
         record["search"] = outcome.reason
         record["expansions"], record["dequeues"] = outcome.expansions, outcome.dequeues
         return cert
@@ -347,3 +381,9 @@ class FleetController:
                         )
                     owner[v] = g.group_id
         self._prev_regions = regions
+
+
+def _estimate(previous: float, observed: float) -> float:
+    """A running upper estimate of a cost: the latest observation when it
+    exceeds the estimate, which otherwise decays toward it."""
+    return max(observed, previous - (previous - observed) / 8)

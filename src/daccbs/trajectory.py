@@ -307,17 +307,23 @@ class Occupancy:
     certificate repair reads them.
 
     Each path is read as waiting at its last vertex past its end, so past
-    the last path's end every step is that end's.  The paths are padded to
-    that end when it is made; the per-step index is built one step at a
-    time, only as far as it is read.
+    the last path's end every step is that end's.  The per-step index is
+    built one step at a time, only as far as it is read, and a path replaced
+    changes only its own entries in the steps already built.
     """
 
     def __init__(self, paths) -> None:
         self.paths = tuple(paths)
-        self.end = max(map(len, self.paths)) - 1  # past it, no path moves
-        self._columns = zip(*(waiting(path, self.end + 1) for path in self.paths))
         self._members = range(len(self.paths))
         self._at: list[dict[int, int]] = []
+        self._pad()
+
+    def _pad(self) -> None:
+        """Set the end, and pad the paths to it from the first step not yet
+        indexed (none when the end has come before it)."""
+        self.end = max(map(len, self.paths)) - 1  # past it, no path moves
+        built = len(self._at)
+        self._columns = zip(*(waiting(path, self.end + 1)[built:] for path in self.paths))
 
     def at(self, t: int) -> dict[int, int]:
         """vertex -> the index of the path there at timestep t."""
@@ -326,6 +332,38 @@ class Occupancy:
         while len(at) <= t:
             at.append(dict(zip(next(self._columns), self._members)))
         return at[t]
+
+    def replace(self, member: int, path: tuple[int, ...]) -> None:
+        """Put `path` in the place of the path of index `member`; together
+        they must still never share a vertex at a step."""
+        old = self.paths[member]
+        self.paths = self.paths[:member] + (path,) + self.paths[member + 1:]
+        # A built step holds every path at that step, or at its last vertex
+        # past its end, whatever the end of them all.
+        for t, occupied in enumerate(self._at):
+            del occupied[old[min(t, len(old) - 1)]]
+            occupied[path[min(t, len(path) - 1)]] = member
+        self._pad()
+
+    def meets(self, member: int, path: tuple[int, ...]) -> bool:
+        """Whether `path`, in the place of the path of index `member`, would
+        meet another path: at a vertex at a step, or moving along an edge
+        while the other moves along it the other way.  Read past its end, it
+        waits at its last vertex, so it also meets any later visit there."""
+        last = len(path) - 1
+        before = before_occupied = None  # the path's vertex and the index at t - 1
+        for t in range(max(last, self.end) + 1):
+            v = path[min(t, last)]
+            occupied = self.at(t)
+            k = occupied.get(v, member)
+            if k != member:
+                return True
+            if before is not None and v != before:
+                k = before_occupied.get(v, member)
+                if k != member and occupied.get(before) == k:
+                    return True
+            before, before_occupied = v, occupied
+        return False
 
 
 def strip_goal_waits(vertices: tuple[int, ...]) -> tuple[int, ...]:

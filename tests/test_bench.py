@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import daccbs
-from daccbs import BackupDefect, LacamBackup
+import daccbs.bench
+from daccbs import BackupDefect, EpisodeResult, LacamBackup
 from daccbs.bench import RunSpec, UsageError, main, report_factorization, run_suite
 
 
@@ -49,7 +50,7 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
 class TestRunSuite:
     def test_episode_schema(self, files):
         suite = run_suite(base_spec(*files))
-        assert suite["schema_version"] == 5
+        assert suite["schema_version"] == 6
         assert len(suite["episodes"]) == 1
         ep = suite["episodes"][0]
         for key in ("mode", "seed", "t_max_ms", "soc", "soc_increment",
@@ -76,6 +77,32 @@ class TestRunSuite:
         b_large = by_tmax[50.0]["budget_trace"][0][1]
         assert b_large <= b_small
 
+    def test_overruns_aggregated_from_step_1(self, files, monkeypatch):
+        # Step 0 builds the initial certificate and is exempt from t_max, so
+        # its overrun counts in no aggregate.
+        overruns = {0: [9.0, -1.0, 2.0], 1: [7.0, -0.5, -3.0, 0.25]}
+
+        def stepped(instance, controller, step_cap=None):
+            steps = overruns[controller.config.seed]
+            return EpisodeResult(len(steps), len(steps), "all-at-goals", None, 0,
+                                 telemetry=[{"overrun_ms": x} for x in steps])
+
+        monkeypatch.setattr(daccbs.bench, "run_episode", stepped)
+        (aggregate,) = run_suite(base_spec(*files, seeds=[0, 1]))["aggregates"]
+        assert aggregate["deadline_miss_frac"] == 2 / 5
+        assert aggregate["max_overrun_ms"] == 2.0
+
+    def test_step_records_overrun(self, files):
+        spec = base_spec(*files, modes=["daccbs", "accbs"], t_max_ms=[0.0, 5.0])
+        suite = run_suite(spec)
+        for ep in suite["episodes"]:
+            for step in ep["telemetry"]:
+                assert step["overrun_ms"] == step["wall_ms"] - ep["t_max_ms"]
+        for aggregate in suite["aggregates"]:
+            if aggregate["t_max_ms"] == 0.0:
+                assert aggregate["deadline_miss_frac"] == 1.0
+                assert aggregate["max_overrun_ms"] > 0
+
     def test_invalid_mode_rejected(self, files):
         with pytest.raises(UsageError):
             run_suite(base_spec(*files, modes=["bogus"]))
@@ -87,7 +114,7 @@ class TestRunSuite:
             eps = run_suite(spec)["episodes"]
             for ep in eps:
                 for telem in ep["telemetry"]:
-                    del telem["wall_ms"]
+                    del telem["wall_ms"], telem["overrun_ms"]
             return eps
 
         first = episodes()

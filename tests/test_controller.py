@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -405,6 +406,127 @@ class TestParking:
         assert result.termination == "all-at-goals"
         assert not controller.parked
         assert all(step["parked"] == [] for step in result.telemetry)
+
+
+class FakeTime:
+    """A perf_counter that reads `now`, moved on by `tick` before each read."""
+
+    def __init__(self, tick: float) -> None:
+        self.now = 100.0
+        self.tick = tick
+
+    def __call__(self) -> float:
+        self.now += self.tick
+        return self.now
+
+
+class TestStepDeadline:
+    """The search ends by the step deadline, t_max after plan_step is
+    entered, less a reserve for freeing its nodes and for the step's tail.
+    A fake perf_counter makes these checks independent of machine speed."""
+
+    @staticmethod
+    def searched(monkeypatch):
+        """Record (step, the clock, the search's outcome, every check of the
+        clock as (time, nodes held, verdict)) of each controller search."""
+        searches = []
+
+        def recorded(instance, state, h_max, clock, **kwargs):
+            checks = []
+            expired = clock.expired
+
+            def checked(expansions, held=0):
+                verdict = expired(expansions, held)
+                checks.append((time.perf_counter.now, held, verdict))
+                return verdict
+
+            clock.expired = checked
+            outcome = run_adaptive(instance, state, h_max, clock, **kwargs)
+            searches.append((controller_t[0], clock, outcome, checks))
+            return outcome
+
+        controller_t = [0]
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", recorded)
+        return searches, controller_t
+
+    def test_measured_from_entry_after_the_initial_certificate(self, monkeypatch):
+        # Time stands still except where the test moves it: building the
+        # initial certificate takes 5 s, and each advance 2 ms.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        init_certificate, advance = (daccbs.controller.init_certificate,
+                                     daccbs.controller.advance)
+
+        def slow(seconds, fn):
+            def run(*args):
+                fake.now += seconds
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(daccbs.controller, "init_certificate", slow(5.0, init_certificate))
+        monkeypatch.setattr(daccbs.controller, "advance", slow(0.002, advance))
+        # The certificate never improves, so every step has slack to search.
+        monkeypatch.setattr(daccbs.controller, "repair", lambda cert, *args: (cert, 0, 0))
+        monkeypatch.setattr(daccbs.controller, "try_improve", lambda cert, *args: (cert, False))
+        searches, controller_t = self.searched(monkeypatch)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(h_max=16, t_max_ms=10.0))
+        state, entries = inst.starts, {}
+        while state != inst.goals and controller.t < 3:
+            fake.now = entries[controller.t] = 100.0 * (controller.t + 1)
+            controller_t[0] = controller.t
+            movement, telem = controller.plan_step(state)
+            state = tuple(movement[a][1] for a in range(inst.n_agents))
+        assert {t for t, *_ in searches} == {0, 1, 2}
+        for t, clock, outcome, _ in searches:
+            # Nothing stopped on the clock, so nothing is reserved.
+            assert outcome.reason != "deadline"
+            assert clock.free_s == 0.0
+            # One group, so its share is all of t_max, and the share starts
+            # after the advance; the deadline runs from entry at step 1 on,
+            # and from when the initial certificate is built at step 0.
+            start = entries[t] + (5.0 if t == 0 else 0.0)
+            assert clock.end == start + 0.010
+
+    def test_stops_with_the_estimated_margin_left(self, monkeypatch):
+        fake = FakeTime(1e-5)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        searches, controller_t = self.searched(monkeypatch)
+        inst = random_instance(random.Random(0), 16, 16, 30)
+        controller = FleetController(inst, ControllerConfig(h_max=32, t_max_ms=20.0))
+        movement, _ = controller.plan_step(inst.starts)
+        state = tuple(movement[a][1] for a in range(inst.n_agents))
+        free_s, tail_s = controller._free_s, controller._tail_s = 4e-6, 1e-3
+        controller_t[0] = 1
+        entry = fake.now + fake.tick  # plan_step's first read
+        controller.plan_step(state)
+        ((_, clock, outcome, checks),) = [s for s in searches if s[0] == 1]
+        deadline = entry + 0.020
+        assert clock.end == deadline - tail_s
+        assert clock.free_s == daccbs.controller.FREE_MARGIN * free_s
+        # The search stops at its first check where the time left to the
+        # deadline no longer covers the tail and freeing what it holds.
+        assert outcome.reason == "deadline" and outcome.held > 0
+        assert [verdict for *_, verdict in checks] == [False] * (len(checks) - 1) + [True]
+        for now, held, verdict in checks:
+            assert verdict == (deadline - now <= tail_s + held * clock.free_s)
+        assert checks[-1][1] == outcome.held
+        # What freeing took (one tick of the fake clock) updates the estimate.
+        observed = fake.tick / outcome.held
+        assert controller._free_s == pytest.approx(free_s - (free_s - observed) / 8)
+
+    def test_reserve_changes_nothing_under_a_work_clock(self, monkeypatch, fixed_work):
+        fixed_work(20)
+
+        def outputs():
+            inst = random_instance(random.Random(0), 16, 16, 30)
+            result, _ = episode(inst, h_max=32, t_max_ms=25.0)
+            return result.soc, result.budget_trace, result.factorization_trace
+
+        plain = outputs()
+        # A reserve of a second a node and a second of tail.
+        monkeypatch.setattr(daccbs.controller, "_estimate", lambda previous, observed: 1.0)
+        assert outputs() == plain
 
 
 class TestAccbsMode:

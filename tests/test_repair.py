@@ -23,7 +23,9 @@ from daccbs import (
     run_episode,
     slackness,
 )
-from daccbs.trajectory import path_cost
+from daccbs.certificate import CertificateError, try_improve, try_improve_member
+from daccbs.lowlevel import greedy_path
+from daccbs.trajectory import Occupancy, path_cost
 
 from conftest import random_instance
 
@@ -100,20 +102,21 @@ def test_offered_paths(size, seed, monkeypatch):
     state = tuple(cert.paths[a][0] for a in agents)
 
     offers = []
-    try_improve = daccbs.certificate.try_improve
+    try_improve_member = daccbs.certificate.try_improve_member
 
-    def offered(incumbent, candidate, instance, at):
-        (a,) = [a for a in agents if candidate[a] != incumbent.paths[a]]
-        improved, ok = try_improve(incumbent, candidate, instance, at)
-        offers.append((incumbent, a, candidate, improved, ok))
+    def offered(incumbent, a, path, instance, at, table):
+        # Repair's index, kept across acceptances, holds the incumbent's paths.
+        assert table.paths == tuple(incumbent.paths[m] for m in agents)
+        improved, ok = try_improve_member(incumbent, a, path, instance, at, table)
+        offers.append((incumbent, a, {**incumbent.paths, a: path}, improved, ok))
         return improved, ok
 
-    monkeypatch.setattr(daccbs.certificate, "try_improve", offered)
+    monkeypatch.setattr(daccbs.certificate, "try_improve_member", offered)
     repaired, planned, accepted = repair(cert, inst, state, UNLIMITED)
 
     assert offers and accepted == len(offers) <= planned
-    # Each acceptance goes through try_improve, and the next offer is made
-    # to the certificate it returned.
+    # Each acceptance goes through try_improve_member, and the next offer is
+    # made to the certificate it returned.
     assert [offer[0] for offer in offers] == [cert] + [offer[3] for offer in offers[:-1]]
     assert repaired == replace(offers[-1][3], settled=repaired.settled)
     for incumbent, a, candidate, _, ok in offers:
@@ -232,3 +235,147 @@ class TestController:
         assert search["search"] == "repair"
         assert (search["expansions"], search["prefixes"]) == (0, 0)
         assert search["repairs"] > 0
+
+
+def corridor(starts, goals) -> MapfInstance:
+    """corridor_instance's graph with other starts and goals."""
+    return MapfInstance(corridor_instance().graph, starts, goals)
+
+
+def offer(cert, agent, path, inst):
+    """(try_improve's verdict, the one-row gate's) on changing one path."""
+    table = Occupancy(cert.paths[a] for a in cert.agents)
+    whole = try_improve(cert, {**cert.paths, agent: path}, inst, inst.starts)
+    one = try_improve_member(cert, agent, path, inst, inst.starts, table)
+    return whole, one
+
+
+class TestOneRowGate:
+    """Every one-row change that try_improve (Certificate.validate, then the
+    price) rejects, the gate rejects too."""
+
+    # Agent 0 goes 1 -> 5 along the corridor; agent 1 waits at 4 until t = 2,
+    # then goes 4 -> 3 -> 7 into the pocket.
+    SWAP = corridor((1, 4), (5, 7))
+    SWAP_CERT = Certificate((0, 1), {0: (1, 1, 1, 1, 1, 2, 3, 4, 5), 1: (4, 4, 4, 3, 7)}, 12)
+    # Agent 0 goes 0 -> 3; agent 1 waits at 6, then passes 3 at t = 4.
+    VISIT = corridor((0, 6), (3, 7))
+    VISIT_CERT = Certificate((0, 1), {0: (0, 0, 0, 0, 0, 1, 2, 3), 1: (6, 6, 5, 4, 3, 7)}, 12)
+
+    @pytest.mark.parametrize("path", [(1, 2, 2, 2, 3, 4, 5), (1, 1, 1, 1, 2, 3, 4, 5, 5)])
+    def test_accepts_a_cheaper_valid_path(self, path):
+        whole, one = offer(self.SWAP_CERT, 0, path, self.SWAP)
+        assert one == whole and one[1]
+        one[0].validate(self.SWAP, self.SWAP.starts)
+
+    @pytest.mark.parametrize("case, path", [
+        ("start", (0, 1, 2, 3, 4, 5)),
+        ("goal", (1, 0)),
+        ("edge", (1, 2, 4, 5)),
+        ("vertex", (1, 2, 2, 3, 4, 5)),  # both at 3 at t = 3
+        ("swap", (1, 2, 3, 4, 5)),  # 3 -> 4 while agent 1 goes 4 -> 3
+    ])
+    def test_rejects_what_validate_rejects(self, case, path):
+        cert, inst = self.SWAP_CERT, self.SWAP
+        cert.validate(inst, inst.starts)
+        assert path_cost(path, 5) < path_cost(cert.paths[0], 5)
+        with pytest.raises(CertificateError):
+            Certificate(cert.agents, {**cert.paths, 0: path}, 0).validate(inst, inst.starts)
+        assert offer(cert, 0, path, inst) == ((cert, False), (cert, False))
+
+    def test_rejects_a_visit_to_the_goal_after_arrival(self):
+        # Agent 0 would wait at its goal 3 from t = 3; agent 1 passes it at t = 4.
+        cert, inst = self.VISIT_CERT, self.VISIT
+        cert.validate(inst, inst.starts)
+        path = (0, 1, 2, 3)
+        with pytest.raises(CertificateError):
+            Certificate(cert.agents, {**cert.paths, 0: path}, 0).validate(inst, inst.starts)
+        assert offer(cert, 0, path, inst) == ((cert, False), (cert, False))
+        # Arriving at t = 5, after agent 1 has left, it is accepted.
+        whole, one = offer(cert, 0, (0, 1, 2, 2, 2, 3), inst)
+        assert one == whole and one[1]
+
+    @pytest.mark.parametrize("path", [
+        (1, 1, 1, 1, 1, 2, 3, 4, 5),  # the same path
+        (1, 2, 1, 1, 1, 2, 3, 4, 5),  # as dear, by another way
+        (1, 1, 1, 1, 1, 1, 2, 3, 4, 5),  # dearer
+        (),
+    ])
+    def test_rejects_a_path_that_is_not_cheaper(self, path):
+        cert = self.SWAP_CERT
+        assert offer(cert, 0, path, self.SWAP) == ((cert, False), (cert, False))
+
+
+def one_row_changes(rng, inst, cert, table, a):
+    """Seeded changes of member `a`'s path in the certificate that `table`
+    indexes: its cheapest path against the others (as repair plans it), that
+    path and its own with one vertex moved to a neighbour, its own less one
+    wait or from its next vertex on, and its shortest path."""
+    path = cert.paths[a]
+    changes = [tuple(greedy_path(inst.graph, path[0], inst.gammas[a], len(path) + 8))]
+    limit = path_cost(path, inst.goals[a])
+    replanned = daccbs.certificate._replan(
+        inst.graph, inst.gammas[a], table, cert.agents.index(a), limit, UNLIMITED
+    )
+    for changed in (path, replanned):
+        if changed is not None and len(changed) > 2:
+            t = rng.randrange(1, len(changed) - 1)
+            moved = rng.choice(inst.graph.adjacency[changed[t]])
+            changes.append(changed[:t] + (moved,) + changed[t + 1:])
+    waits = [t for t in range(1, len(path)) if path[t] == path[t - 1]]
+    if waits:
+        t = rng.choice(waits)
+        changes.append(path[:t] + path[t + 1:])
+    changes.append(path[1:])
+    if replanned is not None:
+        changes.append(replanned)
+    return changes
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("size", sorted(SIZES))
+def test_gate_accepts_what_try_improve_accepts(size, seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, *SIZES[size])
+    agents = tuple(range(inst.n_agents))
+    cert = init_certificate(LacamBackup(seed=seed), inst, inst.starts, agents)
+    state = inst.starts
+    table = Occupancy(cert.paths[a] for a in agents)
+    verdicts = []
+    for a in agents:
+        for path in one_row_changes(rng, inst, cert, table, a):
+            whole = try_improve(cert, {**cert.paths, a: path}, inst, state)
+            one = try_improve_member(cert, a, path, inst, state, table)
+            assert one == whole, (a, path)
+            verdicts.append(one[1])
+            if one[1]:
+                # The same index serves the next offer, its one row replaced.
+                cert = one[0]
+                table.replace(agents.index(a), cert.paths[a])
+    assert verdicts.count(True) > 1 and verdicts.count(False) > 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_replaced_rows_index_as_a_fresh_table(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, *SIZES["starved"])
+    agents = tuple(range(inst.n_agents))
+    cert = init_certificate(LacamBackup(seed=seed), inst, inst.starts, agents)
+    # One index kept across every acceptance, as repair keeps it, and one
+    # per acceptance that has indexed a random part of the steps before it.
+    kept = Occupancy(cert.paths[a] for a in agents)
+    replaced = 0
+    for a in agents:
+        for path in one_row_changes(rng, inst, cert, kept, a):
+            partial = Occupancy(cert.paths[m] for m in agents)
+            partial.at(rng.randrange(partial.end + 2))
+            cert, ok = try_improve_member(cert, a, path, inst, inst.starts, kept)
+            if not ok:
+                continue
+            replaced += 1
+            fresh = Occupancy(cert.paths[m] for m in agents)
+            for table in (kept, partial):
+                table.replace(agents.index(a), cert.paths[a])
+                assert (table.paths, table.end) == (fresh.paths, fresh.end)
+                assert all(table.at(t) == fresh.at(t) for t in range(fresh.end + 2))
+    assert replaced > 1

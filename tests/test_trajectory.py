@@ -15,7 +15,7 @@ from daccbs import (
     is_conflict_free,
     soc,
 )
-from daccbs.trajectory import count_conflicts, makespan, pad, path_cost
+from daccbs.trajectory import Occupancy, count_conflicts, makespan, pad, path_cost
 
 from conftest import positions_at, prefix_cost
 
@@ -202,3 +202,34 @@ class TestTrajectory:
 @settings(max_examples=50, deadline=None)
 def test_singleton_joint_never_conflicts(vertices):
     assert is_conflict_free([tuple(vertices)])
+
+
+class TestOccupancy:
+    @pytest.mark.parametrize("indexed", [-1, 0, 2, 3, 7])
+    def test_replaced_row_indexes_as_a_fresh_table(self, indexed):
+        # The longest path is replaced by a short one, then a short one by
+        # the longest: the end shrinks, then grows, past the steps indexed.
+        paths = [(0, 1, 2, 3), (10, 11), (20,)]
+        table = Occupancy(paths)
+        for member, path in ((0, (0, 1)), (1, (10, 11, 12, 13, 14, 15)), (2, (20, 21))):
+            if indexed >= 0:
+                table.at(indexed)
+            table.replace(member, path)
+            paths[member] = path
+            fresh = Occupancy(paths)
+            assert (table.paths, table.end) == (fresh.paths, fresh.end)
+            assert [table.at(t) for t in range(fresh.end + 3)] == [
+                fresh.at(t) for t in range(fresh.end + 3)
+            ]
+
+    def test_meets(self):
+        # Path 0 goes 0 -> 3 along a chain; path 1 waits at 5, then goes to 4.
+        table = Occupancy([(0, 1, 2, 3), (5, 5, 5, 4)])
+        assert not table.meets(0, (0, 1, 2, 3))
+        assert not table.meets(1, (5, 4))
+        assert table.meets(0, (0, 1, 2, 3, 4))  # waits at 4 from t = 4, where path 1 is
+        assert table.meets(1, (5, 5, 4, 3))  # at 3 where path 0 waits
+        assert table.meets(1, (5, 4, 3, 2))  # 3 -> 2 while path 0 goes 2 -> 3
+        # Past the table's end the others stand still.
+        assert not table.meets(0, (0, 1, 2, 3, 2, 1, 0))
+        assert table.meets(0, (0, 1, 2, 3, 3, 3, 4, 3))  # at 4, where path 1 stopped
