@@ -11,9 +11,9 @@ from copy import copy
 class WallClock:
     """Expires `seconds` of wall time after it is made.
 
-    A clock narrowed `within` an earlier end keeps back, besides, the time
-    to free the nodes a search holds, so that the search is done, its nodes
-    freed, by then.  `expired_at` is when it last said it had expired."""
+    A clock narrowed `within` an earlier end also keeps back the time to
+    free the nodes a search holds, so that the search has stopped and freed
+    them by that end.  `expired_at` is when it last said it had expired."""
 
     reason = "deadline"
     free_s = 0.0  # the time to free one node the search holds
