@@ -6,21 +6,35 @@ Two modes are provided:
   * "daccbs" - certificates + repair + adaptive search + factorization;
   * "accbs"  - certificate-free adaptive search (ablation baseline).
 
-A daccbs group with slack above 0 gets one clock of its share of t_max.
-Repair runs first under it: single members replanned against the others'
-certificate paths.  What repair found settled travels on the certificate
-(`Certificate.settled`) through advance and factorization, so a group
-keeps only its certificate and slack.  The search gets what is left of
-the same clock, and none starts once repair has spent it.
+A daccbs step runs in four phases, each one loop over the active groups:
+  1. floor: every certificate advances along the last movement and gets
+     its slack.  A certificate is always a valid fallback, so this alone
+     gives the step its movement;
+  2. improvement: group by group, a group with slack above 0 gets one
+     clock of its share of t_max.  Repair runs first under it, single
+     members replanned against the others' certificate paths, and the
+     search gets what is left of it, starting only if some is;
+  3. factorization: in group order, so new group ids come out in it, a
+     group whose slack fell enough is partitioned, and a group whose
+     budget is 0 parks;
+  4. tail: movement, budget trace and step record.
+Groups are disjoint and each backup rollout draws from its own seeded
+generator, so under a WorkClock the phase order changes no output.  What
+repair found settled travels on the certificate (`Certificate.settled`)
+through advance and factorization, so a group keeps only its certificate
+and its slack at the last factorization.
 
 A step also has one deadline, t_max after plan_step is entered (at step
-0, after the initial certificate is built).  The search stops no later
+0, after the initial certificate is built).  Every search, a daccbs
+group's or the accbs fleet's, runs through `_search` and stops no later
 than it, less a reserve: the time to free the nodes the search holds,
-which a search pays when it returns, and the step's tail after its groups
-(movement and step record).  Both are running upper estimates learnt from
-the controller's earlier searches and steps (`_estimate`).  Repair keeps
-its share, and under a WorkClock the deadline changes nothing.  Every step
-record carries its `wall_ms` and `overrun_ms`, wall_ms less t_max.
+which a search pays when it returns, and the step's tail (in daccbs,
+factorization and phase 4; in accbs, the movement and step record).  Both
+are running upper estimates learnt from the controller's earlier searches
+and steps (`_estimate`).  Repair keeps its share, and under a WorkClock the
+deadline changes nothing.  Every step record carries its `wall_ms` and
+`overrun_ms`, wall_ms less t_max; the debug checks run after the step is
+timed.
 
 Each group's step record says how its repair and search went: its
 `search` is the search's SearchOutcome.reason, "skipped" when the slack
@@ -47,7 +61,7 @@ import time
 from dataclasses import dataclass
 
 from .backup import LacamBackup
-from .cbs import run_adaptive
+from .cbs import SearchOutcome, run_adaptive
 from .certificate import (
     Certificate,
     Movement,
@@ -93,7 +107,8 @@ class ControllerConfig:
 @dataclass
 class GroupState:
     """An agent group (its certificate's agents) with its certificate and
-    last-factorization slack."""
+    last-factorization slack.  A step's floor and improvement phases
+    replace the certificate in place."""
 
     group_id: int
     certificate: Certificate
@@ -123,90 +138,115 @@ class FleetController:
         self._parked_sizes: list[int] = []
         # The step deadline's reserve, learnt from earlier searches and steps
         # (see the module docstring): the seconds to free one node a search
-        # held, and the step's tail after its groups.
+        # held, and the step's tail after its searches.
         self._free_s = 0.0
         self._tail_s = 0.0
-
-    # -- daccbs ---------------------------------------------------------------
 
     def plan_step(self, state) -> tuple[Movement, dict]:
         """Movement for the current state plus a step telemetry record."""
         t0 = time.perf_counter()
+        t_max = self.config.t_max_ms / 1000.0
         if self.config.mode == "accbs":
-            movement, telem = self._plan_step_accbs(state)
-            self._stamp(telem, t0, time.perf_counter())
-            self.t += 1
-            return movement, telem
+            fleet = tuple(range(self.instance.n_agents))
+            outcome = self._search(fleet, state, WallClock(t_max), t0 + t_max)
+            tail_start = time.perf_counter()
+            if outcome.best_node is not None and outcome.best_h >= 1:
+                movement = first_movement(outcome.best_node.paths)
+            else:
+                movement = {a: (state[a], state[a]) for a in fleet}
+            telem = {
+                "t": self.t,
+                "mode": "accbs",
+                "h_r": outcome.best_h,
+                "reason": outcome.reason,
+                "expansions": outcome.expansions,
+            }
+        else:
+            start = t0
+            if self.groups is None:
+                self._initialize(state)
+                start = time.perf_counter()  # step 0's deadline runs from here
+            deadline = start + t_max
+            groups = self.groups
+            assert groups is not None
+            instance = self.instance
+            gammas = instance.gammas
+            threshold = self.config.slack_threshold
 
-        start = t0
-        if self.groups is None:
-            self._initialize(state)
-            start = time.perf_counter()  # step 0's deadline runs from here
-        deadline = start + self.config.t_max_ms / 1000.0
-        groups = self.groups
-        assert groups is not None
-        # Groups are planned one after another, so each gets an equal share;
-        # parked groups still count in it.
-        share = self.config.t_max_ms / 1000.0 / max(len(groups) + len(self._parked_sizes), 1)
+            # Floor: every certificate follows the fleet's last movement.
+            slacks = []
+            for g in groups:
+                if self.t > 0:
+                    g.certificate = advance(g.certificate, state)
+                slacks.append(slackness(g.certificate.agents, g.certificate.budget, state, gammas))
 
-        new_groups: list[GroupState] = []
-        parking: list[GroupState] = []
-        searches = []
-        for group in groups:
-            parts, search, trace = self._plan_group(group, state, share, deadline)
-            for part in parts:
-                # A budget-0 part's slack_last is already below a positive
-                # threshold, so it is never partitioned again.
-                if part.certificate.budget == 0 and self.config.slack_threshold > 0:
-                    parking.append(part)
-                else:
-                    new_groups.append(part)
-            searches.append(search)
-            if trace is not None:
-                self.factorization_trace.append(trace)
-        self.groups = new_groups
-        if parking:
-            self._park(parking)
-        improved_any = any(search["improved"] for search in searches)
+            # Improvement: the groups take their shares one after another;
+            # parked groups still count in the share.
+            share = t_max / max(len(groups) + len(self._parked_sizes), 1)
+            searches = []
+            for i, g in enumerate(groups):
+                g.certificate, slacks[i], record = self._improve(
+                    g.group_id, g.certificate, slacks[i], state, share, deadline
+                )
+                searches.append(record)
+            tail_start = time.perf_counter()
 
-        if self.config.debug_checks:
-            self._debug_assertions(state)
+            # Factorization, in group order so that new ids come out in it.
+            new_groups: list[GroupState] = []
+            parking: list[GroupState] = []
+            for g, slack, record in zip(groups, slacks, searches):
+                parts = [g]
+                record["factorized"] = should_refactor(g.slack_last, slack, threshold)
+                if record["factorized"]:
+                    cert, parts = g.certificate, []
+                    for part in partition(instance.graph, cert.agents, state, slack, gammas):
+                        sub = cert.restricted(part)
+                        sub_slack = slackness(part, sub.budget, state, gammas)
+                        parts.append(GroupState(self._take_group_id(), sub, sub_slack))
+                    self.factorization_trace.append({
+                        "t": self.t, "group": g.group_id, "slack": slack,
+                        "k": len(parts), "sizes": [len(p.certificate.agents) for p in parts],
+                    })
+                for part in parts:
+                    # A budget-0 part's slack_last is already below a positive
+                    # threshold, so it is never partitioned again.
+                    if part.certificate.budget == 0 and threshold > 0:
+                        parking.append(part)
+                    else:
+                        new_groups.append(part)
+            self.groups = new_groups
+            if parking:
+                self._park(parking)
 
-        tail_start = time.perf_counter()
-        total_budget = sum(g.certificate.budget for g in new_groups)
-        self.budget_trace.append((self.t, total_budget, improved_any))
-
-        movement = self._parked_movement.copy()
-        for g in new_groups:
-            movement.update(first_movement(g.certificate.paths))
-        telem = {
-            "t": self.t,
-            "mode": self.config.mode,
-            "k_groups": len(new_groups) + len(self._parked_sizes),
-            "budget": total_budget,
-            "improved": improved_any,
-            "groups": [
-                {
-                    "id": g.group_id,
-                    "size": len(g.certificate.agents),
-                    "budget": g.certificate.budget,
-                    "slack": g.slack_last,
-                }
-                for g in new_groups
-            ],
-            "searches": searches,
-            "parked": self._parked_sizes,
-        }
+            # Tail: movement and step record.
+            improved_any = any(record["improved"] for record in searches)
+            total_budget = sum(g.certificate.budget for g in new_groups)
+            self.budget_trace.append((self.t, total_budget, improved_any))
+            movement = self._parked_movement.copy()
+            for g in new_groups:
+                movement.update(first_movement(g.certificate.paths))
+            telem = {
+                "t": self.t,
+                "mode": self.config.mode,
+                "k_groups": len(new_groups) + len(self._parked_sizes),
+                "budget": total_budget,
+                "improved": improved_any,
+                "groups": [
+                    {"id": g.group_id, "size": len(g.certificate.agents),
+                     "budget": g.certificate.budget, "slack": g.slack_last}
+                    for g in new_groups
+                ],
+                "searches": searches,
+                "parked": self._parked_sizes,
+            }
         end = time.perf_counter()
         self._tail_s = _estimate(self._tail_s, end - tail_start)
-        self._stamp(telem, t0, end)
-        self.t += 1
-        return movement, telem
-
-    def _stamp(self, telem: dict, t0: float, end: float) -> None:
-        """Record the step's wall time, from `t0` to `end`, and its overrun."""
         telem["wall_ms"] = (end - t0) * 1000.0
         telem["overrun_ms"] = telem["wall_ms"] - self.config.t_max_ms
+        if self.config.debug_checks and self.groups is not None:
+            self._debug_assertions(state)
+        self.t += 1
+        return movement, telem
 
     def _initialize(self, state) -> None:
         agents = tuple(range(self.instance.n_agents))
@@ -231,74 +271,40 @@ class FleetController:
         self._next_group_id += 1
         return gid
 
-    def _plan_group(
-        self, group: GroupState, state, share: float, deadline: float
-    ) -> tuple[list[GroupState], dict, dict | None]:
-        """The group's parts after this step, one record of its search, and
-        a factorization trace entry if a split was attempted."""
+    def _improve(
+        self, group_id: int, cert: Certificate, slack: int, state, share: float, deadline: float
+    ) -> tuple[Certificate, int, dict]:
+        """Repair, then search, a group's certificate under one clock of
+        `share`; return the certificate, its slack and the group's step
+        record."""
         instance = self.instance
-        cert = group.certificate
         agents = cert.agents
-        if self.t > 0:
-            cert = advance(cert, state)
         # `search` says why the search stopped: a SearchOutcome.reason,
         # "skipped" when the group's slack is 0 (before or after repair),
         # "repair" when repair spent the share before a search began, or None
         # when a zero share runs neither.
         record = {
-            "group": group.group_id, "h_r": 0, "improved": False, "search": None,
+            "group": group_id, "h_r": 0, "improved": False, "search": None,
             "expansions": 0, "dequeues": 0, "prefixes": 0, "candidates": 0, "accepted": 0,
             "repairs": 0, "repaired": 0,
         }
+        if share == 0:
+            return cert, slack, record
         # A candidate costs at least the gamma sum, so a group whose budget
         # already equals it (slack 0) can never be improved: skip its repair
         # and search.
-        slack = slackness(agents, cert.budget, state, instance.gammas)
-        if share > 0:
-            if slack > 0:
-                clock = WallClock(share)
-                cert, repairs, repaired = repair(cert, instance, state, clock)
-                record["repairs"], record["repaired"] = repairs, repaired
-                if repaired:
-                    record["improved"] = True
-                    slack = slackness(agents, cert.budget, state, instance.gammas)
-            if slack == 0:
-                record["search"] = "skipped"
-            elif clock.expired(0):
-                record["search"] = "repair"
-            else:
-                search_clock = clock.within(deadline - self._tail_s, FREE_MARGIN * self._free_s)
-                searched = self._search(cert, state, search_clock, record)
-                if searched is not cert:
-                    cert = searched
-                    slack = slackness(agents, cert.budget, state, instance.gammas)
-        trace = None
-        if should_refactor(group.slack_last, slack, self.config.slack_threshold):
-            parts = partition(instance.graph, agents, state, slack, instance.gammas)
-            groups = []
-            for part in parts:
-                sub_cert = cert.restricted(part)
-                sub_slack = slackness(part, sub_cert.budget, state, instance.gammas)
-                groups.append(GroupState(self._take_group_id(), sub_cert, sub_slack))
-            trace = {
-                "t": self.t,
-                "group": group.group_id,
-                "slack": slack,
-                "k": len(parts),
-                "sizes": [len(p) for p in parts],
-            }
-        else:
-            groups = [GroupState(group.group_id, cert, group.slack_last)]
-        record["factorized"] = trace is not None
-        return groups, record, trace
-
-    def _search(self, cert: Certificate, state, clock: WallClock, record: dict) -> Certificate:
-        """Run the group's adaptive search under what is left of `clock`,
-        offering each conflict-free prefix to the certificate; return the
-        certificate after it.  The search's fields of the group's step
-        record count what it did."""
-        instance = self.instance
-        agents = cert.agents
+        if slack > 0:
+            clock = WallClock(share)
+            cert, record["repairs"], record["repaired"] = repair(cert, instance, state, clock)
+            if record["repaired"]:
+                record["improved"] = True
+                slack = slackness(agents, cert.budget, state, instance.gammas)
+        if slack == 0:
+            record["search"] = "skipped"
+            return cert, slack, record
+        if clock.expired(0):
+            record["search"] = "repair"
+            return cert, slack, record
 
         def on_prefix(node, h_r: int) -> None:
             nonlocal cert
@@ -321,36 +327,27 @@ class FleetController:
                 record["improved"] = True
                 record["accepted"] += 1
 
-        outcome = run_adaptive(
-            instance, state, self.config.h_max, clock, on_prefix_found=on_prefix, agents=agents
-        )
+        outcome = self._search(agents, state, clock, deadline, on_prefix)
+        record["search"] = outcome.reason
+        record["expansions"], record["dequeues"] = outcome.expansions, outcome.dequeues
+        if record["accepted"]:
+            slack = slackness(agents, cert.budget, state, instance.gammas)
+        return cert, slack, record
+
+    def _search(
+        self, agents: tuple[int, ...], state, clock: WallClock, deadline: float, on_prefix=None
+    ) -> SearchOutcome:
+        """Run an adaptive search over `agents` under `clock`, narrowed to
+        stop by the step deadline less the reserve, offering each
+        conflict-free prefix to `on_prefix`.  A stop on the clock teaches
+        the controller the time to free a node."""
+        clock = clock.within(deadline - self._tail_s, FREE_MARGIN * self._free_s)
+        outcome = run_adaptive(self.instance, state, self.config.h_max, clock,
+                               on_prefix_found=on_prefix, agents=agents)
         if outcome.reason == "deadline" and outcome.held:
             freed = time.perf_counter() - clock.expired_at
             self._free_s = _estimate(self._free_s, freed / outcome.held)
-        record["search"] = outcome.reason
-        record["expansions"], record["dequeues"] = outcome.expansions, outcome.dequeues
-        return cert
-
-    # -- accbs ----------------------------------------------------------------
-
-    def _plan_step_accbs(self, state) -> tuple[Movement, dict]:
-        agents = tuple(range(self.instance.n_agents))
-        outcome = run_adaptive(
-            self.instance, state, self.config.h_max, WallClock(self.config.t_max_ms / 1000.0),
-            agents=agents,
-        )
-        if outcome.best_node is not None and outcome.best_h >= 1:
-            movement = first_movement(outcome.best_node.paths)
-        else:
-            movement = {a: (state[a], state[a]) for a in agents}
-        telem = {
-            "t": self.t,
-            "mode": "accbs",
-            "h_r": outcome.best_h,
-            "reason": outcome.reason,
-            "expansions": outcome.expansions,
-        }
-        return movement, telem
+        return outcome
 
     # -- debug assertions (certificates, shrinkage, disjointness) -------------
 

@@ -78,8 +78,9 @@ class TestRunSuite:
         assert b_large <= b_small
 
     def test_overruns_aggregated_from_step_1(self, files, monkeypatch):
-        # Step 0 builds the initial certificate and is exempt from t_max, so
-        # its overrun counts in no aggregate.
+        # A daccbs step 0 builds the initial certificate and is exempt from
+        # t_max, so its overrun counts in no aggregate.  An accbs step 0
+        # builds nothing first and counts like any other step.
         overruns = {0: [9.0, -1.0, 2.0], 1: [7.0, -0.5, -3.0, 0.25]}
 
         def stepped(instance, controller, step_cap=None):
@@ -88,9 +89,14 @@ class TestRunSuite:
                                  telemetry=[{"overrun_ms": x} for x in steps])
 
         monkeypatch.setattr(daccbs.bench, "run_episode", stepped)
-        (aggregate,) = run_suite(base_spec(*files, seeds=[0, 1]))["aggregates"]
-        assert aggregate["deadline_miss_frac"] == 2 / 5
-        assert aggregate["max_overrun_ms"] == 2.0
+        spec = base_spec(*files, modes=["daccbs", "accbs"], seeds=[0, 1])
+        daccbs_steps, accbs_steps = run_suite(spec)["aggregates"]
+        assert daccbs_steps["mode"] == "daccbs"
+        assert daccbs_steps["deadline_miss_frac"] == 2 / 5
+        assert daccbs_steps["max_overrun_ms"] == 2.0
+        assert accbs_steps["mode"] == "accbs"
+        assert accbs_steps["deadline_miss_frac"] == 4 / 7
+        assert accbs_steps["max_overrun_ms"] == 9.0
 
     def test_step_records_overrun(self, files):
         spec = base_spec(*files, modes=["daccbs", "accbs"], t_max_ms=[0.0, 5.0])

@@ -515,6 +515,27 @@ class TestStepDeadline:
         observed = fake.tick / outcome.held
         assert controller._free_s == pytest.approx(free_s - (free_s - observed) / 8)
 
+    def test_accbs_stops_by_the_step_deadline(self, monkeypatch):
+        # The accbs search keeps the same reserve: it ends t_max after entry,
+        # less the tail, and a stop on the clock teaches the freeing time.
+        fake = FakeTime(1e-5)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        searches, _ = self.searched(monkeypatch)
+        inst = random_instance(random.Random(0), 16, 16, 30)
+        controller = FleetController(inst, ControllerConfig(mode="accbs", h_max=32, t_max_ms=20.0))
+        free_s, tail_s = controller._free_s, controller._tail_s = 4e-6, 1e-3
+        entry = fake.now + fake.tick  # plan_step's first read
+        controller.plan_step(inst.starts)
+        ((_, clock, outcome, checks),) = searches
+        deadline = entry + 0.020
+        assert clock.end == deadline - tail_s
+        assert clock.free_s == daccbs.controller.FREE_MARGIN * free_s
+        assert outcome.reason == "deadline" and outcome.held > 0
+        for now, held, verdict in checks:
+            assert verdict == (deadline - now <= tail_s + held * clock.free_s)
+        observed = fake.tick / outcome.held
+        assert controller._free_s == pytest.approx(free_s - (free_s - observed) / 8)
+
     def test_reserve_changes_nothing_under_a_work_clock(self, monkeypatch, fixed_work):
         fixed_work(20)
 
@@ -527,6 +548,79 @@ class TestStepDeadline:
         # A reserve of a second a node and a second of tail.
         monkeypatch.setattr(daccbs.controller, "_estimate", lambda previous, observed: 1.0)
         assert outputs() == plain
+
+
+class TestPhases:
+    """A daccbs step runs in phases over all its groups: every advance, then
+    each group's repair and search, then every partition, then the tail."""
+
+    def test_every_group_advances_before_any_repair(self, monkeypatch, fixed_work):
+        fixed_work(20)
+        inst, controller = TestParking.contested_size()
+        calls = []  # (step, name) of every phase call, in order
+
+        def recording(name):
+            original = getattr(daccbs.controller, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((controller.t, name))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(daccbs.controller, name, recorded)
+
+        phase = {"advance": 0, "repair": 1, "run_adaptive": 1, "partition": 2}
+        for name in phase:
+            recording(name)
+        run_episode(inst, controller)
+        mixed = 0  # steps with more than one group and calls of every phase
+        for t in range(controller.t):
+            names = [name for step, name in calls if step == t]
+            assert [phase[n] for n in names] == sorted(phase[n] for n in names), t
+            mixed += names.count("advance") > 1 and {"repair", "partition"} <= set(names)
+        assert mixed > 0
+
+    def test_tail_covers_factorization_but_not_debug_checks(self, monkeypatch):
+        # Time stands still except where the test moves it: every partition
+        # takes 9 ms, and the debug checks 50 ms.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        partition = daccbs.controller.partition
+
+        def slow_partition(*args):
+            fake.now += 0.009
+            return partition(*args)
+
+        monkeypatch.setattr(daccbs.controller, "partition", slow_partition)
+        # The certificate never improves, so every step has slack to search.
+        monkeypatch.setattr(daccbs.controller, "repair", lambda cert, *args: (cert, 0, 0))
+        monkeypatch.setattr(daccbs.controller, "try_improve", lambda cert, *args: (cert, False))
+        searches, controller_t = TestStepDeadline.searched(monkeypatch)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(
+            inst, ControllerConfig(h_max=16, t_max_ms=10.0, debug_checks=True)
+        )
+        debug_assertions = controller._debug_assertions
+
+        def slow_checks(state):
+            fake.now += 0.050
+            debug_assertions(state)
+
+        monkeypatch.setattr(controller, "_debug_assertions", slow_checks)
+        # Step 0 partitions its one group after the search.
+        movement, telem = controller.plan_step(inst.starts)
+        assert controller.factorization_trace
+        assert controller._tail_s == pytest.approx(0.009)
+        assert telem["wall_ms"] == pytest.approx(9.0)
+        # The next step's search stops the partition's time before its
+        # deadline.
+        state = tuple(movement[a][1] for a in range(inst.n_agents))
+        entry = fake.now = 200.0
+        controller_t[0] = 1
+        controller.plan_step(state)
+        clocks = [clock for t, clock, *_ in searches if t == 1]
+        assert clocks
+        for clock in clocks:
+            assert clock.end == pytest.approx(entry + 0.010 - 0.009, abs=1e-9)
 
 
 class TestAccbsMode:
