@@ -26,6 +26,11 @@ at its goal adds 0 and its distance can only rise), and at the goal
 configuration f is the plan's cost.  So once a configuration with
 f >= cost_limit is created, the rollout stops with BackupError, and paths it
 does return cost less than the limit.
+
+A rollout may also be given a clock, asked before every PIBT step.  Once it
+has expired, the rollout stops with BackupError, as at a cost cut-off: a
+caller that keeps an incumbent plan loses nothing but the candidate.  The
+asks draw nothing, so a rollout that returns gives the unclocked result.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import getitem, ne
 
+from .clock import WallClock, WorkClock
 from .grid import INF, Graph, MapfInstance, is_symmetric
 from .trajectory import strip_goal_waits
 
@@ -74,6 +80,7 @@ class LacamBackup:
         agents: tuple[int, ...],
         start: Configuration,
         cost_limit: int | None = None,
+        clock: WallClock | WorkClock | None = None,
     ) -> dict[int, tuple[int, ...]]:
         """Conflict-free paths for `agents` from `start` to their goals, goal
         waits stripped, keyed by agent in the order of `agents`.
@@ -91,6 +98,11 @@ class LacamBackup:
         a chain that avoids the crossing configuration, and the limited one
         drops that tail.  Dropping a tail is always safe for a caller that
         keeps an incumbent plan.
+
+        With a `clock`, the rollout asks it before every PIBT step, with no
+        expansions, and raises BackupError once it has expired, as at the
+        cost limit.  Asking draws nothing, so a rollout whose clock never
+        expires returns the unclocked result.
         """
         graph = instance.graph
         if not is_symmetric(graph):
@@ -136,6 +148,8 @@ class LacamBackup:
             if not node.tree:
                 stack.pop()
                 continue
+            if clock is not None and clock.expired(0):
+                raise BackupError("rollout ran out of time")
             low = node.tree.popleft()
             if len(low) < n:
                 member = node.order[len(low)]

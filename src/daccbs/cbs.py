@@ -91,10 +91,11 @@ class SearchOutcome:
     (best_node is None when not even an h_r = 1 prefix was certified).
     reason is one of: "horizon", "deadline", "exhausted", "no-prefix", "cap".
     held is the number of nodes the search's queue held when it stopped,
-    all freed when it returns.
+    all freed when it returns: 0 when its clock had expired before the root
+    was built.
     A daccbs group's step record reports it as its `search`; a group that
-    runs no search reports "skipped" (slack 0), "repair" (certificate repair
-    spent its share) or None (no share) there instead.
+    runs no search reports "skipped" (slack 0), "repair" (its clock expired
+    before a search began) or None (no share) there instead.
     """
 
     best_node: ConstraintTreeNode | None
@@ -324,9 +325,12 @@ def run_adaptive(
     active prefix is conflict-free, and once more at h_r = H_max before the
     final break; a node conflict-free to H_max whose paths all end at their
     goals is offered only at H_max.  The clock (None = no limit) is asked
+    once before the root is built, with nothing made or held, and then
     before every dequeue and every conflict count, with the expansions made
     and the nodes queued; once it has expired the search stops with the
-    clock's reason.
+    clock's reason.  A search whose clock has expired before the root is
+    built returns at once, holding nothing, with the reason its first check
+    in the loop would give.
 
     Nodes leave the queue in (cost, conflicts within the push-time h_r,
     push order).  A child's conflicts are counted only when its cost level
@@ -350,6 +354,8 @@ def run_adaptive(
     if not agents:
         root = ConstraintTreeNode({}, {}, 0)
         return SearchOutcome(root, h_max, "horizon")
+    if clock is not None and clock.expired(0):
+        return SearchOutcome(None, 0, "no-prefix" if clock.reason == "deadline" else clock.reason)
     root = make_root(instance, state, h_max, agents)
     seq = 0
     h_r = 1

@@ -181,6 +181,7 @@ def build_candidate(
     instance: MapfInstance,
     group: tuple[int, ...],
     budget: int,
+    clock: WallClock | WorkClock | None = None,
 ) -> dict[int, tuple[int, ...]] | None:
     """Concatenate a conflict-free prefix with a backup tail to the goals,
     or None when the result would not cost less than `budget`.
@@ -191,9 +192,10 @@ def build_candidate(
     without its last vertex plus its pad of waits at that vertex; the tail's
     rollout gets `budget` minus that cost as its `cost_limit`, so a rollout
     that cannot end under the budget stops early.  Costs are off-goal
-    agent-steps, as `plan_cost` and `try_improve` count them.  Returns None
-    also when the backup cannot produce a tail; either way the caller keeps
-    the incumbent certificate.
+    agent-steps, as `plan_cost` and `try_improve` count them.  The rollout
+    also gets `clock`, and stops once it has expired.  Returns None also
+    when the backup cannot produce a tail, or its clock expires first;
+    either way the caller keeps the incumbent certificate.
     """
     terminal = {a: prefix[a][-1] for a in group}
     if all(terminal[a] == instance.goals[a] for a in group):
@@ -206,6 +208,7 @@ def build_candidate(
             group,
             tuple(terminal[a] for a in group),
             cost_limit=budget - plan_cost(heads, instance),
+            clock=clock,
         )
     except BackupError:
         return None

@@ -11,9 +11,11 @@ A daccbs step runs in four phases, each one loop over the active groups:
      its slack.  A certificate is always a valid fallback, so this alone
      gives the step its movement;
   2. improvement: group by group, a group with slack above 0 gets one
-     clock of its share of t_max.  Repair runs first under it, single
-     members replanned against the others' certificate paths, and the
-     search gets what is left of it, starting only if some is;
+     clock of its share of t_max, narrowed to the step deadline (below).
+     Repair runs first under it, single members replanned against the
+     others' certificate paths, and the search gets what is left of it,
+     starting only if some is; the backup rollout of each candidate the
+     search builds runs under it too;
   3. factorization: in group order, so new group ids come out in it, a
      group whose slack fell enough is partitioned, and a group whose
      budget is 0 parks;
@@ -25,24 +27,28 @@ through advance and factorization, so a group keeps only its certificate
 and its slack at the last factorization.
 
 A step also has one deadline, t_max after plan_step is entered (at step
-0, after the initial certificate is built).  Every search, a daccbs
-group's or the accbs fleet's, runs through `_search` and stops no later
-than it, less a reserve: the time to free the nodes the search holds,
-which a search pays when it returns, and the step's tail (in daccbs,
-factorization and phase 4; in accbs, the movement and step record).  Both
-are running upper estimates learnt from the controller's earlier searches
-and steps (`_estimate`).  Repair keeps its share, and under a WorkClock the
-deadline changes nothing.  Every step record carries its `wall_ms` and
+0, after the initial certificate is built).  A daccbs group's clock ends
+no later than it, less the step's tail (factorization and phase 4), so
+its repair, search and candidate rollouts all stop by then; each is
+optional, since the certificate already gives the movement.  Every
+search, a daccbs group's or the accbs fleet's, runs through `_search`,
+which also keeps back the time to free the nodes the search holds, paid
+when it returns (the accbs tail is the movement and step record).  Both
+reserves are running upper estimates learnt from the controller's earlier
+searches and steps (`_estimate`).  Under a WorkClock the deadline changes
+nothing.  The initial certificate's rollout has no clock: the complete
+backup must finish.  Every step record carries its `wall_ms` and
 `overrun_ms`, wall_ms less t_max; the debug checks run after the step is
 timed.
 
 Each group's step record says how its repair and search went: its
 `search` is the search's SearchOutcome.reason, "skipped" when the slack
-is 0 (before or after repair), "repair" when repair spent the share, or
-None when t_max is 0.  Its `repairs` counts the members repair planned
-and `repaired` those it accepted; `prefixes`, `candidates` and `accepted`
-count the search's offers, candidates built and acceptances.  At t_max 0
-a daccbs group runs neither and follows its certificate.
+is 0 (before or after repair), "repair" when the group's clock expired
+before a search began, or None when t_max is 0.  Its `repairs` counts the
+members repair planned and `repaired` those it accepted; `prefixes`,
+`candidates` and `accepted` count the search's offers, candidates built
+and acceptances.  At t_max 0 a daccbs group runs neither and follows its
+certificate.
 
 A group whose budget is 0 parks after the step's partition, when
 slack_threshold is above 0: every member holds its goal with slack 0, so
@@ -275,14 +281,14 @@ class FleetController:
         self, group_id: int, cert: Certificate, slack: int, state, share: float, deadline: float
     ) -> tuple[Certificate, int, dict]:
         """Repair, then search, a group's certificate under one clock of
-        `share`; return the certificate, its slack and the group's step
-        record."""
+        `share`, narrowed to end by `deadline` less the step's tail; return
+        the certificate, its slack and the group's step record."""
         instance = self.instance
         agents = cert.agents
         # `search` says why the search stopped: a SearchOutcome.reason,
         # "skipped" when the group's slack is 0 (before or after repair),
-        # "repair" when repair spent the share before a search began, or None
-        # when a zero share runs neither.
+        # "repair" when the clock expired before a search began, or None when
+        # a zero share runs neither.
         record = {
             "group": group_id, "h_r": 0, "improved": False, "search": None,
             "expansions": 0, "dequeues": 0, "prefixes": 0, "candidates": 0, "accepted": 0,
@@ -294,7 +300,7 @@ class FleetController:
         # already equals it (slack 0) can never be improved: skip its repair
         # and search.
         if slack > 0:
-            clock = WallClock(share)
+            clock = WallClock(share).within(deadline - self._tail_s, 0.0)
             cert, record["repairs"], record["repaired"] = repair(cert, instance, state, clock)
             if record["repaired"]:
                 record["improved"] = True
@@ -317,7 +323,7 @@ class FleetController:
             # A head shorter than h_r + 1 has reached its goal; build_candidate
             # joins the heads to the backup tail at one time.
             prefix = {a: node.paths[a][: h_r + 1] for a in agents}
-            candidate = build_candidate(prefix, self.backup, instance, agents, cert.budget)
+            candidate = build_candidate(prefix, self.backup, instance, agents, cert.budget, clock)
             if candidate is None:
                 return
             record["candidates"] += 1

@@ -10,7 +10,16 @@ import typing
 import pytest
 
 import daccbs.backup
-from daccbs import BackupError, Graph, LacamBackup, MapfInstance, optimal_soc, soc
+from daccbs import (
+    BackupError,
+    Graph,
+    LacamBackup,
+    MapfInstance,
+    WallClock,
+    WorkClock,
+    optimal_soc,
+    soc,
+)
 from daccbs.backup import _pibt_step
 from daccbs.trajectory import is_conflict_free
 
@@ -159,6 +168,56 @@ class TestCostLimit:
             BACKUP.rollout(inst, (0,), (0,), cost_limit=4)
         assert rollout_all(BACKUP, inst)[0] == (0, 1, 2, 3, 4)
         assert BACKUP.rollout(inst, (0,), (0,), cost_limit=5)[0] == (0, 1, 2, 3, 4)
+
+
+class ExpiresAt:
+    """A clock that expires at its `ask`-th ask, and counts its asks."""
+
+    reason = "deadline"
+
+    def __init__(self, ask: int) -> None:
+        self.ask = ask
+        self.asks = 0
+
+    def expired(self, expansions: int, held: int = 0) -> bool:
+        self.asks += 1
+        return self.asks >= self.ask
+
+
+class TestClock:
+    def test_expired_clock_stops_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a PIBT step ran")
+
+        monkeypatch.setattr(daccbs.backup, "_pibt_step", no_step)
+        inst = cross_instance()
+        for clock in (WallClock(0.0), WorkClock(0)):
+            with pytest.raises(BackupError):
+                BACKUP.rollout(inst, (0, 1), inst.starts, clock=clock)
+
+    def test_asked_before_every_step(self, monkeypatch):
+        # A clock that expires at its k-th ask lets exactly k - 1 PIBT steps
+        # run; one that expires after the last step changes nothing.
+        steps = [0]
+
+        def counted(*args):
+            steps[0] += 1
+            return _pibt_step(*args)
+
+        monkeypatch.setattr(daccbs.backup, "_pibt_step", counted)
+        inst = random_instance(random.Random(0), 6, 6, 8)
+        expected = rollout_all(BACKUP, inst)
+        total, steps[0] = steps[0], 0
+        assert total > 1
+        agents = tuple(range(inst.n_agents))
+        for ask in range(1, total + 1):
+            with pytest.raises(BackupError):
+                BACKUP.rollout(inst, agents, inst.starts, clock=ExpiresAt(ask))
+            assert steps[0] == ask - 1
+            steps[0] = 0
+        clock = ExpiresAt(total + 1)
+        assert BACKUP.rollout(inst, agents, inst.starts, clock=clock) == expected
+        assert (clock.asks, steps[0]) == (total, total)
 
 
 class TestRolloutMemory:

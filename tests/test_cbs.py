@@ -197,6 +197,20 @@ class TestRunAdaptive:
         assert outcome.best_node is None
         assert outcome.reason == "no-prefix"
 
+    def test_expired_clock_builds_no_root(self, monkeypatch):
+        # A clock that has expired before the search starts stops it before
+        # the root's walks, holding nothing, with the reason the first check
+        # in the loop would give.
+        def no_root(*args):
+            raise AssertionError("the root was built")
+
+        monkeypatch.setattr(daccbs.cbs, "make_root", no_root)
+        inst = cross_instance()
+        for clock, reason in ((WallClock(0.0), "no-prefix"), (WorkClock(0), "cap")):
+            outcome = run_adaptive(inst, inst.starts, 10, clock)
+            assert (outcome.best_node, outcome.reason, outcome.held) == (None, reason, 0)
+            assert (outcome.expansions, outcome.dequeues) == (0, 0)
+
     def test_callback_invoked(self):
         inst = cross_instance()
         seen = []

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import daccbs.backup
 import daccbs.controller
 from daccbs import (
     INF,
@@ -271,12 +272,12 @@ class TestDaccbsMode:
 
             return run_adaptive(*args, on_prefix_found=seen, **kwargs)
 
-        def recorded(prefix, backup, instance, group, budget):
+        def recorded(prefix, backup, instance, group, budget, clock):
             node, h_r = prefixed[-1]
             assert prefix == {a: node.paths[a][: h_r + 1] for a in group}
             longest = max(len(node.paths[a]) for a in group)
             assert all(len(head) <= longest for head in prefix.values())
-            candidate = build_candidate(prefix, backup, instance, group, budget)
+            candidate = build_candidate(prefix, backup, instance, group, budget, clock)
             if any(prefix[a][-1] != instance.goals[a] for a in group):
                 # Under no budget the tail is built whatever it costs; under
                 # the certificate's, the candidate is that one or None.
@@ -535,6 +536,52 @@ class TestStepDeadline:
             assert verdict == (deadline - now <= tail_s + held * clock.free_s)
         observed = fake.tick / outcome.held
         assert controller._free_s == pytest.approx(free_s - (free_s - observed) / 8)
+
+    def test_repair_and_rollouts_stop_by_the_step_deadline(self, monkeypatch):
+        # A group's repair and its candidates' rollouts run under one clock
+        # that ends at the step deadline less the tail.  Time stands still
+        # except where the test moves it: each advance takes 2 ms, so the
+        # share alone, which starts after the floor, would end 2 ms after the
+        # deadline.  The initial certificate's rollout has no clock.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        advance, repair = daccbs.controller.advance, daccbs.controller.repair
+        rollout = daccbs.backup.LacamBackup.rollout
+        repairs, rollouts = [], []  # (step, clock) of every call
+
+        def slow_advance(*args):
+            fake.now += 0.002
+            return advance(*args)
+
+        def recorded_repair(cert, instance, state, clock):
+            repairs.append((controller.t, clock))
+            return repair(cert, instance, state, clock)
+
+        def recorded_rollout(backup, instance, agents, start, cost_limit=None, clock=None):
+            rollouts.append((controller.t, clock))
+            return rollout(backup, instance, agents, start, cost_limit, clock)
+
+        monkeypatch.setattr(daccbs.controller, "advance", slow_advance)
+        monkeypatch.setattr(daccbs.controller, "repair", recorded_repair)
+        monkeypatch.setattr(daccbs.backup.LacamBackup, "rollout", recorded_rollout)
+        # The search's candidates are never accepted, so every step has slack
+        # left to search.
+        monkeypatch.setattr(daccbs.controller, "try_improve", lambda cert, *args: (cert, False))
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(h_max=16, t_max_ms=10.0))
+        state, entries, tail_s = inst.starts, {}, 1e-3
+        while state != inst.goals and controller.t < 3:
+            fake.now = entries[controller.t] = 100.0 * (controller.t + 1)
+            controller._tail_s = tail_s
+            movement, _ = controller.plan_step(state)
+            state = tuple(movement[a][1] for a in range(inst.n_agents))
+        assert rollouts[0] == (0, None)
+        clocked = rollouts[1:]
+        assert {t for t, _ in repairs} == {0, 1, 2}
+        assert {t for t, _ in clocked} == {0, 1, 2}
+        for t, clock in repairs + clocked:
+            assert clock.free_s == 0.0
+            assert clock.end == entries[t] + 0.010 - tail_s
 
     def test_reserve_changes_nothing_under_a_work_clock(self, monkeypatch, fixed_work):
         fixed_work(20)

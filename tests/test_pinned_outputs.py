@@ -13,7 +13,16 @@ import random
 
 import pytest
 
-from daccbs import BackupError, ControllerConfig, FleetController, LacamBackup, run_episode, soc
+from daccbs import (
+    BackupError,
+    ControllerConfig,
+    FleetController,
+    LacamBackup,
+    WallClock,
+    WorkClock,
+    run_episode,
+    soc,
+)
 
 from conftest import joint, positions_at, random_instance
 
@@ -66,12 +75,12 @@ def test_contested_size_episode(fixed_work):
 
 
 
-def rollout_outcome(instance, start, cost_limit=None):
+def rollout_outcome(instance, start, cost_limit=None, clock=None):
     """(cost, digest of the paths) of a seed-0 rollout of every agent, or
     "cut" when it stops at its cost limit."""
     try:
         paths = LacamBackup(seed=0).rollout(
-            instance, tuple(range(instance.n_agents)), start, cost_limit=cost_limit
+            instance, tuple(range(instance.n_agents)), start, cost_limit=cost_limit, clock=clock
         )
     except BackupError:
         return "cut"
@@ -92,7 +101,8 @@ PINNED_ROLLOUTS = {
 }
 
 
-def test_starved_size_rollouts():
+def starved_size_outcomes(clock=None):
+    """Every PINNED_ROLLOUTS key's outcome, each rollout under `clock`."""
     # The size of the starved benchmark workload: 32x32, 10% blocked, 50 agents.
     instance = random_instance(random.Random(0), 32, 32, 50, 0.1)
     initial = joint(LacamBackup(seed=0).rollout(instance, tuple(range(50)), instance.starts))
@@ -100,8 +110,18 @@ def test_starved_size_rollouts():
         "initial": instance.starts,
         "half-way": positions_at(initial, initial.makespan // 2),
     }
-    outcomes = {
-        (start, limit): rollout_outcome(instance, starts[start], limit)
+    return {
+        (start, limit): rollout_outcome(instance, starts[start], limit, clock)
         for start, limit in PINNED_ROLLOUTS
     }
-    assert outcomes == PINNED_ROLLOUTS
+
+
+def test_starved_size_rollouts():
+    assert starved_size_outcomes() == PINNED_ROLLOUTS
+
+
+@pytest.mark.parametrize("clock", [WorkClock(1), WallClock(3600.0)], ids=["work", "wall"])
+def test_starved_size_rollouts_under_a_clock_that_never_expires(clock):
+    # Asking a clock draws nothing, so a clock that never expires changes no
+    # rollout.
+    assert starved_size_outcomes(clock) == PINNED_ROLLOUTS
