@@ -28,7 +28,7 @@ from .factorization import BudgetInvariantError
 from .grid import InfeasibleInstanceError, MapFormatError, load_map, load_scenario
 from .simulate import MovementDefect, run_episode
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class UsageError(ValueError):

@@ -35,10 +35,16 @@ search, a daccbs group's or the accbs fleet's, runs through `_search`,
 which also keeps back the time to free the nodes the search holds, paid
 when it returns (the accbs tail is the movement and step record).  Both
 reserves are running upper estimates learnt from the controller's earlier
-searches and steps (`_estimate`).  Under a WorkClock the deadline changes
+searches and steps (`_estimate`).  A unit of improvement work (a replan,
+an acceptance check, a unit of search) can run past its clock's end, so
+the tail is timed from that end whenever improvement ran past it, and the
+reserve also covers the clocks' own overrun; it is timed from where
+improvement began when the clocks had already ended by then, so that a
+late floor does not compound it.  Under a WorkClock the deadline changes
 nothing.  The initial certificate's rollout has no clock: the complete
-backup must finish.  Every step record carries its `wall_ms` and
-`overrun_ms`, wall_ms less t_max; the debug checks run after the step is
+backup must finish.  Every step record carries its `wall_ms`, its
+`overrun_ms`, wall_ms less t_max, and its `reserve_ms`, the tail reserve
+its clocks were narrowed by; the debug checks run after the step is
 timed.
 
 Each group's step record says how its repair and search went: its
@@ -152,10 +158,12 @@ class FleetController:
         """Movement for the current state plus a step telemetry record."""
         t0 = time.perf_counter()
         t_max = self.config.t_max_ms / 1000.0
+        reserve = self._tail_s  # what this step's clocks are narrowed by
         if self.config.mode == "accbs":
             fleet = tuple(range(self.instance.n_agents))
-            outcome = self._search(fleet, state, WallClock(t_max), t0 + t_max)
-            tail_start = time.perf_counter()
+            improve_start, deadline = t0, t0 + t_max
+            outcome = self._search(fleet, state, WallClock(t_max), deadline)
+            improve_end = time.perf_counter()
             if outcome.best_node is not None and outcome.best_h >= 1:
                 movement = first_movement(outcome.best_node.paths)
             else:
@@ -190,12 +198,13 @@ class FleetController:
             # parked groups still count in the share.
             share = t_max / max(len(groups) + len(self._parked_sizes), 1)
             searches = []
+            improve_start = time.perf_counter()
             for i, g in enumerate(groups):
                 g.certificate, slacks[i], record = self._improve(
                     g.group_id, g.certificate, slacks[i], state, share, deadline
                 )
                 searches.append(record)
-            tail_start = time.perf_counter()
+            improve_end = time.perf_counter()
 
             # Factorization, in group order so that new ids come out in it.
             new_groups: list[GroupState] = []
@@ -246,9 +255,13 @@ class FleetController:
                 "parked": self._parked_sizes,
             }
         end = time.perf_counter()
-        self._tail_s = _estimate(self._tail_s, end - tail_start)
+        # From the clocks' end if improvement ran past it, but not from before
+        # improvement began (see the module docstring).
+        tail_start = min(improve_end, max(deadline - reserve, improve_start))
+        self._tail_s = _estimate(reserve, end - tail_start)
         telem["wall_ms"] = (end - t0) * 1000.0
         telem["overrun_ms"] = telem["wall_ms"] - self.config.t_max_ms
+        telem["reserve_ms"] = reserve * 1000.0
         if self.config.debug_checks and self.groups is not None:
             self._debug_assertions(state)
         self.t += 1
@@ -281,8 +294,9 @@ class FleetController:
         self, group_id: int, cert: Certificate, slack: int, state, share: float, deadline: float
     ) -> tuple[Certificate, int, dict]:
         """Repair, then search, a group's certificate under one clock of
-        `share`, narrowed to end by `deadline` less the step's tail; return
-        the certificate, its slack and the group's step record."""
+        `share`, narrowed to end by `deadline` less the step's tail, which
+        also covers the clock's overrun; return the certificate, its slack
+        and the group's step record."""
         instance = self.instance
         agents = cert.agents
         # `search` says why the search stopped: a SearchOutcome.reason,
@@ -344,9 +358,10 @@ class FleetController:
         self, agents: tuple[int, ...], state, clock: WallClock, deadline: float, on_prefix=None
     ) -> SearchOutcome:
         """Run an adaptive search over `agents` under `clock`, narrowed to
-        stop by the step deadline less the reserve, offering each
-        conflict-free prefix to `on_prefix`.  A stop on the clock teaches
-        the controller the time to free a node."""
+        stop by the step deadline less the reserve (the step's tail, which
+        also covers the clock's overrun, and the time to free the nodes it
+        holds), offering each conflict-free prefix to `on_prefix`.  A stop
+        on the clock teaches the controller the time to free a node."""
         clock = clock.within(deadline - self._tail_s, FREE_MARGIN * self._free_s)
         outcome = run_adaptive(self.instance, state, self.config.h_max, clock,
                                on_prefix_found=on_prefix, agents=agents)

@@ -50,7 +50,7 @@ def base_spec(map_path, scen_path, tmp_path, **kw):
 class TestRunSuite:
     def test_episode_schema(self, files):
         suite = run_suite(base_spec(*files))
-        assert suite["schema_version"] == 6
+        assert suite["schema_version"] == 7
         assert len(suite["episodes"]) == 1
         ep = suite["episodes"][0]
         for key in ("mode", "seed", "t_max_ms", "soc", "soc_increment",
@@ -104,6 +104,7 @@ class TestRunSuite:
         for ep in suite["episodes"]:
             for step in ep["telemetry"]:
                 assert step["overrun_ms"] == step["wall_ms"] - ep["t_max_ms"]
+                assert step["reserve_ms"] >= 0.0
         for aggregate in suite["aggregates"]:
             if aggregate["t_max_ms"] == 0.0:
                 assert aggregate["deadline_miss_frac"] == 1.0
@@ -120,7 +121,7 @@ class TestRunSuite:
             eps = run_suite(spec)["episodes"]
             for ep in eps:
                 for telem in ep["telemetry"]:
-                    del telem["wall_ms"], telem["overrun_ms"]
+                    del telem["wall_ms"], telem["overrun_ms"], telem["reserve_ms"]
             return eps
 
         first = episodes()

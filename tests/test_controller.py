@@ -583,6 +583,94 @@ class TestStepDeadline:
             assert clock.free_s == 0.0
             assert clock.end == entries[t] + 0.010 - tail_s
 
+    def test_reserve_covers_a_repair_past_its_clock(self, monkeypatch):
+        # Time stands still except where the test moves it: every repair ends
+        # 3 ms after its clock.  The tail is timed from the clock's end, so
+        # the next step's clocks end those 3 ms earlier, and its record says
+        # so.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        repairs = []  # (step, the clock's end) of every repair
+
+        def late_repair(cert, instance, state, clock):
+            repairs.append((controller.t, clock.end))
+            fake.now = clock.end + 0.003
+            return cert, 0, 0
+
+        monkeypatch.setattr(daccbs.controller, "repair", late_repair)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(h_max=16, t_max_ms=10.0))
+        state, entries, reserves = inst.starts, {}, {}
+        while state != inst.goals and controller.t < 3:
+            fake.now = entries[controller.t] = 100.0 * (controller.t + 1)
+            reserves[controller.t] = controller._tail_s
+            movement, telem = controller.plan_step(state)
+            assert telem["reserve_ms"] == pytest.approx(1000.0 * reserves[telem["t"]])
+            state = tuple(movement[a][1] for a in range(inst.n_agents))
+        assert {t for t, _ in repairs} == {0, 1, 2}
+        for t, end in repairs:
+            assert end == pytest.approx(entries[t] + 0.010 - (0.003 if t else 0.0), abs=1e-9)
+
+    def test_reserve_does_not_compound_a_late_floor(self, monkeypatch):
+        # Each advance takes 12 ms, so improvement starts after the step's
+        # deadline and its clocks have expired; every movement it builds in
+        # the tail takes 1 ms.  The tail is timed from where improvement
+        # began, so the reserve stays the tail's own time, step after step.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        advance, first_movement = (daccbs.controller.advance,
+                                   daccbs.controller.first_movement)
+        tail_calls = [0]
+
+        def slow_advance(*args):
+            fake.now += 0.012
+            return advance(*args)
+
+        def slow_movement(paths):
+            tail_calls[0] += 1
+            fake.now += 0.001
+            return first_movement(paths)
+
+        monkeypatch.setattr(daccbs.controller, "advance", slow_advance)
+        monkeypatch.setattr(daccbs.controller, "first_movement", slow_movement)
+        monkeypatch.setattr(daccbs.controller, "repair", lambda cert, *args: (cert, 0, 0))
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(h_max=16, t_max_ms=10.0))
+        state = inst.starts
+        while state != inst.goals and controller.t < 4:
+            fake.now = 100.0 * (controller.t + 1)
+            reserve, tail_calls[0] = controller._tail_s, 0
+            movement, _ = controller.plan_step(state)
+            tail_s = daccbs.controller._estimate(reserve, 0.001 * tail_calls[0])
+            assert controller._tail_s == pytest.approx(tail_s, abs=1e-9)
+            state = tuple(movement[a][1] for a in range(inst.n_agents))
+        assert controller.t == 4
+
+    def test_accbs_reserve_covers_a_search_past_its_clock(self, monkeypatch):
+        # Time stands still except where the test moves it: the search returns
+        # 2 ms after its narrowed clock ends, and the reserve learns them.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        ends = []
+
+        def late_search(instance, state, h_max, clock, **kwargs):
+            outcome = run_adaptive(instance, state, h_max, clock, **kwargs)
+            ends.append(clock.end)
+            fake.now = clock.end + 0.002
+            return outcome
+
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", late_search)
+        inst = random_instance(random.Random(3), 5, 5, 4)
+        controller = FleetController(inst, ControllerConfig(mode="accbs", h_max=16, t_max_ms=10.0))
+        movement, telem = controller.plan_step(inst.starts)
+        assert telem["reserve_ms"] == 0.0
+        assert controller._tail_s == pytest.approx(0.002, abs=1e-9)
+        state = tuple(movement[a][1] for a in range(inst.n_agents))
+        entry = fake.now = 200.0
+        _, telem = controller.plan_step(state)
+        assert telem["reserve_ms"] == pytest.approx(2.0)
+        assert ends[1] == pytest.approx(entry + 0.010 - 0.002, abs=1e-9)
+
     def test_reserve_changes_nothing_under_a_work_clock(self, monkeypatch, fixed_work):
         fixed_work(20)
 
