@@ -9,9 +9,11 @@ first conflict (or to H_max).  Because paths are gamma-greedy past their
 last constrained step, node costs are invariant under horizon extension and
 the tree is reused across increments.
 
-A node holds one constraint set per constrained member, and costs one
-low-level plan at most and one scan of the row it replanned.  A search
-plans each (agent, constraint set) pair once (Replanner), and a node's
+A node's paths are its rows, in member order, and it holds one constraint
+set per constrained member, keyed by member index, so its constrained
+members are exactly its replanned rows.  A node costs one low-level plan
+at most and one scan of the row it replanned.  A search plans each
+(member, constraint set) pair once (Replanner), and a node's
 paths are those plans, so a child reads the cost of the path it replaces
 from them.  A counted node carries its conflict events (ConflictIndex): a
 child keeps its parent's events that do not involve its replanned row, and
@@ -62,18 +64,19 @@ class ExpansionCapExceeded(RuntimeError):
 
 @dataclass(slots=True)
 class ConstraintTreeNode:
-    """Per-agent constraint sets, goal-terminated paths, and prefix cost.
+    """Per-member constraint sets, goal-terminated paths, and prefix cost.
 
-    A constrained member's path is its plan under its constraint set, and
-    an unconstrained member's is its gamma-greedy walk.  A path ends at its
-    agent's goal, or at H_max when cut off there; read past its end, the
-    agent waits at its last vertex.  Its cost is the running cost before
-    its last vertex plus gamma there, and `cost` sums those over the
-    members.
+    Members are indices into the search's agents.  A constrained member's
+    path is its plan under its constraint set, and an unconstrained
+    member's is the root's gamma-greedy walk, the same object.  A path
+    ends at its agent's goal, or at H_max when cut off there; read past
+    its end, the agent waits at its last vertex.  Its cost is the running
+    cost before its last vertex plus gamma there, and `cost` sums those
+    over the members.
     """
 
-    constraints: dict[int, ConstraintSet]  # agent id -> its constraints, if any
-    paths: dict[int, tuple[int, ...]]  # agent id -> goal-terminated path
+    constraints: dict[int, ConstraintSet]  # member -> its constraints, if any
+    paths: tuple[tuple[int, ...], ...]  # member order: goal-terminated paths
     cost: int
     # No conflict lies before this step, so the node's scan starts here: 0 at
     # a root, and in a child the first step at which its replanned row
@@ -112,53 +115,62 @@ def make_root(
     h_max: int,
     agents: tuple[int, ...] | None = None,
 ) -> ConstraintTreeNode:
-    """Root node: empty constraints, each agent's gamma-greedy walk to its
-    goal (cut off at h_max steps)."""
+    """Root node: empty constraints, and each agent's gamma-greedy walk to
+    its goal (cut off at h_max steps), in the order of `agents`."""
     if agents is None:
         agents = tuple(range(instance.n_agents))
-    paths: dict[int, tuple[int, ...]] = {}
+    paths = []
     total = 0
     for a in agents:
         gamma = instance.gammas[a]
         start = state[a]
         if gamma[start] >= INF:
             raise InfeasibleInstanceError(f"agent {a} cannot reach its goal from {start}")
-        paths[a] = tuple(greedy_path(instance.graph, start, gamma, h_max))
+        paths.append(tuple(greedy_path(instance.graph, start, gamma, h_max)))
         total = sat_add(total, gamma[start])
-    return ConstraintTreeNode({}, paths, total)
+    return ConstraintTreeNode({}, tuple(paths), total)
 
 
 class Replanner:
-    """One search's low-level plans from `state`.
+    """One search's low-level plans for the members of `agents` from `state`.
 
-    The agent's start, h_max, gamma and Reach are fixed for the whole
-    search, so each (agent, constraint set) pair is planned once and its
-    result kept, an infeasible None included, and each agent's Reach is
+    A member's start, h_max, gamma and Reach are fixed for the whole
+    search, so each (member, constraint set) pair is planned once and its
+    result kept, an infeasible None included, and each member's Reach is
     grown once.  Paths are tuples, so the children that share a plan share
     one object.
     """
 
-    def __init__(self, instance: MapfInstance, state, h_max: int) -> None:
-        self._instance = instance
-        self._state = state
+    def __init__(self, instance: MapfInstance, state, h_max: int, agents: tuple[int, ...]) -> None:
+        self._graph = instance.graph
         self._h_max = h_max
+        self._starts = [state[a] for a in agents]
+        self._gammas = [instance.gammas[a] for a in agents]
         self._reaches: dict[int, Reach] = {}
         self._plans: dict[tuple, tuple[tuple[int, ...], int] | None] = {}
 
     def plan(
-        self, agent: int, constraints: ConstraintSet
+        self, member: int, constraints: ConstraintSet
     ) -> tuple[tuple[int, ...], int] | None:
-        key = (agent, constraints)
+        key = (member, constraints)
         if key in self._plans:
             return self._plans[key]
-        reach = self._reaches.get(agent)
+        reach = self._reaches.get(member)
         if reach is None:
-            reach = self._reaches[agent] = Reach(self._instance.graph, self._state[agent])
+            reach = self._reaches[member] = Reach(self._graph, self._starts[member])
         plan = self._plans[key] = plan_constrained(
-            self._instance.graph, self._state[agent], constraints, self._h_max,
-            self._instance.gammas[agent], reach=reach,
+            self._graph, self._starts[member], constraints, self._h_max,
+            self._gammas[member], reach=reach,
         )
         return plan
+
+    def cost(self, member: int, constraints: ConstraintSet | None) -> int:
+        """What the member's path costs in a node where it has `constraints`:
+        its plan's cost, or gamma at its start when it has none (its path is
+        then the root's gamma-greedy walk)."""
+        if constraints is None:
+            return self._gammas[member][self._starts[member]]
+        return self.plan(member, constraints)[1]
 
 
 def _first_change(old: tuple[int, ...], new: tuple[int, ...], end: int) -> int:
@@ -172,22 +184,15 @@ def _first_change(old: tuple[int, ...], new: tuple[int, ...], end: int) -> int:
 
 
 def expand(
-    node: ConstraintTreeNode,
-    conflict: Event,
-    instance: MapfInstance,
-    state,
-    h_max: int,
-    agents: tuple[int, ...],
-    replanner: Replanner,
+    node: ConstraintTreeNode, conflict: Event, replanner: Replanner
 ) -> list[ConstraintTreeNode]:
     """Children resolving the conflict, one added constraint each.
 
-    Only the newly constrained agent is replanned, by the search's
+    Only the newly constrained member is replanned, by the search's
     `replanner`; children whose replan is infeasible are omitted.  Edge
     conflicts reported at arrival time t become departure-time constraints
-    at t - 1.  The replaced path costs gamma at the agent's start when the
-    agent had no constraints (it is the root's gamma-greedy walk), and
-    otherwise what the replanner's plan under them costs.
+    at t - 1.  The replaced path costs what the replanner says it costs
+    under the member's constraints in the node (Replanner.cost).
 
     A child's rows equal its parent's before the first step at which the
     replanned row changes, and the parent had no conflict before its own
@@ -198,25 +203,21 @@ def expand(
     children: list[ConstraintTreeNode] = []
     t, kind, i, j, location = conflict
     for m in (i, j):
-        agent = agents[m]
-        before = node.constraints.get(agent)
+        before = node.constraints.get(m)
         own = ConstraintSet() if before is None else before
         if kind:
             u, w = location
             constraints = own.with_edge(t - 1, (u, w) if m == i else (w, u))
         else:
             constraints = own.with_vertex(t, location)
-        plan = replanner.plan(agent, constraints)
+        plan = replanner.plan(m, constraints)
         if plan is None:
             continue
         path, cost = plan
-        if before is None:
-            old_cost = instance.gammas[agent][state[agent]]
-        else:
-            old_cost = replanner.plan(agent, before)[1]
         children.append(ConstraintTreeNode(
-            {**node.constraints, agent: constraints}, {**node.paths, agent: path},
-            node.cost - old_cost + cost, _first_change(node.paths[agent], path, t), m,
+            {**node.constraints, m: constraints}, node.paths[:m] + (path,) + node.paths[m + 1:],
+            node.cost - replanner.cost(m, before) + cost, _first_change(node.paths[m], path, t),
+            m,
         ))
     return children
 
@@ -224,19 +225,13 @@ def expand(
 class NodeConflicts:
     """A counted node's conflict events: every one at timesteps 0..known,
     sorted, so the first is its first conflict (none when there is none to
-    H_max).  It also keeps the node's member rows and which of them are
-    still the root's (`live`), so a child copies them and changes only its
-    replanned row."""
+    H_max).  The rows they are events of are the node's paths."""
 
-    __slots__ = ("events", "known", "rows", "live")
+    __slots__ = ("events", "known")
 
-    def __init__(
-        self, events: list[Event], known: int, rows: list[tuple[int, ...]], live: list[bool]
-    ) -> None:
+    def __init__(self, events: list[Event], known: int) -> None:
         self.events = events
         self.known = known
-        self.rows = rows
-        self.live = live
 
 
 class ConflictIndex:
@@ -247,15 +242,15 @@ class ConflictIndex:
     row, up to the parent's `known` step, and adds that row's events
     against the others from its scan_from up to there; a root starts with
     none.  Past that, a node reads every row, through its count horizon and
-    then step by step only until its first conflict.  A row still the
-    root's is found through the table, and a replanned one is compared
+    then step by step only until its first conflict.  A node's rows are its
+    paths: an unconstrained member's row is still the root's and is found
+    through the table, and a constrained (replanned) one is compared
     directly.
     """
 
-    def __init__(self, root: ConstraintTreeNode, agents: tuple[int, ...], h_max: int) -> None:
-        self.agents = agents
+    def __init__(self, root: ConstraintTreeNode, h_max: int) -> None:
         self.h_max = h_max
-        self.table = OccupancyTable(root.paths[a] for a in agents)
+        self.table = OccupancyTable(root.paths)
 
     def count(
         self,
@@ -268,36 +263,31 @@ class ConflictIndex:
         count is count_conflicts' on the node's padded rows: 0 when the
         first conflict lies past `horizon`."""
         table = self.table
+        rows, replaced = node.paths, node.constraints
         if inherited is None:
-            rows = list(table.paths)
-            live = [True] * len(rows)
             end = min(self.h_max, table.end)
             events: list[Event] = []
             known = -1
         else:
             m = node.replanned
-            rows = inherited.rows.copy()
-            rows[m] = node.paths[self.agents[m]]
-            live = inherited.live.copy()
-            live[m] = False  # its row is new, whatever object it is
             end = min(self.h_max, max(map(len, rows)) - 1)
             known = min(inherited.known, end)
             events = [
                 e for e in inherited.events
                 if e[0] <= known and e[2] != m and e[3] != m
             ]
-            events += table.row_events(rows, m, node.scan_from, known, live)
+            events += table.row_events(rows, m, node.scan_from, known, replaced)
             events.sort()
         # The steps through the count horizon are read either way: they hold
         # the events to count, or show that the first conflict lies past it.
         stop = min(horizon, end)
         if known < stop:
-            events += table.events(rows, known + 1, stop, live)
+            events += table.events(rows, known + 1, stop, replaced)
             known = stop
         if not events and known < end:
-            events = table.events(rows, known + 1, end, live, first_only=True)
+            events = table.events(rows, known + 1, end, replaced, first_only=True)
             known = events[0][0] if events else end
-        carried = NodeConflicts(events, known, rows, live)
+        carried = NodeConflicts(events, known)
         if not events or events[0][0] > horizon:
             return 0, carried
         return count_events(events, horizon), carried
@@ -312,6 +302,10 @@ def run_adaptive(
     agents: tuple[int, ...] | None = None,
 ) -> SearchOutcome:
     """Best-first adaptive-horizon search over the constraint tree.
+
+    The search's members are `agents` (the fleet when None): a node's paths
+    are in their order, and its constraints are keyed by member index, so a
+    caller reads agent agents[m]'s path as node.paths[m].
 
     A node's first conflict is looked for in 0..min(H_max, makespan).  Past
     the group's makespan every agent waits at its own goal, and goals are
@@ -345,14 +339,14 @@ def run_adaptive(
     conflict from them, and the node's children are pushed with them.  The
     root is pushed the same way, with no events to inherit.  The order is
     the one eager counting gives, but children that are never dequeued are
-    never counted, and no node is counted twice.  Each replanned agent's
-    Reach is kept for the whole search, and so is each (agent, constraint
+    never counted, and no node is counted twice.  Each replanned member's
+    Reach is kept for the whole search, and so is each (member, constraint
     set) pair's plan, so no pair is planned twice.
     """
     if agents is None:
         agents = tuple(range(instance.n_agents))
     if not agents:
-        root = ConstraintTreeNode({}, {}, 0)
+        root = ConstraintTreeNode({}, (), 0)
         return SearchOutcome(root, h_max, "horizon")
     if clock is not None and clock.expired(0):
         return SearchOutcome(None, 0, "no-prefix" if clock.reason == "deadline" else clock.reason)
@@ -365,9 +359,9 @@ def run_adaptive(
     heap: list[tuple[int, int, int, ConstraintTreeNode, int, NodeConflicts | None]] = [
         (root.cost, -1, seq, root, h_r, None)
     ]
-    replanner = Replanner(instance, state, h_max)
-    index = ConflictIndex(root, agents, h_max)
-    goals = instance.goals
+    replanner = Replanner(instance, state, h_max, agents)
+    index = ConflictIndex(root, h_max)
+    goals = [instance.goals[a] for a in agents]
     best_node: ConstraintTreeNode | None = None
     best_h = 0
     expansions = 0
@@ -390,7 +384,7 @@ def run_adaptive(
             # a lower bound on every completion of the h_r prefix: an offer
             # at h_r could not undercut it.
             if on_prefix_found is not None and not (
-                conflict is None and all(node.paths[a][-1] == goals[a] for a in agents)
+                conflict is None and all(p[-1] == g for p, g in zip(node.paths, goals))
             ):
                 on_prefix_found(node, h_r)
             if conflict is None:  # conflict-free up to h_max
@@ -402,7 +396,7 @@ def run_adaptive(
             h_r = conflict[0]
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        for child in expand(node, conflict, instance, state, h_max, agents, replanner):
+        for child in expand(node, conflict, replanner):
             seq += 1
             heapq.heappush(heap, (child.cost, -1, seq, child, h_r, carried))
         expansions += 1
@@ -438,10 +432,10 @@ def run_classic_cbs(
         raise ExpansionCapExceeded(f"expansion cap {expansion_cap} exceeded")
     if outcome.best_node is None or outcome.best_h < h_max:
         raise InfeasibleInstanceError("no conflict-free solution found (infeasible instance?)")
-    paths = {a: strip_goal_waits(outcome.best_node.paths[a]) for a in agents}
-    for a in agents:
-        if paths[a][-1] != instance.goals[a]:
+    paths = [strip_goal_waits(path) for path in outcome.best_node.paths]
+    for a, path in zip(agents, paths):
+        if path[-1] != instance.goals[a]:
             raise InfeasibleInstanceError(
                 f"h_max {h_max} is too short: agent {a} does not reach its goal"
             )
-    return JointTrajectory([Trajectory(a, paths[a]) for a in agents])
+    return JointTrajectory([Trajectory(a, path) for a, path in zip(agents, paths)])

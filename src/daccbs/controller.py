@@ -165,7 +165,7 @@ class FleetController:
             outcome = self._search(fleet, state, WallClock(t_max), deadline)
             improve_end = time.perf_counter()
             if outcome.best_node is not None and outcome.best_h >= 1:
-                movement = first_movement(outcome.best_node.paths)
+                movement = first_movement(dict(zip(fleet, outcome.best_node.paths)))
             else:
                 movement = {a: (state[a], state[a]) for a in fleet}
             telem = {
@@ -336,7 +336,7 @@ class FleetController:
                 return
             # A head shorter than h_r + 1 has reached its goal; build_candidate
             # joins the heads to the backup tail at one time.
-            prefix = {a: node.paths[a][: h_r + 1] for a in agents}
+            prefix = {a: path[: h_r + 1] for a, path in zip(agents, node.paths)}
             candidate = build_candidate(prefix, self.backup, instance, agents, cert.budget, clock)
             if candidate is None:
                 return

@@ -29,7 +29,7 @@ class EpisodeResult:
     def to_dict(self) -> dict:
         return {
             "soc": self.soc,
-            "soc_increment": self.soc - self.gamma_sum
+            "soc_increment": soc_increment(self)
             if self.termination == "all-at-goals"
             else None,
             "makespan": self.makespan,
@@ -108,7 +108,7 @@ def run_episode(
     )
 
 
-def soc_increment(result: EpisodeResult, instance: MapfInstance) -> int:
+def soc_increment(result: EpisodeResult) -> int:
     """Realized SOC minus the shortest-path lower bound; requires termination."""
     if result.termination != "all-at-goals":
         raise ValueError("SOC increment is undefined for a non-terminated episode")

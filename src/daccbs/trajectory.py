@@ -68,19 +68,16 @@ class JointTrajectory:
         self.makespan = makespan(self.rows)
 
 
-def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Event | None:
-    """Earliest conflict event of padded rows within timesteps
-    start..horizon, or None.
+def detect_first_conflict(rows: Rows, horizon: int) -> Event | None:
+    """Earliest conflict event of padded rows within timesteps 0..horizon,
+    or None.
 
-    A caller that knows no conflict precedes `start` passes it: the scan
-    then finds the whole prefix's first conflict.  An edge conflict at t
-    reads rows t - 1 and t, so the scan reads row start - 1 too.
     Tie order at equal time: vertex conflicts before edge conflicts; among
     same-kind conflicts, the lowest (i, j) pair in lexicographic member order.
     """
     if horizon > makespan(rows):
         raise ValueError(f"horizon {horizon} exceeds makespan {makespan(rows)}")
-    for t in range(start, horizon + 1):
+    for t in range(horizon + 1):
         occupied: dict[int, int] = {}
         vertex_hits: list[tuple[int, int, int]] = []
         for i, row in enumerate(rows):
@@ -108,15 +105,11 @@ def detect_first_conflict(rows: Rows, horizon: int, start: int = 0) -> Event | N
     return None
 
 
-def count_conflicts(rows: Rows, horizon: int, start: int = 0) -> int:
+def count_conflicts(rows: Rows, horizon: int) -> int:
     """Number of (pair, time) collision events of padded rows at timesteps
-    start..horizon.
-
-    A caller that knows the rows' first conflict passes its time as
-    `start`: no event precedes it, so the count is the whole prefix's.
-    """
+    0..horizon."""
     total = 0
-    for t in range(start, min(horizon, makespan(rows)) + 1):
+    for t in range(min(horizon, makespan(rows)) + 1):
         seen: dict[int, int] = {}
         for row in rows:
             v = row[t]
@@ -159,8 +152,10 @@ class OccupancyTable:
     table is grown one timestep at a time, only as far as it is read, and
     each timestep also keeps the conflict events among its own paths.  A
     set of rows in which some paths have been replaced is scanned against
-    it: a row still identical (`is`) to the table's path is live, and is
-    found through the table; a replaced row is compared directly.
+    it: `replaced` holds the indices of the replaced rows (any container,
+    such as a constraint-tree node's constraint mapping), which are
+    compared directly; every other row is the table's path, and is found
+    through the table.
     """
 
     def __init__(self, paths) -> None:
@@ -199,23 +194,25 @@ class OccupancyTable:
             self._moves.append(moves)
             self._events.append(events)
 
-    def events(self, rows, lo: int, hi: int, live, first_only: bool = False) -> list[Event]:
+    def events(self, rows, lo: int, hi: int, replaced, first_only: bool = False) -> list[Event]:
         """Every conflict event of `rows` at timesteps lo..hi, sorted; with
         `first_only`, those of the first of these steps that has any.
 
-        rows[k] replaces the table's path k wherever live[k] is false.  The
+        rows[k] replaces the table's path k for each k in `replaced`.  The
         scan goes step by step, and the table grows only through the last
         step scanned.
         """
         end, own, at, moves = self.end, self._events, self._at, self._moves
-        replaced = [(r, waiting(rows[r], hi + 1)) for r, same in enumerate(live) if not same]
+        # In member order, so that an event between two replaced rows keeps
+        # i < j.
+        changed = [(r, waiting(rows[r], hi + 1)) for r in sorted(replaced)]
         events: list[Event] = []
         for t in range(lo, hi + 1):
             if t <= end:
                 if t >= len(at):
                     self._grow(t)
                 if own[t]:
-                    events += [e for e in own[t] if live[e[2]] and live[e[3]]]
+                    events += [e for e in own[t] if e[2] not in replaced and e[3] not in replaced]
                 at_t, moves_t = at[t], moves[t]
             else:
                 # Past the end every path waits where it is: only the vertex
@@ -223,17 +220,17 @@ class OccupancyTable:
                 self._grow(end)
                 events += [
                     (t, 0, i, j, v) for _, kind, i, j, v in own[end]
-                    if not kind and live[i] and live[j]
+                    if not kind and i not in replaced and j not in replaced
                 ]
                 at_t, moves_t = at[end], {}
-            # The replaced rows against the live ones through the table, and
+            # The replaced rows against the table's through the table, and
             # against each other as a scan of this step does.
             here: dict[int, list[int]] = {}
             moved: dict[tuple[int, int], list[int]] = {}
-            for r, row in replaced:
+            for r, row in changed:
                 v = row[t]
                 for k in at_t.get(v, ()):
-                    if live[k]:
+                    if k not in replaced:
                         events.append((t, 0, k, r, v) if k < r else (t, 0, r, k, v))
                 others = here.get(v)
                 if others is None:
@@ -245,7 +242,7 @@ class OccupancyTable:
                     u = row[t - 1]
                     if u != v:
                         for k in moves_t.get((v, u), ()):
-                            if live[k]:
+                            if k not in replaced:
                                 events.append(
                                     (t, 1, k, r, (v, u)) if k < r else (t, 1, r, k, (u, v))
                                 )
@@ -258,27 +255,27 @@ class OccupancyTable:
         events.sort()
         return events
 
-    def row_events(self, rows, r: int, lo: int, hi: int, live) -> list[Event]:
-        """Conflict events at timesteps lo..hi between rows[r] and each other
-        row: the live ones found through the table, the replaced ones
-        compared directly.  Unsorted."""
+    def row_events(self, rows, r: int, lo: int, hi: int, replaced) -> list[Event]:
+        """Conflict events at timesteps lo..hi between rows[r], which is in
+        `replaced`, and each other row: the table's found through the
+        table, the other replaced ones compared directly.  Unsorted."""
         events: list[Event] = []
         if lo > hi:
             return events
-        others = [k for k, same in enumerate(live) if not same and k != r]
+        others = [k for k in replaced if k != r]
         self._grow(hi)
         end, at, moves = self.end, self._at, self._moves
         row = waiting(rows[r], hi + 1)
         for t in range(lo, hi + 1):
             v = row[t]
             for k in at[t if t < end else end].get(v, ()):
-                if live[k]:
+                if k not in replaced:
                     events.append((t, 0, k, r, v) if k < r else (t, 0, r, k, v))
             if 0 < t <= end:
                 u = row[t - 1]
                 if u != v:
                     for k in moves[t].get((v, u), ()):
-                        if live[k]:
+                        if k not in replaced:
                             events.append(
                                 (t, 1, k, r, (v, u)) if k < r else (t, 1, r, k, (u, v))
                             )

@@ -49,19 +49,14 @@ from conftest import (
 )
 
 
-def joint_rows(node, agents):
-    """The members' paths padded to the group's own makespan."""
-    return pad(node.paths[a] for a in agents)
-
-
 def first_conflict(carried):
     """A counted node's first conflict: the first of its events, if any."""
     return carried.events[0] if carried.events else None
 
 
-def own_constraints(node, agent):
-    """The agent's constraint set in the node (empty when it has none)."""
-    return node.constraints.get(agent, ConstraintSet())
+def own_constraints(node, member):
+    """The member's constraint set in the node (empty when it has none)."""
+    return node.constraints.get(member, ConstraintSet())
 
 
 def disjoint_chains_instance():
@@ -104,8 +99,8 @@ class TestExpand:
         inst = cross_instance()
         root = make_root(inst, inst.starts, 8)
         conflict = (1, 0, 0, 1, 4)  # rows 0 and 1 meet at vertex 4 at t = 1
-        replanner = Replanner(inst, inst.starts, 8)
-        children = expand(root, conflict, inst, inst.starts, 8, (0, 1), replanner)
+        replanner = Replanner(inst, inst.starts, 8, (0, 1))
+        children = expand(root, conflict, replanner)
         assert len(children) == 2
         assert children[0].constraints == {0: ConstraintSet().with_vertex(1, 4)}
         assert children[1].constraints == {1: ConstraintSet().with_vertex(1, 4)}
@@ -115,8 +110,8 @@ class TestExpand:
         inst = MapfInstance(g, (0, 3), (3, 0))
         root = make_root(inst, inst.starts, 8)
         conflict = (2, 1, 0, 1, (1, 2))  # row 0 moves 1 -> 2 as row 1 moves 2 -> 1
-        replanner = Replanner(inst, inst.starts, 8)
-        children = expand(root, conflict, inst, inst.starts, 8, (0, 1), replanner)
+        replanner = Replanner(inst, inst.starts, 8, (0, 1))
+        children = expand(root, conflict, replanner)
         edges = [
             (a, next(iter(cs.edge_constraints)))
             for c in children for a, cs in c.constraints.items()
@@ -127,13 +122,13 @@ class TestExpand:
     def test_children_satisfy_constraints(self):
         inst = cross_instance()
         root = make_root(inst, inst.starts, 8)
-        joint = joint_rows(root, (0, 1))
+        joint = pad(root.paths)
         conflict = detect_first_conflict(joint, 2)
         assert conflict is not None
-        replanner = Replanner(inst, inst.starts, 8)
-        for child in expand(root, conflict, inst, inst.starts, 8, (0, 1), replanner):
-            for a, path in child.paths.items():
-                assert satisfies(path, own_constraints(child, a))
+        replanner = Replanner(inst, inst.starts, 8, (0, 1))
+        for child in expand(root, conflict, replanner):
+            for m, path in enumerate(child.paths):
+                assert satisfies(path, own_constraints(child, m))
             assert child.cost >= root.cost
 
     def test_child_scan_starts_where_its_row_changes(self):
@@ -145,14 +140,14 @@ class TestExpand:
         root = make_root(inst, inst.starts, 8)
         # Agent 0 at its goal costs 0 either way; its plan waits there
         # through its last constrained step.
-        replanner = Replanner(inst, inst.starts, 8)
+        replanner = Replanner(inst, inst.starts, 8, (0, 1))
         kept_off = ConstraintSet(frozenset({(3, 1), (3, 3)}))
         path, cost = replanner.plan(0, kept_off)
         assert (path, cost) == ((2, 2, 2, 2), 0)
-        node = ConstraintTreeNode({0: kept_off}, {**root.paths, 0: path}, root.cost + cost)
-        conflict = detect_first_conflict(joint_rows(node, (0, 1)), 5)
+        node = ConstraintTreeNode({0: kept_off}, (path, root.paths[1]), root.cost + cost)
+        conflict = detect_first_conflict(pad(node.paths), 5)
         assert conflict == (3, 0, 0, 1, 2)
-        dodged, waited = expand(node, conflict, inst, inst.starts, 8, (0, 1), replanner)
+        dodged, waited = expand(node, conflict, replanner)
         assert dodged.paths[0] == (2, 2, 1, 0, 1, 2)
         assert dodged.scan_from == 2
         # Agent 1 waits one step; its rows first differ at the conflict.
@@ -164,10 +159,10 @@ class TestExpand:
         g = chain_graph(3)
         inst = MapfInstance(g, (0, 2), (2, 0))
         root = make_root(inst, inst.starts, 2)
-        conflict = detect_first_conflict(joint_rows(root, (0, 1)), 1)
+        conflict = detect_first_conflict(pad(root.paths), 1)
         assert conflict is not None
-        replanner = Replanner(inst, inst.starts, 2)
-        children = expand(root, conflict, inst, inst.starts, 2, (0, 1), replanner)
+        replanner = Replanner(inst, inst.starts, 2, (0, 1))
+        children = expand(root, conflict, replanner)
         # with h_max=2 neither agent can both dodge and still exist... at
         # least one side is pruned
         assert len(children) <= 1 or all(
@@ -234,6 +229,61 @@ class TestRunAdaptive:
         outcome = run_adaptive(inst, inst.starts, 6, None, agents=())
         assert outcome.best_h == 6
 
+    def test_subgroup_members_map_to_agents(self, monkeypatch):
+        # A search over agents out of id order: member m is agents[m].  The
+        # offers (h_r, cost, constrained agents), the counters and the best
+        # paths are those recorded when nodes were keyed by agent id.  On
+        # every counted node, the constrained members are exactly the rows
+        # replanned away from the root's.
+        agents = (9, 2, 11, 5, 0, 7)
+        inst = random_instance(random.Random(9), 5, 5, 12)
+        roots, counted = [], []
+
+        def rooted(*args):
+            roots.append(make_root(*args))
+            return roots[-1]
+
+        def checked(index, node, inherited, horizon):
+            counted.append(node)
+            return conflict_count(index, node, inherited, horizon)
+
+        conflict_count = daccbs.cbs.ConflictIndex.count
+        monkeypatch.setattr(daccbs.cbs, "make_root", rooted)
+        monkeypatch.setattr(daccbs.cbs.ConflictIndex, "count", checked)
+        pinned = {
+            8: ("cap", 8, 8, 1, [(1, 21, [11])], {
+                9: (18, 17, 16, 21), 2: (21, 22), 11: (16, 21, 22, 23),
+                5: (2, 3, 4, 9, 14, 19, 24), 0: (9, 4, 3, 2, 1), 7: (23, 18, 17, 16, 15),
+            }),
+            40: ("horizon", 19, 20, 16,
+                 [(1, 21, [11]), (2, 22, [2, 5, 11]), (16, 23, [2, 5, 11])], {
+                     9: (18, 17, 16, 21), 2: (21, 22, 22, 17, 22), 11: (16, 16, 21, 22, 23),
+                     5: (2, 3, 8, 9, 14, 19, 24), 0: (9, 4, 3, 2, 1),
+                     7: (23, 18, 17, 16, 15),
+                 }),
+        }
+        for cap, expected in pinned.items():
+            offers = []
+            outcome = run_adaptive(
+                inst, inst.starts, 16, WorkClock(cap), agents=agents,
+                on_prefix_found=lambda n, h: offers.append(
+                    (h, n.cost, sorted(agents[m] for m in n.constraints))
+                ),
+            )
+            assert (
+                outcome.reason, outcome.expansions, outcome.dequeues, outcome.best_h, offers,
+                dict(zip(agents, outcome.best_node.paths)),
+            ) == expected
+            root, = roots
+            assert counted[0] is root
+            for node in counted:
+                assert set(node.constraints) == {
+                    m for m, path in enumerate(node.paths) if path is not root.paths[m]
+                }
+            assert any(len(node.constraints) > 1 for node in counted)
+            roots.clear()
+            counted.clear()
+
     def test_determinism(self, monkeypatch):
         # Two runs certify the same prefixes in the same order and stop in the
         # same state; the dense instance expands a few hundred nodes, and at
@@ -271,14 +321,15 @@ class TestRunAdaptive:
             # the last vertex plus gamma there.  A constrained agent's path
             # and its cost are its plan under its own constraint set, and an
             # unconstrained agent's path is its gamma-greedy walk: expand
-            # reads the cost of the path it replaces from them.
+            # reads the cost of the path it replaces from them.  The search
+            # is the fleet's, so member a is agent a.
             for node in nodes:
                 costs = {
                     a: path_cost(p[:-1], inst.goals[a]) + inst.gammas[a][p[-1]]
-                    for a, p in node.paths.items()
+                    for a, p in enumerate(node.paths)
                 }
                 assert node.cost == sum(costs.values())
-                for a, p in node.paths.items():
+                for a, p in enumerate(node.paths):
                     start, gamma = inst.starts[a], inst.gammas[a]
                     if a in node.constraints:
                         assert (p, costs[a]) == plan_constrained(
@@ -289,7 +340,7 @@ class TestRunAdaptive:
             cut_off += sum(
                 p[-1] != inst.goals[a]
                 for node in nodes
-                for a, p in node.paths.items()
+                for a, p in enumerate(node.paths)
             )
             nodes.clear()
         assert cut_off
@@ -298,7 +349,7 @@ class TestRunAdaptive:
 def at_goals(inst, node):
     """True iff every path of the node ends at its agent's goal: a node
     conflict-free to h_max is then offered at h_max only."""
-    return all(path[-1] == inst.goals[a] for a, path in node.paths.items())
+    return all(path[-1] == goal for path, goal in zip(node.paths, inst.goals))
 
 
 def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
@@ -308,7 +359,7 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
     agents = tuple(range(inst.n_agents))
     root = make_root(inst, inst.starts, h_max, agents)
     seq, h_r = 0, 1
-    heap = [(root.cost, count_conflicts(joint_rows(root, agents), h_r), seq, root)]
+    heap = [(root.cost, count_conflicts(pad(root.paths), h_r), seq, root)]
     best_node, best_h = None, 0
     expansions = dequeues = 0
     reason = "exhausted"
@@ -318,7 +369,7 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
             break
         node = heapq.heappop(heap)[3]
         dequeues += 1
-        joint = joint_rows(node, agents)
+        joint = pad(node.paths)
         conflict = detect_first_conflict(joint, min(h_r, makespan(joint)))
         if conflict is None:
             prefix_h = h_r
@@ -340,11 +391,12 @@ def incremental_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
                 break
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        replanner = Replanner(inst, inst.starts, h_max)  # one per expansion: no plan is kept
-        for child in expand(node, conflict, inst, inst.starts, h_max, agents, replanner):
+        # One per expansion: no plan is kept.
+        replanner = Replanner(inst, inst.starts, h_max, agents)
+        for child in expand(node, conflict, replanner):
             seq += 1
             heapq.heappush(
-                heap, (child.cost, count_conflicts(joint_rows(child, agents), h_r), seq, child)
+                heap, (child.cost, count_conflicts(pad(child.paths), h_r), seq, child)
             )
         expansions += 1
     if best_node is None:
@@ -385,7 +437,7 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
     agents = tuple(range(inst.n_agents))
     root = make_root(inst, inst.starts, h_max, agents)
     seq, h_r = 0, 1
-    heap = [(root.cost, count_conflicts(joint_rows(root, agents), h_r), seq, root)]
+    heap = [(root.cost, count_conflicts(pad(root.paths), h_r), seq, root)]
     best_node, best_h = None, 0
     expansions = dequeues = 0
     reason = "exhausted"
@@ -395,7 +447,7 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
             break
         node = heapq.heappop(heap)[3]
         dequeues += 1
-        joint = joint_rows(node, agents)
+        joint = pad(node.paths)
         conflict = detect_first_conflict(joint, min(h_max, makespan(joint)))
         if conflict is None or conflict[0] > h_r:
             if not (conflict is None and at_goals(inst, node)):
@@ -410,11 +462,12 @@ def eager_run_adaptive(inst, h_max, on_prefix_found, expansion_cap):
             h_r = conflict[0]
             if h_r - 1 > best_h:
                 best_node, best_h = node, h_r - 1
-        replanner = Replanner(inst, inst.starts, h_max)  # one per expansion: no plan is kept
-        for child in expand(node, conflict, inst, inst.starts, h_max, agents, replanner):
+        # One per expansion: no plan is kept.
+        replanner = Replanner(inst, inst.starts, h_max, agents)
+        for child in expand(node, conflict, replanner):
             seq += 1
             heapq.heappush(
-                heap, (child.cost, count_conflicts(joint_rows(child, agents), h_r), seq, child)
+                heap, (child.cost, count_conflicts(pad(child.paths), h_r), seq, child)
             )
         expansions += 1
     if best_node is None:
@@ -496,7 +549,7 @@ class TestScanStart:
         starts = []
 
         def checked(index, node, inherited, horizon):
-            joint = joint_rows(node, index.agents)
+            joint = pad(node.paths)
             full = detect_first_conflict(joint, min(index.h_max, makespan(joint)))
             count, events = first_conflict_and_count(index, node, inherited, horizon)
             assert first_conflict(events) == full, (node.scan_from, events.events, full)
@@ -515,14 +568,14 @@ class TestScanStart:
         assert any(c is not None and c[0] == s for s, c in starts)
 
 
-def full_scan(paths, agents, h_max, horizon):
+def full_scan(paths, h_max, horizon):
     """(count, first conflict) from the node's padded rows, as a scan of all
     rows finds them: the reference for ConflictIndex.count."""
-    rows = pad(paths[a] for a in agents)
+    rows = pad(paths)
     conflict = detect_first_conflict(rows, min(h_max, makespan(rows)))
     if conflict is None or conflict[0] > horizon:
         return 0, conflict
-    return count_conflicts(rows, horizon, conflict[0]), conflict
+    return count_conflicts(rows, horizon), conflict
 
 
 def random_walk(rng, graph, path, length):
@@ -536,11 +589,10 @@ def random_walk(rng, graph, path, length):
 class TestCarriedConflicts:
     def test_three_agents_on_one_vertex(self):
         # Three rows meet at vertex 1 at t = 1: three pairs, one event each.
-        paths = {7: (0, 1), 3: (2, 1), 5: (4, 1)}
+        paths = ((0, 1), (2, 1), (4, 1))
         root = ConstraintTreeNode({}, paths, 0)
-        agents = (7, 3, 5)
-        count, events = ConflictIndex(root, agents, 4).count(root, None, 1)
-        assert (count, first_conflict(events)) == full_scan(paths, agents, 4, 1) == (
+        count, events = ConflictIndex(root, 4).count(root, None, 1)
+        assert (count, first_conflict(events)) == full_scan(paths, 4, 1) == (
             3, (1, 0, 0, 1, 1)
         )
 
@@ -549,31 +601,32 @@ class TestCarriedConflicts:
         # rows 0 and 1 share vertex 2 at t = 1 and vertex 1 at t = 2, and row 2
         # meets a reverse move once, however many rows made it.  So the count
         # to t = 2 is 3 of the 4 events.  The child whose replanned row makes
-        # the same case counts the same.
-        paths = {0: (5, 2, 1), 1: (6, 2, 1), 2: (0, 1, 2)}
-        agents = (0, 1, 2)
+        # the same case counts the same.  A child's constrained members are
+        # its replanned rows; the index reads only which members they are.
+        paths = ((5, 2, 1), (6, 2, 1), (0, 1, 2))
         root = ConstraintTreeNode({}, paths, 0)
-        count, events = ConflictIndex(root, agents, 3).count(root, None, 2)
-        assert (count, first_conflict(events)) == full_scan(paths, agents, 3, 2) == (
+        count, events = ConflictIndex(root, 3).count(root, None, 2)
+        assert (count, first_conflict(events)) == full_scan(paths, 3, 2) == (
             3, (1, 0, 0, 1, 2)
         )
         assert len(events.events) == 4
-        paths = {0: (5, 2, 1), 1: (6, 6, 6), 2: (0, 1, 2)}
+        paths = ((5, 2, 1), (6, 6, 6), (0, 1, 2))
         root = ConstraintTreeNode({}, paths, 0)
-        index = ConflictIndex(root, agents, 3)
+        index = ConflictIndex(root, 3)
         _, parent = index.count(root, None, 2)
         assert first_conflict(parent) == (2, 1, 0, 2, (2, 1))
-        child = ConstraintTreeNode({}, {**paths, 1: (6, 2, 1)}, 0, 1, 1)
+        child = ConstraintTreeNode({1: ConstraintSet()}, (paths[0], (6, 2, 1), paths[2]), 0, 1, 1)
         count, events = index.count(child, parent, 2)
-        assert (count, first_conflict(events)) == full_scan(child.paths, agents, 3, 2)
+        assert (count, first_conflict(events)) == full_scan(child.paths, 3, 2)
         assert count == 3
 
     def test_matches_a_full_scan_of_the_same_rows(self):
         # Random constraint trees on a small grid, where rows meet often: each
         # child replaces one row with one that keeps a prefix of the old and
         # then walks at random, to any length up to h_max + 1, or now and
-        # then with the root's own path object again.  Every node's carried
-        # first conflict and count equal a full scan's at a random horizon.
+        # then with the root's own path object again, and constrains its
+        # member as expand does.  Every node's carried first conflict and
+        # count equal a full scan's at a random horizon.
         rng = random.Random(21)
         graph = make_grid(3, 4)
         seen = Counter()
@@ -581,24 +634,23 @@ class TestCarriedConflicts:
         while nodes < 2000:
             n = rng.randint(2, 7)
             h_max = rng.randint(1, 9)
-            agents = tuple(rng.sample(range(20), n))
-            paths = {
-                a: random_walk(rng, graph, [rng.randrange(12)], rng.randint(1, h_max + 1))
-                for a in agents
-            }
+            paths = tuple(
+                random_walk(rng, graph, [rng.randrange(12)], rng.randint(1, h_max + 1))
+                for _ in range(n)
+            )
             root = ConstraintTreeNode({}, paths, 0)
-            index = ConflictIndex(root, agents, h_max)
-            root_end = max(map(len, paths.values())) - 1
+            index = ConflictIndex(root, h_max)
+            root_end = max(map(len, paths)) - 1
             horizon = rng.randint(1, h_max)
             count, events = index.count(root, None, horizon)
-            assert (count, first_conflict(events)) == full_scan(paths, agents, h_max, horizon)
+            assert (count, first_conflict(events)) == full_scan(paths, h_max, horizon)
             counted = [(root, events)]
             for _ in range(rng.randint(1, 30)):
                 node, parent = rng.choice(counted)
                 m = rng.randrange(n)
-                old = node.paths[agents[m]]
-                if rng.random() < 0.1 and old is not paths[agents[m]]:
-                    new = paths[agents[m]]  # back to the root's own path
+                old = node.paths[m]
+                if rng.random() < 0.1 and old is not paths[m]:
+                    new = paths[m]  # back to the root's own path
                 else:
                     new = random_walk(
                         rng, graph, old[:rng.randint(1, len(old))], rng.randint(1, h_max + 1)
@@ -607,15 +659,16 @@ class TestCarriedConflicts:
                 # one, nor before its new row leaves the old.
                 first = parent.events[0][0] if parent.events else h_max + 1
                 child = ConstraintTreeNode(
-                    {}, {**node.paths, agents[m]: new}, 0,
+                    {**node.constraints, m: ConstraintSet()},
+                    node.paths[:m] + (new,) + node.paths[m + 1:], 0,
                     _first_change(old, new, first), m,
                 )
                 horizon = rng.randint(1, h_max)
                 count, events = index.count(child, parent, horizon)
-                expected = full_scan(child.paths, agents, h_max, horizon)
+                expected = full_scan(child.paths, h_max, horizon)
                 assert (count, first_conflict(events)) == expected, (child, parent.known, horizon)
                 counted.append((child, events))
-                rows = pad(child.paths[a] for a in agents)
+                rows = pad(child.paths)
                 seen["counted"] += count > 0
                 seen["edge first"] += bool(events.events) and events.events[0][1] == 1
                 seen["conflict-free"] += not events.events

@@ -274,8 +274,8 @@ class TestDaccbsMode:
 
         def recorded(prefix, backup, instance, group, budget, clock):
             node, h_r = prefixed[-1]
-            assert prefix == {a: node.paths[a][: h_r + 1] for a in group}
-            longest = max(len(node.paths[a]) for a in group)
+            assert prefix == {a: path[: h_r + 1] for a, path in zip(group, node.paths)}
+            longest = max(map(len, node.paths))
             assert all(len(head) <= longest for head in prefix.values())
             candidate = build_candidate(prefix, backup, instance, group, budget, clock)
             if any(prefix[a][-1] != instance.goals[a] for a in group):

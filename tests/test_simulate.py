@@ -78,7 +78,7 @@ class TestRunEpisode:
         inst = cross_instance()
         controller = FleetController(inst, ControllerConfig(t_max_ms=500.0))
         result = run_episode(inst, controller)
-        assert soc_increment(result, inst) == result.soc - 4
+        assert soc_increment(result) == result.soc - 4
 
     def test_soc_increment_requires_termination(self):
         g = chain_graph(5)
@@ -86,7 +86,8 @@ class TestRunEpisode:
         controller = FleetController(inst, ControllerConfig())
         result = run_episode(inst, controller, step_cap=1)
         with pytest.raises(ValueError):
-            soc_increment(result, inst)
+            soc_increment(result)
+        assert result.to_dict()["soc_increment"] is None
 
     def test_result_round_trip(self):
         inst = cross_instance()
