@@ -4,23 +4,26 @@ many nodes it holds, and then stops with the clock's `reason`."""
 
 from __future__ import annotations
 
+import math
 import time
-from copy import copy
 
 
 class WallClock:
-    """Expires `seconds` of wall time after it is made.
+    """Expires `seconds` of wall time after it is made, or at the
+    perf_counter time `stop` if that is earlier.
 
-    A clock narrowed `within` an earlier end also keeps back the time to
-    free the nodes a search holds, so that the search has stopped and freed
-    them by that end.  `expired_at` is when it last said it had expired."""
+    One clock per group: a group's repair, search and candidates' rollouts
+    ask the same object, made once and never copied.  It keeps back
+    `free_s` for every node the asker holds, so that a search has stopped
+    and freed its nodes by the end; asks that hold none get the plain end.
+    `expired_at` is when it last said it had expired."""
 
     reason = "deadline"
-    free_s = 0.0  # the time to free one node the search holds
     expired_at: float | None = None
 
-    def __init__(self, seconds: float):
-        self.end = time.perf_counter() + seconds
+    def __init__(self, seconds: float, stop: float = math.inf, free_s: float = 0.0):
+        self.end = min(time.perf_counter() + seconds, stop)
+        self.free_s = free_s  # the time to free one node the search holds
 
     def expired(self, expansions: int, held: int = 0) -> bool:
         now = time.perf_counter()
@@ -28,14 +31,6 @@ class WallClock:
             return False
         self.expired_at = now
         return True
-
-    def within(self, end: float, free_s: float) -> WallClock:
-        """A clock that expires at the earlier of this clock's end and the
-        perf_counter time `end`, less `free_s` for every node held."""
-        clock = copy(self)
-        clock.end = min(self.end, end)
-        clock.free_s = free_s
-        return clock
 
 
 class WorkClock:
@@ -48,7 +43,3 @@ class WorkClock:
 
     def expired(self, expansions: int, held: int = 0) -> bool:
         return expansions >= self.expansions
-
-    def within(self, end: float, free_s: float) -> WorkClock:
-        """This clock: the work it allows does not depend on the time."""
-        return self

@@ -11,11 +11,11 @@ A daccbs step runs in four phases, each one loop over the active groups:
      its slack.  A certificate is always a valid fallback, so this alone
      gives the step its movement;
   2. improvement: group by group, a group with slack above 0 gets one
-     clock of its share of t_max, narrowed to the step deadline (below).
-     Repair runs first under it, single members replanned against the
-     others' certificate paths, and the search gets what is left of it,
-     starting only if some is; the backup rollout of each candidate the
-     search builds runs under it too;
+     clock, made once, of its share of t_max ending no later than the
+     step's stop point (below).  Repair runs first under it, single
+     members replanned against the others' certificate paths, and the
+     search gets what is left of it, starting only if some is; the backup
+     rollout of each candidate the search builds asks the same clock;
   3. factorization: in group order, so new group ids come out in it, a
      group whose slack fell enough is partitioned, and a group whose
      budget is 0 parks;
@@ -27,25 +27,28 @@ through advance and factorization, so a group keeps only its certificate
 and its slack at the last factorization.
 
 A step also has one deadline, t_max after plan_step is entered (at step
-0, after the initial certificate is built).  A daccbs group's clock ends
-no later than it, less the step's tail (factorization and phase 4), so
-its repair, search and candidate rollouts all stop by then; each is
-optional, since the certificate already gives the movement.  Every
-search, a daccbs group's or the accbs fleet's, runs through `_search`,
-which also keeps back the time to free the nodes the search holds, paid
-when it returns (the accbs tail is the movement and step record).  Both
+0, after the initial certificate is built), and one stop point, the
+deadline less the step's tail (factorization and phase 4).  One clock per
+group: a daccbs group's clock is made once, ending no later than the stop
+point, and its repair, search and candidate rollouts all ask it, so they
+all stop by then; each is optional, since the certificate already gives
+the movement.  The clock also keeps back the time to free the nodes a
+search holds, paid when the search returns; only the search asks with
+nodes held, so repair and the rollouts see the clock's plain end.  The
+accbs fleet's search gets one such clock per step (its tail is the
+movement and step record).  Every search runs through `_search`.  Both
 reserves are running upper estimates learnt from the controller's earlier
 searches and steps (`_estimate`).  A unit of improvement work (a replan,
 an acceptance check, a unit of search) can run past its clock's end, so
-the tail is timed from that end whenever improvement ran past it, and the
-reserve also covers the clocks' own overrun; it is timed from where
-improvement began when the clocks had already ended by then, so that a
-late floor does not compound it.  Under a WorkClock the deadline changes
-nothing.  The initial certificate's rollout has no clock: the complete
-backup must finish.  Every step record carries its `wall_ms`, its
-`overrun_ms`, wall_ms less t_max, and its `reserve_ms`, the tail reserve
-its clocks were narrowed by; the debug checks run after the step is
-timed.
+the tail is timed from the stop point whenever improvement ran past it,
+and the reserve also covers the clocks' own overrun; it is timed from
+where improvement began when the stop point had already passed by then,
+so that a late floor does not compound it.  Under a WorkClock the
+deadline changes nothing.  The initial certificate's rollout has no
+clock: the complete backup must finish.  Every step record carries its
+`wall_ms`, its `overrun_ms`, wall_ms less t_max, and its `reserve_ms`,
+the tail reserve its stop point kept back; the debug checks run after the
+step is timed.
 
 Each group's step record says how its repair and search went: its
 `search` is the search's SearchOutcome.reason, "skipped" when the slack
@@ -68,6 +71,7 @@ slack_threshold 0 every group is partitioned each step, and nothing parks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -139,7 +143,7 @@ class FleetController:
         self.initial_budget: int | None = None
         self.budget_trace: list[tuple[int, int, bool]] = []
         self.factorization_trace: list[dict] = []
-        self._next_group_id = 0
+        self._group_ids = itertools.count()
         self._prev_regions: dict[int, frozenset[int]] = {}
         # Groups that can never change again (see the module docstring):
         # their states, read only by the debug checks, their members'
@@ -158,11 +162,12 @@ class FleetController:
         """Movement for the current state plus a step telemetry record."""
         t0 = time.perf_counter()
         t_max = self.config.t_max_ms / 1000.0
-        reserve = self._tail_s  # what this step's clocks are narrowed by
+        reserve = self._tail_s  # what the step's stop point keeps back
         if self.config.mode == "accbs":
             fleet = tuple(range(self.instance.n_agents))
-            improve_start, deadline = t0, t0 + t_max
-            outcome = self._search(fleet, state, WallClock(t_max), deadline)
+            improve_start, stop = t0, t0 + t_max - reserve
+            clock = WallClock(t_max, stop, FREE_MARGIN * self._free_s)
+            outcome = self._search(fleet, state, clock)
             improve_end = time.perf_counter()
             if outcome.best_node is not None and outcome.best_h >= 1:
                 movement = first_movement(dict(zip(fleet, outcome.best_node.paths)))
@@ -180,7 +185,7 @@ class FleetController:
             if self.groups is None:
                 self._initialize(state)
                 start = time.perf_counter()  # step 0's deadline runs from here
-            deadline = start + t_max
+            stop = start + t_max - reserve
             groups = self.groups
             assert groups is not None
             instance = self.instance
@@ -201,7 +206,7 @@ class FleetController:
             improve_start = time.perf_counter()
             for i, g in enumerate(groups):
                 g.certificate, slacks[i], record = self._improve(
-                    g.group_id, g.certificate, slacks[i], state, share, deadline
+                    g.group_id, g.certificate, slacks[i], state, share, stop
                 )
                 searches.append(record)
             improve_end = time.perf_counter()
@@ -217,7 +222,7 @@ class FleetController:
                     for part in partition(instance.graph, cert.agents, state, slack, gammas):
                         sub = cert.restricted(part)
                         sub_slack = slackness(part, sub.budget, state, gammas)
-                        parts.append(GroupState(self._take_group_id(), sub, sub_slack))
+                        parts.append(GroupState(next(self._group_ids), sub, sub_slack))
                     self.factorization_trace.append({
                         "t": self.t, "group": g.group_id, "slack": slack,
                         "k": len(parts), "sizes": [len(p.certificate.agents) for p in parts],
@@ -255,9 +260,9 @@ class FleetController:
                 "parked": self._parked_sizes,
             }
         end = time.perf_counter()
-        # From the clocks' end if improvement ran past it, but not from before
+        # From the stop point if improvement ran past it, but not from before
         # improvement began (see the module docstring).
-        tail_start = min(improve_end, max(deadline - reserve, improve_start))
+        tail_start = min(improve_end, max(stop, improve_start))
         self._tail_s = _estimate(reserve, end - tail_start)
         telem["wall_ms"] = (end - t0) * 1000.0
         telem["overrun_ms"] = telem["wall_ms"] - self.config.t_max_ms
@@ -271,7 +276,7 @@ class FleetController:
         agents = tuple(range(self.instance.n_agents))
         if agents:
             cert = init_certificate(self.backup, self.instance, state, agents)
-            self.groups = [GroupState(self._take_group_id(), cert, INF)]
+            self.groups = [GroupState(next(self._group_ids), cert, INF)]
             self.initial_budget = cert.budget
         else:
             self.groups = []
@@ -285,18 +290,14 @@ class FleetController:
         for g in groups:
             self._parked_movement.update((a, (goals[a], goals[a])) for a in g.certificate.agents)
 
-    def _take_group_id(self) -> int:
-        gid = self._next_group_id
-        self._next_group_id += 1
-        return gid
-
     def _improve(
-        self, group_id: int, cert: Certificate, slack: int, state, share: float, deadline: float
+        self, group_id: int, cert: Certificate, slack: int, state, share: float, stop: float
     ) -> tuple[Certificate, int, dict]:
-        """Repair, then search, a group's certificate under one clock of
-        `share`, narrowed to end by `deadline` less the step's tail, which
-        also covers the clock's overrun; return the certificate, its slack
-        and the group's step record."""
+        """Repair, then search, a group's certificate under one clock per
+        group: made once, of `share` ending by `stop` (the step deadline
+        less its tail, which also covers the clock's overrun), and asked by
+        repair, the search and every candidate's rollout; return the
+        certificate, its slack and the group's step record."""
         instance = self.instance
         agents = cert.agents
         # `search` says why the search stopped: a SearchOutcome.reason,
@@ -314,7 +315,7 @@ class FleetController:
         # already equals it (slack 0) can never be improved: skip its repair
         # and search.
         if slack > 0:
-            clock = WallClock(share).within(deadline - self._tail_s, 0.0)
+            clock = WallClock(share, stop, FREE_MARGIN * self._free_s)
             cert, record["repairs"], record["repaired"] = repair(cert, instance, state, clock)
             if record["repaired"]:
                 record["improved"] = True
@@ -347,7 +348,7 @@ class FleetController:
                 record["improved"] = True
                 record["accepted"] += 1
 
-        outcome = self._search(agents, state, clock, deadline, on_prefix)
+        outcome = self._search(agents, state, clock, on_prefix)
         record["search"] = outcome.reason
         record["expansions"], record["dequeues"] = outcome.expansions, outcome.dequeues
         if record["accepted"]:
@@ -355,14 +356,12 @@ class FleetController:
         return cert, slack, record
 
     def _search(
-        self, agents: tuple[int, ...], state, clock: WallClock, deadline: float, on_prefix=None
+        self, agents: tuple[int, ...], state, clock: WallClock, on_prefix=None
     ) -> SearchOutcome:
-        """Run an adaptive search over `agents` under `clock`, narrowed to
-        stop by the step deadline less the reserve (the step's tail, which
-        also covers the clock's overrun, and the time to free the nodes it
-        holds), offering each conflict-free prefix to `on_prefix`.  A stop
-        on the clock teaches the controller the time to free a node."""
-        clock = clock.within(deadline - self._tail_s, FREE_MARGIN * self._free_s)
+        """Run an adaptive search over `agents` under its group's one clock,
+        which keeps back the time to free the nodes it holds, offering each
+        conflict-free prefix to `on_prefix`.  A stop on the clock teaches
+        the controller the time to free a node."""
         outcome = run_adaptive(self.instance, state, self.config.h_max, clock,
                                on_prefix_found=on_prefix, agents=agents)
         if outcome.reason == "deadline" and outcome.held:

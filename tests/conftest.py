@@ -173,7 +173,7 @@ def cap_searches(monkeypatch: pytest.MonkeyPatch, expansion_cap: int) -> None:
     expansions instead of its WallClock, so an episode does the same work,
     and gives the same outputs, on any machine."""
     monkeypatch.setattr(daccbs.controller, "WallClock",
-                        lambda seconds: WorkClock(expansion_cap))
+                        lambda seconds, stop, free_s: WorkClock(expansion_cap))
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import daccbs.backup
+import daccbs.clock
 import daccbs.controller
 from daccbs import (
     INF,
@@ -370,7 +371,7 @@ class TestParking:
         inst, controller = self.contested_size()
         shares = []  # (step, seconds) of every clock the controller makes
 
-        def clock(seconds):
+        def clock(seconds, stop, free_s):
             shares.append((controller.t, seconds))
             return WorkClock(20)
 
@@ -539,31 +540,47 @@ class TestStepDeadline:
 
     def test_repair_and_rollouts_stop_by_the_step_deadline(self, monkeypatch):
         # A group's repair and its candidates' rollouts run under one clock
-        # that ends at the step deadline less the tail.  Time stands still
-        # except where the test moves it: each advance takes 2 ms, so the
-        # share alone, which starts after the floor, would end 2 ms after the
-        # deadline.  The initial certificate's rollout has no clock.
+        # that ends at the step deadline less the tail, and their asks carry
+        # no nodes held, so no free reserve comes off that end.  Time stands
+        # still except where the test moves it: each advance takes 2 ms, so
+        # the share alone, which starts after the floor, would end 2 ms after
+        # the deadline.  The initial certificate's rollout has no clock.
         fake = FakeTime(0.0)
         monkeypatch.setattr(time, "perf_counter", fake)
         advance, repair = daccbs.controller.advance, daccbs.controller.repair
         rollout = daccbs.backup.LacamBackup.rollout
+        expired = daccbs.clock.WallClock.expired
         repairs, rollouts = [], []  # (step, clock) of every call
+        asker, held_asks = [None], []  # who is asking; nodes held in their asks
 
         def slow_advance(*args):
             fake.now += 0.002
             return advance(*args)
 
+        def asking(name, fn, *args):
+            outer, asker[0] = asker[0], name
+            try:
+                return fn(*args)
+            finally:
+                asker[0] = outer
+
         def recorded_repair(cert, instance, state, clock):
             repairs.append((controller.t, clock))
-            return repair(cert, instance, state, clock)
+            return asking("repair", repair, cert, instance, state, clock)
 
         def recorded_rollout(backup, instance, agents, start, cost_limit=None, clock=None):
             rollouts.append((controller.t, clock))
-            return rollout(backup, instance, agents, start, cost_limit, clock)
+            return asking("rollout", rollout, backup, instance, agents, start, cost_limit, clock)
+
+        def recorded_ask(clock, expansions, held=0):
+            if asker[0] is not None:
+                held_asks.append(held)
+            return expired(clock, expansions, held)
 
         monkeypatch.setattr(daccbs.controller, "advance", slow_advance)
         monkeypatch.setattr(daccbs.controller, "repair", recorded_repair)
         monkeypatch.setattr(daccbs.backup.LacamBackup, "rollout", recorded_rollout)
+        monkeypatch.setattr(daccbs.clock.WallClock, "expired", recorded_ask)
         # The search's candidates are never accepted, so every step has slack
         # left to search.
         monkeypatch.setattr(daccbs.controller, "try_improve", lambda cert, *args: (cert, False))
@@ -579,9 +596,78 @@ class TestStepDeadline:
         clocked = rollouts[1:]
         assert {t for t, _ in repairs} == {0, 1, 2}
         assert {t for t, _ in clocked} == {0, 1, 2}
+        assert held_asks and set(held_asks) == {0}
         for t, clock in repairs + clocked:
-            assert clock.free_s == 0.0
             assert clock.end == entries[t] + 0.010 - tail_s
+
+    def test_one_clock_per_group(self, monkeypatch):
+        # Within a step, a group's repair, each of its candidates' rollouts
+        # and its search get one clock object.  It keeps back the learnt
+        # time to free a node, and ends at the earlier of its share's end and
+        # the step deadline less the tail.  Time stands still except where
+        # the test moves it: each advance takes 2 ms, so one group's share
+        # ends past the deadline and a share of two or more groups before it.
+        fake = FakeTime(0.0)
+        monkeypatch.setattr(time, "perf_counter", fake)
+        advance, repair = daccbs.controller.advance, daccbs.controller.repair
+        rollout = daccbs.backup.LacamBackup.rollout
+        calls = []  # (step, group's agents, what was called, its clock)
+
+        def slow_advance(*args):
+            fake.now += 0.002
+            return advance(*args)
+
+        def recorded_repair(cert, instance, state, clock):
+            calls.append((controller.t, cert.agents, "repair", clock))
+            return repair(cert, instance, state, clock)
+
+        def recorded_rollout(backup, instance, agents, start, cost_limit=None, clock=None):
+            if clock is not None:
+                calls.append((controller.t, tuple(agents), "rollout", clock))
+            return rollout(backup, instance, agents, start, cost_limit, clock)
+
+        def recorded_search(instance, state, h_max, clock, **kwargs):
+            calls.append((controller.t, kwargs["agents"], "search", clock))
+            return run_adaptive(instance, state, h_max, clock, **kwargs)
+
+        monkeypatch.setattr(daccbs.controller, "advance", slow_advance)
+        monkeypatch.setattr(daccbs.controller, "repair", recorded_repair)
+        monkeypatch.setattr(daccbs.backup.LacamBackup, "rollout", recorded_rollout)
+        monkeypatch.setattr(daccbs.controller, "run_adaptive", recorded_search)
+        # The search's candidates are never accepted, so every group with
+        # slack searches.
+        monkeypatch.setattr(daccbs.controller, "try_improve", lambda cert, *args: (cert, False))
+        # The fleet splits into three groups at step 7.
+        inst = random_instance(random.Random(6), 8, 8, 10, 0.1)
+        controller = FleetController(inst, ControllerConfig(h_max=16, t_max_ms=10.0))
+        free_s, tail_s = 4e-6, 5e-4
+        state, shares = inst.starts, {}  # step -> (share start, share, stop point)
+        while state != inst.goals and controller.t < 8:
+            entry = fake.now = 100.0 * (controller.t + 1)
+            controller._free_s, controller._tail_s = free_s, tail_s
+            if controller.groups is None:
+                start, k = entry, 1
+            else:
+                active = len(controller.groups)
+                start, k = entry + 0.002 * active, active + len(controller._parked_sizes)
+            shares[controller.t] = (start, 0.010 / k, entry + 0.010 - tail_s)
+            movement, _ = controller.plan_step(state)
+            state = tuple(movement[a][1] for a in range(inst.n_agents))
+        clocks: dict[tuple, set] = {}  # (step, agents) -> the group's clocks
+        for t, agents, _, clock in calls:
+            clocks.setdefault((t, agents), set()).add(id(clock))
+        assert all(len(ids) == 1 for ids in clocks.values())
+        searched = {(t, agents) for t, agents, name, _ in calls if name == "search"}
+        rolled = {(t, agents) for t, agents, name, _ in calls if name == "rollout"}
+        assert rolled and rolled <= searched
+        assert any(len(agents) < inst.n_agents for _, agents in searched)
+        bound = set()
+        for t, _, _, clock in calls:
+            start, share, stop = shares[t]
+            assert clock.free_s == daccbs.controller.FREE_MARGIN * free_s
+            assert clock.end == pytest.approx(min(start + share, stop), abs=1e-12)
+            bound.add(start + share < stop)
+        assert bound == {False, True}
 
     def test_reserve_covers_a_repair_past_its_clock(self, monkeypatch):
         # Time stands still except where the test moves it: every repair ends

@@ -74,6 +74,14 @@ def test_contested_size_episode(fixed_work):
     assert outputs(instance, "daccbs", fixed_work) == (280, 318, "all-at-goals", budgets, 8)
 
 
+def test_split_group_search_episode(fixed_work):
+    # An episode that accepts a candidate from a split group's search node
+    # with a replanned member, so it reads what a subgroup search replans.
+    instance = random_instance(random.Random(10), 16, 16, 30)
+    budgets = [315, 285, 255, 225, 198, 170, 144, 119, 95, 77, 63, 50, 39, 30, 21, 14, 10,
+               8, 7, 6, 5, 4, 3, 2, 1]
+    assert outputs(instance, "daccbs", fixed_work) == (314, 354, "all-at-goals", budgets, 6)
+
 
 def rollout_outcome(instance, start, cost_limit=None, clock=None):
     """(cost, digest of the paths) of a seed-0 rollout of every agent, or

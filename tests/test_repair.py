@@ -211,12 +211,9 @@ class TestController:
             def expired(self, expansions):
                 return self.expired_now
 
-            def within(self, end, free_s):
-                return self
-
         clocks = []
 
-        def make_clock(seconds):
+        def make_clock(seconds, stop, free_s):
             clocks.append(Spent())
             return clocks[-1]
 
